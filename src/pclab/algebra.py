@@ -438,18 +438,6 @@ def encode_truth(value: bool, basis: str, field: Field) -> int:
     raise BasisMismatch(f"unknown basis {basis!r}")
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p.add(q)
-
-
-def poly_scale(a: int, p: Poly) -> Poly:
-    return p.scale(a)
-
-
-def poly_mul_var(p: Poly, v: Var) -> Poly:
-    return p.mul_var(v)
-
-
 def compare_poly_grlex(p: Poly, q: Poly) -> Optional[int]:
     """Extension of graded lex to polynomials: compare the descending
     monomial sequences positionwise; a missing position is smallest.

@@ -9,7 +9,7 @@ appears.  The lifted variant runs the same scheme once per gadget copy.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .formulas import (
     gen_lop,
     pointer_bits,
 )
-from .proofs import PCProof, ResolutionProof, Step, check_resolution, resolution_lines
+from .proofs import PCProof, ProofWriter, ResolutionProof
 from .transforms import res_to_pcr
 
 
@@ -201,21 +201,16 @@ def tseitin_fourier_refutation(n: int) -> PCProof:
     p = ax.field.p
     half = (p + 1) // 2  # inverse of 2
     x = {k: plain(f"x{k}") for k in range(1, n + 1)}
-    steps: List[Step] = []
-
-    def emit(step: Step) -> int:
-        steps.append(step)
-        return len(steps) - 1
-
-    walk = emit(("ax", 0))  # x1*x2 - 1
+    out = ProofWriter(p)
+    walk = out.emit(("ax", 0))  # x1*x2 - 1
     for k in range(2, n):
-        a = emit(("ax", k - 1))  # xk*x(k+1) - 1
-        q = emit(("mul", x[k], walk))  # x1 - xk
-        q = emit(("mul", x[k + 1], q))  # x1*x(k+1) - xk*x(k+1)
-        walk = emit(("lin", 1, q, 1, a))  # x1*x(k+1) - 1
-    last = emit(("ax", n - 1))  # xn*x1 + 1
-    emit(("lin", half, last, p - half, walk))  # 1
-    return PCProof(ax, tuple(steps))
+        a = out.emit(("ax", k - 1))  # xk*x(k+1) - 1
+        q = out.emit(("mul", x[k], walk))  # x1 - xk
+        q = out.emit(("mul", x[k + 1], q))  # x1*x(k+1) - xk*x(k+1)
+        walk = out.emit(("lin", 1, q, 1, a))  # x1*x(k+1) - 1
+    last = out.emit(("ax", n - 1))  # xn*x1 + 1
+    out.emit(("lin", half, last, p - half, walk))  # 1
+    return PCProof(ax, tuple(out.steps))
 
 
 # ---------------------------------------------------------------------------

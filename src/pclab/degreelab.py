@@ -478,11 +478,6 @@ class ResidueOracle:
         return Poly(fld, BOOLEAN, out)
 
 
-def R_operator(poly: Poly, context: AxiomSystem) -> Poly:
-    """One-shot touch-keyed reduction; builds a fresh oracle each call."""
-    return ResidueOracle(context).R(poly)
-
-
 # ---------------------------------------------------------------------------
 # lemma verification
 

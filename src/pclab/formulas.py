@@ -54,10 +54,6 @@ def clause_of(*literals: Var) -> Clause:
     return frozenset(literals)
 
 
-def _clause_width(c: Clause) -> int:
-    return len(c)
-
-
 def _check_clause(c: Clause):
     for v in c:
         if v.twin in c:

@@ -14,16 +14,27 @@ step:
     ("lin", a, i, b, j) a*L_i + b*L_j
     ("mul", v, i)       v * L_i, squares folded per the basis
 
-Line references are 0-based positions of earlier lines.  The checker
-recomputes every polynomial from its step; nothing is trusted.
+A resolution proof is a sequence of ("in", i) steps, the i-th input
+clause, and ("res", i, j, pivot) steps, the resolvent of lines i and j.
+
+Line references are 0-based positions of earlier lines.  Every line is
+computed in one place: ``walk_pc`` (and ``walk_resolution`` for clauses)
+recomputes each line from its step, trusting nothing, and yields
+``(k, step, line)`` for every step in order.  A line is kept only while a
+later step still reads it and is released after its last use, so a walk
+holds the live frontier, not the whole proof; a caller that wants every
+line collects them itself.  The first step that does not derive a line
+ends the walk with a ``StepError`` whose ``k`` is that step's index; its
+message quotes axiom, clause and line numbers 1-based, as the file
+writes them.  The checkers and metrics below are folds over these walks.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (
     BOOLEAN,
@@ -70,7 +81,89 @@ class PCProof:
 
 
 class StepError(ValueError):
-    pass
+    """A step that derives no line; ``k`` is its index when a walk raised it."""
+
+    def __init__(self, message: str, k: Optional[int] = None):
+        super().__init__(message)
+        self.k = k
+
+
+class ProofWriter:
+    """Appends steps to a proof under construction; ``steps[k]`` is line k."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.steps: List[Step] = []
+
+    def emit(self, step: Step) -> int:
+        self.steps.append(step)
+        return len(self.steps) - 1
+
+    def lin(self, parts: Iterable[Tuple[int, Optional[int], Term]]) -> Optional[int]:
+        """Combine the parts (coef, line, by), each line first multiplied by
+        the variables of ``by``.  Parts with no line or a zero coefficient
+        are dropped: no part left emits nothing and returns None, one part
+        c*L emits ("lin", c, L, 0, L)."""
+        ends = []
+        for c, i, by in parts:
+            if i is not None and c % self.p:
+                for v in by:
+                    i = self.emit(("mul", v, i))
+                ends.append((c, i))
+        if not ends:
+            return None
+        if len(ends) == 1:
+            ((c, i),) = ends
+            return self.emit(("lin", c, i, 0, i))
+        (a, i), (b, j) = ends
+        return self.emit(("lin", a, i, b, j))
+
+
+def _num(i) -> str:
+    """An axiom, clause or line index as the file writes it (1-based)."""
+    return str(i + 1) if isinstance(i, int) else repr(i)
+
+
+def _refs(step: Step) -> Tuple[int, ...]:
+    """The earlier lines a step reads: the parents of a "lin", "mul" or
+    "res" step; nothing for any other or malformed step."""
+    if len(step) == 5 and step[0] == "lin":
+        refs = (step[2], step[4])
+    elif len(step) == 3 and step[0] == "mul":
+        refs = (step[2],)
+    elif len(step) == 4 and step[0] == "res":
+        refs = (step[1], step[2])
+    else:
+        return ()
+    return tuple(i for i in refs if isinstance(i, int))
+
+
+def _walk(steps: Sequence[Step], derive) -> Iterator[Tuple[int, Step, object]]:
+    """Yield (k, step, derive(step, k, lines)) for every step, where
+    ``lines`` holds exactly the earlier lines some later step reads."""
+    refs = [_refs(step) for step in steps]
+    last_use: Dict[int, int] = {}
+    for k, rs in enumerate(refs):
+        for i in rs:
+            last_use[i] = k
+    lines: Dict[int, object] = {}
+    for k, step in enumerate(steps):
+        try:
+            line = derive(step, k, lines)
+        except StepError as e:
+            raise StepError(str(e), k) from None
+        if k in last_use:
+            lines[k] = line
+        for i in refs[k]:
+            if last_use[i] == k:
+                lines.pop(i, None)
+        yield k, step, line
+
+
+def _ref(i, k: int, lines: Dict[int, object]):
+    if not isinstance(i, int) or not 0 <= i < k:
+        raise StepError(f"reference to L{_num(i)} not before L{k + 1}")
+    return lines[i]
 
 
 _STEP_ARITY = {"ax": 2, "sq": 2, "tw": 2, "lin": 5, "mul": 3}
@@ -79,47 +172,37 @@ _STEP_ARITY = {"ax": 2, "sq": 2, "tw": 2, "lin": 5, "mul": 3}
 def _step_poly(step: Step, k: int, lines: Dict[int, Poly], proof: PCProof, uni: Set[Var]) -> Poly:
     ax = proof.axioms
     kind = step[0] if step else None
-    if kind not in _STEP_ARITY or len(step) != _STEP_ARITY[kind]:
+    if not isinstance(kind, str) or _STEP_ARITY.get(kind) != len(step):
         raise StepError(f"malformed step {step!r}")
-
-    def line(i: int) -> Poly:
-        if not isinstance(i, int) or not (0 <= i < k):
-            raise StepError(f"reference to line {i} not before line {k}")
-        return lines[i]
-
     if kind == "ax":
         i = step[1]
         if not isinstance(i, int) or not (0 <= i < len(ax.polys)):
-            raise StepError(f"no axiom with index {i}")
+            raise StepError(f"no axiom {_num(i)}: the system has {len(ax.polys)}")
         return ax.polys[i]
-    if kind in ("sq", "tw"):
-        v = step[1]
-        if not isinstance(v, Var) or v.base not in uni:
-            raise StepError(f"variable {v} outside the system universe")
-        if kind == "sq":
-            return Poly.zero(ax.field, ax.basis)
-        return twin_axiom_poly(v, ax.field, ax.basis)
     if kind == "lin":
         _, a, i, b, j = step
         if not isinstance(a, int) or not isinstance(b, int):
             raise StepError(f"non-scalar coefficients in {step!r}")
-        return line(i).scale(a).add(line(j).scale(b))
-    _, v, i = step
+        return _ref(i, k, lines).scale(a).add(_ref(j, k, lines).scale(b))
+    v = step[1]
     if not isinstance(v, Var) or v.base not in uni:
         raise StepError(f"variable {v} outside the system universe")
-    return line(i).mul_var(v)
+    if kind == "sq":
+        return Poly.zero(ax.field, ax.basis)
+    if kind == "tw":
+        return twin_axiom_poly(v, ax.field, ax.basis)
+    return _ref(step[2], k, lines).mul_var(v)
+
+
+def walk_pc(proof: PCProof) -> Iterator[Tuple[int, Step, Poly]]:
+    """Recompute every line of a polynomial-calculus proof from its step."""
+    uni = set(proof.axioms.universe)
+    return _walk(proof.steps, lambda step, k, lines: _step_poly(step, k, lines, proof, uni))
 
 
 def proof_lines(proof: PCProof) -> List[Poly]:
     """Materialize every line; raises StepError on a malformed step."""
-    lines: Dict[int, Poly] = {}
-    uni = set(proof.axioms.universe)
-    out = []
-    for k, step in enumerate(proof.steps):
-        p = _step_poly(step, k, lines, proof, uni)
-        lines[k] = p
-        out.append(p)
-    return out
+    return [p for _, _, p in walk_pc(proof)]
 
 
 @dataclass(frozen=True)
@@ -137,41 +220,20 @@ def check_pc(proof: PCProof) -> PCReport:
     """Recompute every line from its step and report the proof metrics.
 
     ``size`` is the total monomial count over all lines and ``degree``
-    the maximum line degree.  Lines no longer referenced later are
-    released as checking proceeds, so memory stays proportional to the
-    live frontier, not the proof length.
+    the maximum line degree.  The walk releases lines no longer
+    referenced later, so memory stays proportional to the live frontier,
+    not the proof length.
     """
-    last_use: Dict[int, int] = {}
-    for k, step in enumerate(proof.steps):
-        if step[0] == "lin" and len(step) == 5:
-            for i in (step[2], step[4]):
-                if isinstance(i, int):
-                    last_use[i] = k
-        elif step[0] == "mul" and len(step) == 3 and isinstance(step[2], int):
-            last_use[step[2]] = k
-
-    lines: Dict[int, Poly] = {}
-    uni = set(proof.axioms.universe)
-    size = 0
-    degree = 0
+    size = degree = 0
     final: Optional[Poly] = None
-    for k, step in enumerate(proof.steps):
-        try:
-            p = _step_poly(step, k, lines, proof, uni)
-        except (StepError, TypeError, KeyError) as e:
-            return PCReport(False, False, size, degree, len(proof.steps), k, str(e))
-        lines[k] = p
-        size += p.monomial_count
-        degree = max(degree, p.degree)
-        final = p
-        for i in (step[2], step[4]) if step[0] == "lin" else ():
-            if isinstance(i, int) and last_use.get(i) == k and i != k:
-                lines.pop(i, None)
-        if step[0] == "mul" and isinstance(step[2], int) and last_use.get(step[2]) == k:
-            lines.pop(step[2], None)
+    try:
+        for _, _, final in walk_pc(proof):
+            size += final.monomial_count
+            degree = max(degree, final.degree)
+    except StepError as e:
+        return PCReport(False, False, size, degree, len(proof.steps), e.k, str(e))
     one = Poly.constant(proof.field, proof.basis, 1)
-    is_refutation = final is not None and final == one
-    return PCReport(True, is_refutation, size, degree, len(proof.steps))
+    return PCReport(True, final is not None and final == one, size, degree, len(proof.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -209,47 +271,40 @@ def resolve_clauses(c1: Clause, c2: Clause, pivot: Var) -> Clause:
     return frozenset(v for v in (pos | neg) if v.base != pivot)
 
 
-def resolution_lines(proof: ResolutionProof) -> List[Clause]:
-    lines: List[Clause] = []
-    for k, step in enumerate(proof.steps):
-        if step[0] == "in":
+def walk_resolution(proof: ResolutionProof) -> Iterator[Tuple[int, Step, Clause]]:
+    """Recompute every clause of a resolution proof from its step."""
+    clauses = proof.cnf.clauses
+
+    def derive(step: Step, k: int, lines: Dict[int, Clause]) -> Clause:
+        if len(step) == 2 and step[0] == "in":
             i = step[1]
-            if not (0 <= i < len(proof.cnf.clauses)):
-                raise StepError(f"no input clause with index {i}")
-            lines.append(proof.cnf.clauses[i])
-        elif step[0] == "res":
+            if not isinstance(i, int) or not (0 <= i < len(clauses)):
+                raise StepError(f"no input clause {_num(i)}: the formula has {len(clauses)}")
+            return clauses[i]
+        if len(step) == 4 and step[0] == "res":
             _, i, j, pivot = step
-            if not (0 <= i < k and 0 <= j < k):
-                raise StepError(f"reference not before line {k}")
-            lines.append(resolve_clauses(lines[i], lines[j], pivot))
-        else:
-            raise StepError(f"unknown step kind {step[0]!r}")
-    return lines
+            if not isinstance(pivot, Var):
+                raise StepError(f"pivot {pivot!r} is not a variable")
+            return resolve_clauses(_ref(i, k, lines), _ref(j, k, lines), pivot)
+        raise StepError(f"malformed step {step!r}")
+
+    return _walk(proof.steps, derive)
+
+
+def resolution_lines(proof: ResolutionProof) -> List[Clause]:
+    """Materialize every clause; raises StepError on a malformed step."""
+    return [c for _, _, c in walk_resolution(proof)]
 
 
 def check_resolution(proof: ResolutionProof) -> ResReport:
-    lines: List[Clause] = []
     width = 0
-    for k, step in enumerate(proof.steps):
-        try:
-            if step[0] == "in":
-                i = step[1]
-                if not (0 <= i < len(proof.cnf.clauses)):
-                    raise StepError(f"no input clause with index {i}")
-                c = proof.cnf.clauses[i]
-            elif step[0] == "res":
-                _, i, j, pivot = step
-                if not (0 <= i < k and 0 <= j < k):
-                    raise StepError(f"reference not before line {k}")
-                c = resolve_clauses(lines[i], lines[j], pivot)
-            else:
-                raise StepError(f"unknown step kind {step[0]!r}")
-        except StepError as e:
-            return ResReport(False, False, len(proof.steps), width, k, str(e))
-        lines.append(c)
-        width = max(width, len(c))
-    is_refutation = bool(lines) and not lines[-1]
-    return ResReport(True, is_refutation, len(proof.steps), width)
+    final: Optional[Clause] = None
+    try:
+        for _, _, final in walk_resolution(proof):
+            width = max(width, len(final))
+    except StepError as e:
+        return ResReport(False, False, len(proof.steps), width, e.k, str(e))
+    return ResReport(True, final is not None and not final, len(proof.steps), width)
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +321,17 @@ class QuadraticSet:
     d0: int
 
 
-def _line_is_axiom(step: Step) -> bool:
-    return step[0] in ("ax", "sq", "tw")
-
-
 def quadratic_set(proof: PCProof) -> QuadraticSet:
     """All unordered pairs (including self-pairs) of terms sharing a
     line, and their products folded modulo v*v = 1.  Defined for the
     {+1,-1} encoding only."""
     if proof.basis != FOURIER:
         raise BasisMismatch("quadratic machinery is specific to the {+1,-1} encoding")
-    lines = proof_lines(proof)
     pairs: Set[Tuple[Term, Term]] = set()
     products: Set[Term] = set()
     d0 = 0
-    for step, p in zip(proof.steps, lines):
-        if _line_is_axiom(step):
+    for _, step, p in walk_pc(proof):
+        if step[0] in ("ax", "sq", "tw"):
             d0 = max(d0, p.degree)
         ts = sorted(p.terms, key=grlex_key)
         for a in range(len(ts)):
@@ -351,11 +401,8 @@ def special_degree(proof: PCProof, n: Optional[int] = None, ell: Optional[int] =
     ell = ell if ell is not None else proof.axioms.ell
     if n is None or ell is None:
         raise ValueError("touch context (n, ell) unknown")
-    best = 0
-    for p in proof_lines(proof):
-        for t in p.terms:
-            best = max(best, len(touched(t, n, ell).tau))
-    return best
+    terms = (t for _, _, p in walk_pc(proof) for t in p.terms)
+    return max((len(touched(t, n, ell).tau) for t in terms), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,22 +514,36 @@ def parse_step(text: str, k: int, field: Field) -> Step:
     raise ValueError(f"malformed step {text!r}")
 
 
-def read_pcproof(path, axioms: Optional[AxiomSystem] = None) -> PCProof:
+def _read_proof_file(path, magic: str, keys: Sequence[str]) -> Tuple[Dict[str, str], List[str]]:
+    """The header's key=value pairs and the step lines of a proof file."""
     with open(str(path)) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty proof file")
     head = lines[0].split()
-    if head[:2] != ["pcproof", "v1"]:
+    if head[:2] != [magic, "v1"]:
         raise ValueError(f"bad proof header: {lines[0]!r}")
     kv = dict(x.split("=", 1) for x in head[2:])
+    for key in keys:
+        if key not in kv:
+            raise ValueError(f"{path}: proof header lacks {key}=")
+    return kv, lines[1:]
+
+
+def _beside(path, name: str) -> str:
+    """A path named in a proof header, relative to the proof's directory."""
+    return os.path.join(os.path.dirname(os.path.abspath(str(path))), name)
+
+
+def read_pcproof(path, axioms: Optional[AxiomSystem] = None) -> PCProof:
+    keys = ("basis", "field") if axioms is not None else ("basis", "field", "axioms")
+    kv, lines = _read_proof_file(path, "pcproof", keys)
     if axioms is None:
-        ax_path = kv["axioms"]
-        if not os.path.isabs(ax_path):
-            ax_path = os.path.join(os.path.dirname(os.path.abspath(str(path))), ax_path)
-        axioms = read_axioms(ax_path)
+        axioms = read_axioms(_beside(path, kv["axioms"]))
     if axioms.basis != kv["basis"] or axioms.field.p != int(kv["field"]):
         raise ValueError("proof header disagrees with the axiom system")
     steps = []
-    for k, line in enumerate(lines[1:]):
+    for k, line in enumerate(lines):
         label, rest = line.split(None, 1)
         if label != f"L{k + 1}":
             raise ValueError(f"expected label L{k + 1}, got {label!r}")
@@ -502,25 +563,17 @@ def write_resproof(proof: ResolutionProof, path, cnf_path: str) -> None:
 
 
 def read_resproof(path, cnf: Optional[CNF] = None) -> ResolutionProof:
-    with open(str(path)) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[:2] != ["resproof", "v1"]:
-        raise ValueError(f"bad proof header: {lines[0]!r}")
-    kv = dict(x.split("=", 1) for x in head[2:])
+    kv, lines = _read_proof_file(path, "resproof", () if cnf is not None else ("cnf",))
     if cnf is None:
-        cnf_path = kv["cnf"]
-        if not os.path.isabs(cnf_path):
-            cnf_path = os.path.join(os.path.dirname(os.path.abspath(str(path))), cnf_path)
-        cnf = read_dimacs(cnf_path)
+        cnf = read_dimacs(_beside(path, kv["cnf"]))
     steps: List[Step] = []
-    for k, line in enumerate(lines[1:]):
+    for k, line in enumerate(lines):
         toks = line.split()
         if toks[0] != f"L{k + 1}":
             raise ValueError(f"expected label L{k + 1}, got {toks[0]!r}")
-        if toks[1] == "IN" and len(toks) == 3:
+        if len(toks) == 3 and toks[1] == "IN":
             steps.append(("in", int(toks[2]) - 1))
-        elif toks[1] == "RES" and len(toks) == 5:
+        elif len(toks) == 5 and toks[1] == "RES":
             steps.append(("res", _parse_label(toks[2], k), _parse_label(toks[3], k), parse_var(toks[4])))
         else:
             raise ValueError(f"malformed step {line!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .algebra import (
     BOOLEAN,
@@ -35,13 +35,14 @@ from .algebra import (
 from .formulas import CNF, AxiomSystem, Clause, cnf_to_axioms, code_of, pointer_bits
 from .proofs import (
     PCProof,
+    ProofWriter,
     ResolutionProof,
     Step,
-    check_pc,
-    check_resolution,
-    proof_lines,
+    StepError,
+    _refs,
     quadratic_set,
-    resolution_lines,
+    walk_pc,
+    walk_resolution,
 )
 
 # ---------------------------------------------------------------------------
@@ -188,54 +189,28 @@ def restrict_proof(
     Multiplication by an assigned variable becomes a scalar combination.
     """
     ax, amap = restrict_axioms(proof.axioms, rho)
-    field = proof.field
-    steps: List[Step] = []
+    out = ProofWriter(proof.field.p)
     lmap: List[Optional[int]] = []
-
-    def emit(step: Step) -> int:
-        steps.append(step)
-        return len(steps) - 1
-
     for step in proof.steps:
         kind = step[0]
         if kind == "ax":
             new = amap[step[1]]
-            lmap.append(None if new is None else emit(("ax", new)))
-        elif kind == "sq":
+            lmap.append(None if new is None else out.emit(("ax", new)))
+        elif kind == "sq" or (kind == "tw" and step[1] in rho):
             lmap.append(None)
         elif kind == "tw":
-            v = step[1]
-            if v in rho:
-                lmap.append(None)
-            else:
-                lmap.append(emit(("tw", v)))
+            lmap.append(out.emit(step))
         elif kind == "lin":
             _, a, i, b, j = step
-            parts = [(c, lmap[k]) for c, k in ((a, i), (b, j)) if lmap[k] is not None and c % field.p]
-            if not parts:
-                lmap.append(None)
-            elif len(parts) == 1:
-                c, k = parts[0]
-                lmap.append(emit(("lin", c, k, 0, k)))
-            else:
-                (a2, i2), (b2, j2) = parts
-                lmap.append(emit(("lin", a2, i2, b2, j2)))
+            lmap.append(out.lin([(a, lmap[i], ()), (b, lmap[j], ())]))
         else:  # mul
             _, v, i = step
-            src = lmap[i]
-            if src is None:
-                lmap.append(None)
-                continue
             tv = rho.value(v)
             if tv is None:
-                lmap.append(emit(("mul", v, src)))
+                lmap.append(None if lmap[i] is None else out.emit(("mul", v, lmap[i])))
             else:
-                c = encode_truth(tv, proof.basis, field)
-                if c == 0:
-                    lmap.append(None)
-                else:
-                    lmap.append(emit(("lin", c, src, 0, src)))
-    return PCProof(ax, tuple(steps)), tuple(lmap)
+                lmap.append(out.lin([(encode_truth(tv, proof.basis, proof.field), lmap[i], ())]))
+    return PCProof(ax, tuple(out.steps)), tuple(lmap)
 
 
 def restrict(target, rho: Restriction):
@@ -357,51 +332,28 @@ def _split_pass(proof: PCProof, w: Var) -> PCProof:
     """One elimination pass at the single variable w (a base variable or a
     twin, treated as an independent variable of the representation).
     Each line P = P1*w + P0 is replaced by derivations of P1 and P0."""
-    steps: List[Step] = []
+    out = ProofWriter(proof.field.p)
     hi: List[Optional[int]] = []
     lo: List[Optional[int]] = []
-
-    def emit(step: Step) -> int:
-        steps.append(step)
-        return len(steps) - 1
-
-    def copy(idx: Optional[int]) -> Optional[int]:
-        return None if idx is None else emit(("lin", 1, idx, 0, idx))
-
-    p = proof.field.p
     for step in proof.steps:
         kind = step[0]
-        if kind == "ax":
-            hi.append(None)
-            lo.append(emit(("ax", step[1])))
-        elif kind == "sq":
-            hi.append(None)
-            lo.append(None)
-        elif kind == "tw":
-            hi.append(None)
-            lo.append(emit(("tw", step[1])))
-        elif kind == "lin":
+        if kind == "lin":
             _, a, i, b, j = step
             for comp in (hi, lo):
-                parts = [(c, comp[k]) for c, k in ((a, i), (b, j)) if comp[k] is not None and c % p]
-                if not parts:
-                    comp.append(None)
-                elif len(parts) == 1:
-                    c, k = parts[0]
-                    comp.append(emit(("lin", c, k, 0, k)))
-                else:
-                    (a2, i2), (b2, j2) = parts
-                    comp.append(emit(("lin", a2, i2, b2, j2)))
-        else:  # mul
+                comp.append(out.lin([(a, comp[i], ()), (b, comp[j], ())]))
+        elif kind == "mul" and step[1] == w:
+            # w * (P1*w + P0) = P0*w + P1: the components swap.
+            i = step[2]
+            hi.append(out.lin([(1, lo[i], ())]))
+            lo.append(out.lin([(1, hi[i], ())]))
+        elif kind == "mul":
             _, v, i = step
-            if v == w:
-                # w * (P1*w + P0) = P0*w + P1: the components swap.
-                hi.append(copy(lo[i]))
-                lo.append(copy(hi[i]))
-            else:
-                hi.append(None if hi[i] is None else emit(("mul", v, hi[i])))
-                lo.append(None if lo[i] is None else emit(("mul", v, lo[i])))
-    return PCProof(proof.axioms, tuple(steps))
+            hi.append(None if hi[i] is None else out.emit(("mul", v, hi[i])))
+            lo.append(None if lo[i] is None else out.emit(("mul", v, lo[i])))
+        else:
+            hi.append(None)
+            lo.append(None if kind == "sq" else out.emit(step))
+    return PCProof(proof.axioms, tuple(out.steps))
 
 
 def split(proof: PCProof, x: Var, prune_dead: bool = False) -> PCProof:
@@ -440,14 +392,8 @@ def strip_dead(proof: PCProof) -> PCProof:
         return proof
     keep: Set[int] = {len(proof.steps) - 1}
     for k in range(len(proof.steps) - 1, -1, -1):
-        if k not in keep:
-            continue
-        step = proof.steps[k]
-        if step[0] == "lin":
-            keep.add(step[2])
-            keep.add(step[4])
-        elif step[0] == "mul":
-            keep.add(step[2])
+        if k in keep:
+            keep.update(_refs(proof.steps[k]))
     new_index: Dict[int, int] = {}
     steps: List[Step] = []
     for k in sorted(keep):
@@ -475,6 +421,14 @@ def quadratic_containment_check(before: PCProof, after: PCProof, x: Var) -> bool
 # quadratic degree to degree
 
 
+def _valid_input(walk):
+    """Pass a walk through, turning its StepError into an input error."""
+    try:
+        yield from walk
+    except StepError as e:
+        raise ValueError(f"input proof invalid at L{e.k + 1}: {e}") from None
+
+
 def qdeg_to_deg(proof: PCProof) -> PCProof:
     """Rebuild a {+1,-1} proof so that every line of the original appears
     multiplied by one of its own terms, capping the degree by twice the
@@ -488,64 +442,34 @@ def qdeg_to_deg(proof: PCProof) -> PCProof:
     """
     if proof.basis != FOURIER:
         raise BasisMismatch("the degree conversion is specific to the {+1,-1} encoding")
-    report = check_pc(proof)
-    if not report.valid:
-        raise ValueError(f"input proof invalid at line {report.first_bad_line}: {report.message}")
-    values = proof_lines(proof)
-    p = proof.field.p
-    steps: List[Step] = []
-    idx: List[Optional[int]] = []
-    tsel: List[Term] = []
-
-    def emit(step: Step) -> int:
-        steps.append(step)
-        return len(steps) - 1
-
-    for k, step in enumerate(proof.steps):
+    out = ProofWriter(proof.field.p)
+    idx: List[int] = []
+    tsel: List[Optional[Term]] = []  # the chosen term; None for a zero line
+    for _, step, val in _valid_input(walk_pc(proof)):
         kind = step[0]
-        val = values[k]
-        if kind in ("ax", "sq", "tw"):
-            cur = emit(step)
-            if val.is_zero:
-                tsel.append(())
-            else:
-                t = val.leading_term()
-                for v in t:
-                    cur = emit(("mul", v, cur))
-                tsel.append(t)
-            idx.append(cur)
-        elif kind == "mul":
+        if kind == "mul":
             _, v, i = step
-            if val.is_zero:
-                tsel.append(())
-            else:
-                tsel.append(term_mul(tsel[i], (v,), FOURIER))
             idx.append(idx[i])
-        else:  # lin
+            tsel.append(None if val.is_zero else term_mul(tsel[i], (v,), FOURIER))
+            continue
+        t = None if val.is_zero else val.leading_term()
+        if kind != "lin":
+            cur = out.emit(step)
+            for v in t or ():
+                cur = out.emit(("mul", v, cur))
+            idx.append(cur)
+        elif t is None:
+            idx.append(out.emit(("lin", 0, idx[step[2]], 0, idx[step[2]])))
+        else:
             _, a, i, b, j = step
-            if val.is_zero:
-                tsel.append(())
-                idx.append(emit(("lin", 0, idx[i], 0, idx[i])))
-                continue
-            t = val.leading_term()
-            ends: List[Tuple[int, int]] = []
-            for coef, par in ((a, i), (b, j)):
-                if coef % p == 0 or values[par].is_zero:
-                    continue
-                cur = idx[par]
-                for v in term_mul(t, tsel[par], FOURIER):
-                    cur = emit(("mul", v, cur))
-                ends.append((coef, cur))
-            if len(ends) == 1:
-                c, e = ends[0]
-                idx.append(emit(("lin", c, e, 0, e)))
-            else:
-                (a2, e1), (b2, e2) = ends
-                idx.append(emit(("lin", a2, e1, b2, e2)))
-            tsel.append(t)
-    if proof.steps and idx[-1] != len(steps) - 1:
-        emit(("lin", 1, idx[-1], 0, idx[-1]))
-    return PCProof(proof.axioms, tuple(steps))
+            # each live parent's line t_q*P_q is multiplied up to t*P_q first
+            parts = [(c, None if tsel[q] is None else idx[q], term_mul(t, tsel[q] or (), FOURIER))
+                     for c, q in ((a, i), (b, j))]
+            idx.append(out.lin(parts))
+        tsel.append(t)
+    if idx and idx[-1] != len(out.steps) - 1:
+        out.lin([(1, idx[-1], ())])
+    return PCProof(proof.axioms, tuple(out.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -777,47 +701,23 @@ def res_to_pcr(rproof: ResolutionProof, field=None) -> PCProof:
     monomial), adds them, and cancels the pivot pair against the twin
     axiom multiplied by the resolvent monomial.
     """
-    report = check_resolution(rproof)
-    if not report.valid:
-        raise ValueError(
-            f"input proof invalid at line {report.first_bad_line}: {report.message}"
-        )
     kwargs = {} if field is None else {"field": field}
     axioms = cnf_to_axioms(rproof.cnf, BOOLEAN, **kwargs)
-    p = axioms.field.p
-    lines = resolution_lines(rproof)
-    steps: List[Step] = []
+    out = ProofWriter(axioms.field.p)
+    lines: List[Clause] = []
     where: List[int] = []
-
-    def emit(step: Step) -> int:
-        steps.append(step)
-        return len(steps) - 1
-
-    def extend(src: int, have: Term, want: Term) -> int:
-        cur = src
-        present = set(have)
-        for v in want:
-            if v not in present:
-                cur = emit(("mul", v, cur))
-        return cur
-
-    for k, step in enumerate(rproof.steps):
+    for _, step, clause in _valid_input(walk_resolution(rproof)):
+        lines.append(clause)
         if step[0] == "in":
-            where.append(emit(("ax", step[1])))
+            where.append(out.emit(("ax", step[1])))
             continue
         _, i, j, pivot = step
         pivot = pivot.base
-        if pivot in lines[i]:
-            pos_k, neg_k = i, j
-        else:
-            pos_k, neg_k = j, i
-        target = _clause_monomial(lines[k])
-        # parent with the positive pivot literal carries the twin factor
-        la = extend(where[pos_k], _clause_monomial(lines[pos_k]), target)
-        lb = extend(where[neg_k], _clause_monomial(lines[neg_k]), target)
-        le = emit(("lin", 1, la, 1, lb))
-        tw = emit(("tw", pivot))
-        for v in target:
-            tw = emit(("mul", v, tw))
-        where.append(emit(("lin", 1, le, p - 1, tw)))
-    return PCProof(axioms, tuple(steps))
+        target = _clause_monomial(clause)
+        # each parent's monomial is multiplied up to the target; the parent
+        # with the positive pivot literal comes first and carries the twin factor
+        pos, neg = (i, j) if pivot in lines[i] else (j, i)
+        le = out.lin([(1, where[q], [v for v in target if v.twin not in lines[q]]) for q in (pos, neg)])
+        tw = out.emit(("tw", pivot))
+        where.append(out.lin([(1, le, ()), (axioms.field.p - 1, tw, target)]))
+    return PCProof(axioms, tuple(out.steps))

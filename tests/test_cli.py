@@ -146,6 +146,48 @@ class TestCheck:
     def test_missing_file(self, tmp_path):
         assert run("check", tmp_path / "absent.pc") == 2
 
+    @pytest.mark.parametrize("key", ["axioms", "basis", "field"])
+    def test_header_without_key(self, tseitin_dir, key, capsys):
+        path = tseitin_dir / "proof.pc"
+        lines = path.read_text().splitlines()
+        lines[0] = " ".join(t for t in lines[0].split() if not t.startswith(key + "="))
+        path.write_text("\n".join(lines) + "\n")
+        assert run("check", path) == 2
+        assert f"lacks {key}=" in capsys.readouterr().err
+        assert run("transform", "split", "--proof", path, "--var", "x1",
+                   "--out", tseitin_dir / "out") == 2
+
+    def test_resolution_header_without_cnf(self, tmp_path, capsys):
+        run("refute", "lop", "--n", 3, "--out", tmp_path)
+        path = tmp_path / "proof.res"
+        lines = path.read_text().splitlines()
+        path.write_text("resproof v1\n" + "\n".join(lines[1:]) + "\n")
+        assert run("check", path) == 2
+        assert "lacks cnf=" in capsys.readouterr().err
+        assert run("transform", "res2pcr", "--proof", path, "--out", tmp_path / "out") == 2
+
+    def test_resolution_step_without_kind(self, tmp_path):
+        run("refute", "lop", "--n", 3, "--out", tmp_path)
+        path = tmp_path / "proof.res"
+        path.write_text(path.read_text().splitlines()[0] + "\nL1\n")
+        assert run("check", path) == 2
+
+    def test_empty_file(self, tmp_path):
+        empty = tmp_path / "empty.pc"
+        empty.write_text("")
+        assert run("check", empty) == 2
+        assert run("transform", "split", "--proof", empty, "--var", "x1",
+                   "--out", tmp_path / "a") == 2
+        assert run("transform", "res2pcr", "--proof", empty, "--out", tmp_path / "b") == 2
+
+    def test_invalid_step_quotes_file_numbers(self, tseitin_dir, capsys):
+        path = tseitin_dir / "proof.pc"
+        lines = path.read_text().splitlines()
+        lines[1] = "L1 AX 0"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("check", path) == 1
+        assert capsys.readouterr().out.startswith("INVALID at L1: no axiom 0: the system has 5")
+
     def test_truncated_proof_not_refutation(self, tseitin_dir):
         path = tseitin_dir / "proof.pc"
         lines = path.read_text().splitlines()

@@ -18,7 +18,6 @@ from pclab.algebra import (
 from pclab.degreelab import (
     HeavySelection,
     LemmaReport,
-    R_operator,
     ResidueOracle,
     bop_context,
     heavy_split_round,
@@ -322,11 +321,6 @@ def test_oracle_results_are_reproducible():
     for _ in range(10):
         p = _rand_poly(rng, vs, BOOLEAN, max_terms=3, max_degree=3)
         assert a.R(p) == b.R(p)
-
-
-def test_R_operator_convenience(oracle):
-    p = _poly(BOOLEAN, {(pointer(1, 1),): 2, (edge(1, 2, 1),): 3})
-    assert R_operator(p, oracle.context) == oracle.R(p)
 
 
 def test_oracle_rejects_bad_contexts():

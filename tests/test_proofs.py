@@ -103,9 +103,16 @@ class TestCheckPC:
 
     def test_malformed_step_reported_not_raised(self):
         ax = x_pm_one_system()
-        for bad in (("lin", 1, 0), ("frob", 1), ("lin", "a", 0, 1, 0), ("mul", 3, 0)):
+        for bad in (("lin", 1, 0), ("frob", 1), ("lin", "a", 0, 1, 0), ("mul", 3, 0), ()):
             rep = check_pc(PCProof(ax, (("ax", 0), bad)))
             assert not rep.valid and rep.first_bad_line == 1
+
+    def test_messages_use_file_numbering(self):
+        ax = x_pm_one_system()
+        assert check_pc(PCProof(ax, (("ax", -1),))).message == "no axiom 0: the system has 2"
+        assert check_pc(PCProof(ax, (("ax", 98),))).message == "no axiom 99: the system has 2"
+        rep = check_pc(PCProof(ax, (("ax", 0), ("lin", 1, 0, 1, 5))))
+        assert rep.message == "reference to L6 not before L2"
 
     def test_square_step_is_zero_line(self):
         x = plain("a")
@@ -178,6 +185,19 @@ class TestResolution:
         cnf = gen_lop(2)
         rep = check_resolution(ResolutionProof(cnf, (("in", 99),)))
         assert not rep.valid and rep.first_bad_line == 0
+
+    def test_malformed_step_reported_not_raised(self):
+        cnf = gen_lop(2)
+        for bad in (("res", 0), ("res", 0, 1, 3), ("in", "a"), (), ("frob", 0)):
+            rep = check_resolution(ResolutionProof(cnf, (("in", 0), bad)))
+            assert not rep.valid and rep.first_bad_line == 1
+
+    def test_messages_use_file_numbering(self):
+        cnf = gen_lop(2)
+        rep = check_resolution(ResolutionProof(cnf, (("in", -1),)))
+        assert rep.message == "no input clause 0: the formula has 3"
+        rep = check_resolution(ResolutionProof(cnf, (("in", 0), ("res", 0, 4, edge(1, 2)))))
+        assert rep.message == "reference to L5 not before L2"
 
     def test_invalid_pivot_reported(self):
         cnf = gen_lop(2)
