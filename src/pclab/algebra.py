@@ -256,6 +256,7 @@ class Poly:
             raise BasisMismatch(f"unknown basis {basis!r}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", basis)
+        # the one reduction mod p: callers pass unreduced sums and zeros
         clean = {}
         if terms:
             for t, c in terms.items():
@@ -326,14 +327,9 @@ class Poly:
 
     def add(self, other: "Poly") -> "Poly":
         self._check(other)
-        p = self.field.p
         out = dict(self.terms)
         for t, c in other.terms.items():
-            s = (out.get(t, 0) + c) % p
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
+            out[t] = out.get(t, 0) + c
         return Poly(self.field, self.basis, out)
 
     def neg(self) -> "Poly":
@@ -347,19 +343,13 @@ class Poly:
         a %= self.field.p
         if a == 0:
             return Poly.zero(self.field, self.basis)
-        p = self.field.p
-        return Poly(self.field, self.basis, {t: (c * a) % p for t, c in self.terms.items()})
+        return Poly(self.field, self.basis, {t: c * a for t, c in self.terms.items()})
 
     def mul_var(self, v: Var) -> "Poly":
         out: dict = {}
-        p = self.field.p
         for t, c in self.terms.items():
             nt, sign = mul_term_by_var(t, v, self.basis)
-            s = (out.get(nt, 0) + sign * c) % p
-            if s:
-                out[nt] = s
-            else:
-                out.pop(nt, None)
+            out[nt] = out.get(nt, 0) + sign * c
         return Poly(self.field, self.basis, out)
 
     def mul_term(self, m: Term) -> "Poly":
@@ -370,16 +360,11 @@ class Poly:
 
     def mul(self, other: "Poly") -> "Poly":
         self._check(other)
-        p = self.field.p
         out: dict = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
                 t = term_mul(t1, t2, self.basis)
-                s = (out.get(t, 0) + c1 * c2) % p
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+                out[t] = out.get(t, 0) + c1 * c2
         return Poly(self.field, self.basis, out)
 
     # evaluation
@@ -536,7 +521,7 @@ def parse_poly(line: str, field: Field, basis: str) -> Poly:
         t = make_term(vs)
         if len(t) != len(vs):
             raise ValueError(f"duplicate variable in term: {chunk!r}")
-        terms[t] = (terms.get(t, 0) + coef) % field.p
+        terms[t] = terms.get(t, 0) + coef
     return Poly(field, basis, terms)
 
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import (
-    BASES,
     BOOLEAN,
     FOURIER,
     DEFAULT_FIELD,
@@ -339,7 +338,14 @@ def cnf_to_axioms(cnf: CNF, basis: str, field: Field = DEFAULT_FIELD, twins: boo
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# brute-force evaluation over the Boolean cube
+
+# Mod-p arithmetic on the numpy paths runs in int64.  With p < 2^31 a
+# coefficient times a 16-bit limb stays below 2^47, so the sums over the
+# at most 2^16 points of a span stay below 2^63; so do the products of
+# two residues and the sums of coefficients times monomial values 0, +1
+# or -1.
+NUMPY_PRIME_LIMIT = 2**31
 
 _PARITY16 = None
 
@@ -361,100 +367,117 @@ def _parity(arr: np.ndarray) -> np.ndarray:
     return t[arr & 0xFFFF] ^ t[(arr >> np.uint32(16)) & 0xFFFF]
 
 
-def _universe_of(polys: Sequence[Poly]) -> List[Var]:
-    out = set()
-    for p in polys:
-        out.update(v.base for v in p.variables())
-    return sorted(out)
+class Cube:
+    """Every assignment to a set of variables, one bit per variable.
 
+    The cube's variables are the bases of the given ones in canonical
+    order; bit i of a point k is the truth of the i-th.  A term is a pair
+    of masks ``(pos, neg)``: the bits of its variables and of its twins.
+    Points come as uint32 arrays in ascending order, so the first point
+    found is the first assignment in lexicographic order.  Polynomials
+    evaluate in ``basis`` over ``field``.
+    """
 
-def _term_masks(t: Term, pos_of: Dict[Var, int]) -> Tuple[int, int]:
-    pos = neg = 0
-    for v in t:
-        bit = 1 << pos_of[v.base]
-        if v.negated:
-            neg |= bit
-        else:
-            pos |= bit
-    return pos, neg
+    def __init__(self, variables: Iterable[Var], field: Field = DEFAULT_FIELD, basis: str = BOOLEAN):
+        self.universe: Tuple[Var, ...] = tuple(sorted({v.base for v in variables}))
+        if len(self.universe) > ORACLE_VAR_LIMIT:
+            raise ScaleLimitExceeded(f"{len(self.universe)} variables exceeds {ORACLE_VAR_LIMIT}")
+        if field.p >= NUMPY_PRIME_LIMIT:
+            raise ValueError(f"field order {field.p} is too large for exhaustive evaluation: need p < 2^31")
+        self.field = field
+        self.basis = basis
+        self._bit = {v: 1 << i for i, v in enumerate(self.universe)}
 
+    def masks(self, t: Term) -> Tuple[int, int]:
+        pos = neg = 0
+        for v in t:
+            if v.negated:
+                neg |= self._bit[v.base]
+            else:
+                pos |= self._bit[v]
+        return pos, neg
 
-def _eval_poly_chunk(poly: Poly, ks: np.ndarray, pos_of: Dict[Var, int]) -> np.ndarray:
-    """Values of the polynomial at assignment indices ks (bit i of k is
-    the truth of variable i), reduced mod p."""
-    p = poly.field.p
-    total = np.zeros(len(ks), dtype=np.int64)
-    full = np.uint32((1 << len(pos_of)) - 1) if pos_of else np.uint32(0)
-    for t, c in poly.terms.items():
-        pos, neg = _term_masks(t, pos_of)
-        if poly.basis == BOOLEAN:
-            hit = np.ones(len(ks), dtype=bool)
-            if pos:
-                hit &= (ks & np.uint32(pos)) == np.uint32(pos)
-            if neg:
-                hit &= (ks & np.uint32(neg)) == 0
-            total[hit] += c
-        else:
-            mask = (ks & np.uint32(pos)) | ((ks ^ full) & np.uint32(neg))
-            sign = 1 - 2 * _parity(mask).astype(np.int64)
-            total += c * sign
-        total %= p
-    return total % p
+    def split(self, t: Term) -> Tuple[int, Term]:
+        """The mask of a twin-free term's variables in the cube, and the
+        term of its other variables."""
+        mask = 0
+        rest = []
+        for v in t:
+            bit = self._bit.get(v)
+            if bit is None:
+                rest.append(v)
+            else:
+                mask |= bit
+        return mask, tuple(rest)
 
+    def term(self, mask: int) -> Term:
+        return tuple(v for i, v in enumerate(self.universe) if (mask >> i) & 1)
 
-def _iter_chunks(nvars: int):
-    total = 1 << nvars
-    step = 1 << min(_CHUNK_BITS, nvars)
-    for start in range(0, total, step):
-        yield np.arange(start, min(start + step, total), dtype=np.uint32)
+    def assignment(self, k: int) -> Dict[Var, bool]:
+        return {v: bool((k >> i) & 1) for i, v in enumerate(self.universe)}
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        total = 1 << len(self.universe)
+        step = 1 << min(_CHUNK_BITS, len(self.universe))
+        for start in range(0, total, step):
+            yield np.arange(start, min(start + step, total), dtype=np.uint32)
+
+    def monomials(self, ks: np.ndarray, pos, neg) -> np.ndarray:
+        """Values of the monomials with masks (pos, neg) at the points ks,
+        broadcast elementwise: 0 or 1 as bool in the {0,1} basis, +1 or -1
+        as int64 in the {+1,-1} basis."""
+        if self.basis == BOOLEAN:
+            return ((ks & pos) == pos) & ((ks & neg) == 0)
+        return 1 - 2 * _parity((ks & pos) | (~ks & neg)).astype(np.int64)
+
+    def zero_test(self, poly: Poly) -> Callable[[np.ndarray], np.ndarray]:
+        """The function of points that says where the polynomial vanishes."""
+        terms = [(self.masks(t), c) for t, c in poly.terms.items()]
+        if len(terms) == 1 and self.basis == BOOLEAN:
+            # a nonzero multiple of a 0/1 monomial vanishes where the monomial
+            # does: sat_oracle's clause test stays in bool arithmetic
+            (pos, neg), _ = terms[0]
+            return lambda ks: ~self.monomials(ks, pos, neg)
+        p = self.field.p
+
+        def vanishes(ks: np.ndarray) -> np.ndarray:
+            total = np.zeros(len(ks), dtype=np.int64)
+            for (pos, neg), c in terms:
+                total += c * self.monomials(ks, pos, neg)
+            return total % p == 0
+
+        return vanishes
+
+    def common_zeros(self, polys: Iterable[Poly]) -> Iterator[np.ndarray]:
+        """For each chunk of points in order, those at which every
+        polynomial vanishes."""
+        tests = [self.zero_test(q) for q in polys]
+        for ks in self.chunks():
+            for vanishes in tests:
+                if not len(ks):
+                    break
+                ks = ks[vanishes(ks)]
+            yield ks
 
 
 def sat_oracle(problem) -> Optional[Dict[Var, bool]]:
     """Exhaustively search for a satisfying assignment.
 
     Accepts a CNF (clause semantics) or an AxiomSystem (all polynomials
-    must vanish under the encoding).  Returns the first witness in
-    lexicographic assignment order, or None when unsatisfiable.
+    must vanish under the encoding).  A clause holds exactly where its
+    {0,1} translation with twins, one monomial, vanishes.  Returns the
+    first witness in lexicographic assignment order, or None when
+    unsatisfiable.
     """
     if isinstance(problem, CNF):
-        universe = sorted(v for v in problem.universe)
-        if len(universe) > ORACLE_VAR_LIMIT:
-            raise ScaleLimitExceeded(f"{len(universe)} variables exceeds {ORACLE_VAR_LIMIT}")
-        pos_of = {v: i for i, v in enumerate(universe)}
-        masks = []
-        for c in problem.clauses:
-            pos = neg = 0
-            for v in c:
-                bit = 1 << pos_of[v.base]
-                if v.negated:
-                    neg |= bit
-                else:
-                    pos |= bit
-            masks.append((np.uint32(pos), np.uint32(neg)))
-        for ks in _iter_chunks(len(universe)):
-            bad = np.zeros(len(ks), dtype=bool)
-            for pos, neg in masks:
-                bad |= ((ks & pos) == 0) & ((ks & neg) == neg)
-            good = np.nonzero(~bad)[0]
-            if len(good):
-                k = int(ks[good[0]])
-                return {v: bool((k >> i) & 1) for v, i in pos_of.items()}
-        return None
-    if isinstance(problem, AxiomSystem):
-        universe = sorted(problem.universe)
-        if len(universe) > ORACLE_VAR_LIMIT:
-            raise ScaleLimitExceeded(f"{len(universe)} variables exceeds {ORACLE_VAR_LIMIT}")
-        pos_of = {v: i for i, v in enumerate(universe)}
-        for ks in _iter_chunks(len(universe)):
-            bad = np.zeros(len(ks), dtype=bool)
-            for poly in problem.polys:
-                bad |= _eval_poly_chunk(poly, ks, pos_of) != 0
-            good = np.nonzero(~bad)[0]
-            if len(good):
-                k = int(ks[good[0]])
-                return {v: bool((k >> i) & 1) for v, i in pos_of.items()}
-        return None
-    raise TypeError(f"expected CNF or AxiomSystem, got {type(problem).__name__}")
+        problem = cnf_to_axioms(problem, BOOLEAN)
+    if not isinstance(problem, AxiomSystem):
+        raise TypeError(f"expected CNF or AxiomSystem, got {type(problem).__name__}")
+    cube = Cube(problem.universe, problem.field, problem.basis)
+    for ks in cube.common_zeros(problem.polys):
+        if len(ks):
+            return cube.assignment(int(ks[0]))
+    return None
 
 
 def semantic_implies(premises: Sequence[Poly], g: Poly) -> bool:
@@ -467,20 +490,9 @@ def semantic_implies(premises: Sequence[Poly], g: Poly) -> bool:
             raise BasisMismatch("mixed bases in semantic implication")
         if q.field.p != g.field.p:
             raise ValueError("mixed fields in semantic implication")
-    universe = _universe_of(polys)
-    if len(universe) > ORACLE_VAR_LIMIT:
-        raise ScaleLimitExceeded(f"{len(universe)} variables exceeds {ORACLE_VAR_LIMIT}")
-    pos_of = {v: i for i, v in enumerate(universe)}
-    for ks in _iter_chunks(len(universe)):
-        alive = np.ones(len(ks), dtype=bool)
-        for f in premises:
-            alive &= _eval_poly_chunk(f, ks, pos_of) == 0
-            if not alive.any():
-                break
-        if alive.any():
-            if (_eval_poly_chunk(g, ks, pos_of)[alive] != 0).any():
-                return False
-    return True
+    cube = Cube((v for q in polys for v in q.variables()), g.field, basis)
+    g_vanishes = cube.zero_test(g)
+    return all(g_vanishes(ks).all() for ks in cube.common_zeros(premises))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +503,7 @@ def write_dimacs(cnf: CNF, path) -> None:
     """DIMACS clause file plus a `<path>.names` sidecar mapping DIMACS
     indices to variable names; groups and family parameters ride along
     as comment lines."""
-    pos_of = {v: i + 1 for i, v in enumerate(cnf.universe)}
+    num = {v: i + 1 for i, v in enumerate(cnf.universe)}
     with open(str(path), "w") as fh:
         if cnf.n is not None or cnf.ell is not None:
             parts = []
@@ -505,10 +517,10 @@ def write_dimacs(cnf: CNF, path) -> None:
             fh.write(f"c group {label} : {idxs}\n")
         fh.write(f"p cnf {len(cnf.universe)} {len(cnf.clauses)}\n")
         for c in cnf.clauses:
-            lits = sorted((-pos_of[v.base] if v.negated else pos_of[v]) for v in c)
+            lits = sorted((-num[v.base] if v.negated else num[v]) for v in c)
             fh.write(" ".join(str(x) for x in lits) + " 0\n")
     with open(str(path) + ".names", "w") as fh:
-        for v, i in pos_of.items():
+        for v, i in num.items():
             fh.write(f"var {i} = {format_var(v)}\n")
 
 
@@ -520,8 +532,10 @@ def read_dimacs(path) -> CNF:
             if not line:
                 continue
             head, expr = line.split("=", 1)
-            idx = int(head.split()[1])
-            names[idx] = parse_var(expr.strip())
+            toks = head.split()
+            if len(toks) != 2 or toks[0] != "var":
+                raise ValueError(f"{path}.names: bad line {line!r}")
+            names[int(toks[1])] = parse_var(expr.strip())
     clauses: List[Clause] = []
     groups: Dict[str, Tuple[int, ...]] = {}
     n = ell = None
@@ -552,8 +566,10 @@ def read_dimacs(path) -> CNF:
             lits = [int(x) for x in line.split()]
             if lits[-1] != 0:
                 raise ValueError(f"clause line missing terminator: {line!r}")
-            clause = frozenset(names[abs(x)].twin if x < 0 else names[x] for x in lits[:-1])
-            clauses.append(clause)
+            try:
+                clauses.append(frozenset(names[abs(x)].twin if x < 0 else names[x] for x in lits[:-1]))
+            except KeyError as e:
+                raise ValueError(f"{path}: variable {e.args[0]} has no entry in {path}.names") from None
     if nvars is None or len(clauses) != nclauses or len(names) != nvars:
         raise ValueError("malformed clause file")
     universe = tuple(names[i] for i in sorted(names))
@@ -585,6 +601,8 @@ def write_axioms(ax: AxiomSystem, path) -> None:
 def read_axioms(path) -> AxiomSystem:
     with open(str(path)) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty axiom file")
     field, basis = parse_header(lines[0])
     groups: Dict[str, Tuple[int, ...]] = {}
     n = ell = None

@@ -487,16 +487,15 @@ def format_step(step: Step) -> str:
     raise ValueError(f"unknown step kind {kind!r}")
 
 
-def _parse_label(tok: str, upto: int) -> int:
+def _parse_label(tok: str) -> int:
+    """The 0-based line a label names; the walk checks that it comes
+    before the step that reads it."""
     if not tok.startswith("L"):
         raise ValueError(f"expected line label, got {tok!r}")
-    i = int(tok[1:]) - 1
-    if not (0 <= i < upto):
-        raise ValueError(f"label {tok} out of range")
-    return i
+    return int(tok[1:]) - 1
 
 
-def parse_step(text: str, k: int, field: Field) -> Step:
+def parse_step(text: str, field: Field) -> Step:
     toks = text.split()
     kind = toks[0]
     if kind == "AX" and len(toks) == 2:
@@ -508,9 +507,9 @@ def parse_step(text: str, k: int, field: Field) -> Step:
     if kind == "LIN" and len(toks) == 5:
         a = int(toks[1]) % field.p
         b = int(toks[3]) % field.p
-        return ("lin", a, _parse_label(toks[2], k), b, _parse_label(toks[4], k))
+        return ("lin", a, _parse_label(toks[2]), b, _parse_label(toks[4]))
     if kind == "MUL" and len(toks) == 3:
-        return ("mul", parse_var(toks[1]), _parse_label(toks[2], k))
+        return ("mul", parse_var(toks[1]), _parse_label(toks[2]))
     raise ValueError(f"malformed step {text!r}")
 
 
@@ -547,7 +546,7 @@ def read_pcproof(path, axioms: Optional[AxiomSystem] = None) -> PCProof:
         label, rest = line.split(None, 1)
         if label != f"L{k + 1}":
             raise ValueError(f"expected label L{k + 1}, got {label!r}")
-        steps.append(parse_step(rest, k, axioms.field))
+        steps.append(parse_step(rest, axioms.field))
     return PCProof(axioms, tuple(steps))
 
 
@@ -574,7 +573,7 @@ def read_resproof(path, cnf: Optional[CNF] = None) -> ResolutionProof:
         if len(toks) == 3 and toks[1] == "IN":
             steps.append(("in", int(toks[2]) - 1))
         elif len(toks) == 5 and toks[1] == "RES":
-            steps.append(("res", _parse_label(toks[2], k), _parse_label(toks[3], k), parse_var(toks[4])))
+            steps.append(("res", _parse_label(toks[2]), _parse_label(toks[3]), parse_var(toks[4])))
         else:
             raise ValueError(f"malformed step {line!r}")
     return ResolutionProof(cnf, tuple(steps))

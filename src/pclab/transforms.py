@@ -116,11 +116,7 @@ def restrict_poly(p: Poly, rho: Restriction) -> Poly:
         if coef == 0:
             continue
         key = tuple(kept)
-        coef = p.field.add(terms.get(key, 0), coef)
-        if coef:
-            terms[key] = coef
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + coef
     return Poly(p.field, p.basis, terms)
 
 
@@ -546,11 +542,7 @@ def cluster_poly(p: Poly, cmap: ClusterMap) -> Poly:
     terms: Dict[Term, int] = {}
     for t, c in p.terms.items():
         key = cluster_term(t, cmap)
-        acc = p.field.add(terms.get(key, 0), c)
-        if acc:
-            terms[key] = acc
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + c
     return Poly(p.field, p.basis, terms)
 
 

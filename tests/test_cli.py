@@ -188,6 +188,49 @@ class TestCheck:
         assert run("check", path) == 1
         assert capsys.readouterr().out.startswith("INVALID at L1: no axiom 0: the system has 5")
 
+    def test_forward_reference_is_invalid_step(self, tseitin_dir, capsys):
+        path = tseitin_dir / "proof.pc"
+        lines = path.read_text().splitlines()
+        lines[3] = "L3 MUL x2 L5"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("check", path) == 1
+        assert capsys.readouterr().out.startswith("INVALID at L3: reference to L5 not before L3")
+        lines[3] = "L3 MUL x2 L99"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("check", path) == 1
+        assert capsys.readouterr().out.startswith("INVALID at L3: reference to L99 not before L3")
+
+    def test_resolution_forward_reference_is_invalid_step(self, tmp_path, capsys):
+        run("refute", "lop", "--n", 3, "--out", tmp_path)
+        path = tmp_path / "proof.res"
+        lines = path.read_text().splitlines()
+        lines[3] = "L3 RES L1 L5 x(1,2)"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("check", path) == 1
+        assert capsys.readouterr().out.startswith("INVALID at L3: reference to L5 not before L3")
+
+    def test_empty_formula_override(self, tseitin_dir, capsys):
+        empty = tseitin_dir / "empty.txt"
+        empty.write_text("")
+        assert run("check", tseitin_dir / "proof.pc", "--formula", empty) == 2
+        assert f"{empty}: empty axiom file" in capsys.readouterr().err
+
+    def test_dimacs_literal_without_name(self, tmp_path, capsys):
+        run("refute", "lop", "--n", 3, "--out", tmp_path)
+        cnf = tmp_path / "formula.cnf"
+        lines = cnf.read_text().splitlines()
+        first = next(i for i, ln in enumerate(lines) if not ln.startswith(("c", "p")))
+        lines[first] = "99 " + lines[first]
+        cnf.write_text("\n".join(lines) + "\n")
+        assert run("check", tmp_path / "proof.res", "--formula", cnf) == 2
+        err = capsys.readouterr().err
+        assert f"{cnf}: variable 99 has no entry" in err
+        assert run("check", tmp_path / "proof.res") == 2
+        (tmp_path / "formula.cnf.names").write_text("var = x(1,2)\n")
+        assert run("check", tmp_path / "proof.res") == 2
+        assert "formula.cnf.names: bad line" in capsys.readouterr().err
+
     def test_truncated_proof_not_refutation(self, tseitin_dir):
         path = tseitin_dir / "proof.pc"
         lines = path.read_text().splitlines()
