@@ -166,6 +166,12 @@ def _ref(i, k: int, lines: Dict[int, object]):
     return lines[i]
 
 
+def _axiom(i, axioms: Sequence):
+    if not isinstance(i, int) or not 0 <= i < len(axioms):
+        raise StepError(f"no axiom {_num(i)}: the system has {len(axioms)}")
+    return axioms[i]
+
+
 _STEP_ARITY = {"ax": 2, "sq": 2, "tw": 2, "lin": 5, "mul": 3}
 
 
@@ -175,10 +181,7 @@ def _step_poly(step: Step, k: int, lines: Dict[int, Poly], proof: PCProof, uni: 
     if not isinstance(kind, str) or _STEP_ARITY.get(kind) != len(step):
         raise StepError(f"malformed step {step!r}")
     if kind == "ax":
-        i = step[1]
-        if not isinstance(i, int) or not (0 <= i < len(ax.polys)):
-            raise StepError(f"no axiom {_num(i)}: the system has {len(ax.polys)}")
-        return ax.polys[i]
+        return _axiom(step[1], ax.polys)
     if kind == "lin":
         _, a, i, b, j = step
         if not isinstance(a, int) or not isinstance(b, int):

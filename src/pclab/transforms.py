@@ -39,7 +39,10 @@ from .proofs import (
     ResolutionProof,
     Step,
     StepError,
+    _axiom,
+    _ref,
     _refs,
+    _walk,
     quadratic_set,
     walk_pc,
     walk_resolution,
@@ -174,6 +177,14 @@ def restrict_axioms(
     return system, tuple(amap)
 
 
+def _valid_input(walk):
+    """Pass a walk through, turning its StepError into an input error."""
+    try:
+        yield from walk
+    except StepError as e:
+        raise ValueError(f"input proof invalid at L{e.k + 1}: {e}") from None
+
+
 def restrict_proof(
     proof: PCProof, rho: Restriction
 ) -> Tuple[PCProof, Tuple[Optional[int], ...]]:
@@ -186,27 +197,28 @@ def restrict_proof(
     """
     ax, amap = restrict_axioms(proof.axioms, rho)
     out = ProofWriter(proof.field.p)
-    lmap: List[Optional[int]] = []
-    for step in proof.steps:
+
+    def derive(step: Step, k: int, lines: Dict[int, Optional[int]]) -> Optional[int]:
         kind = step[0]
         if kind == "ax":
-            new = amap[step[1]]
-            lmap.append(None if new is None else out.emit(("ax", new)))
-        elif kind == "sq" or (kind == "tw" and step[1] in rho):
-            lmap.append(None)
-        elif kind == "tw":
-            lmap.append(out.emit(step))
-        elif kind == "lin":
+            new = _axiom(step[1], amap)
+            return None if new is None else out.emit(("ax", new))
+        if kind == "sq" or (kind == "tw" and step[1] in rho):
+            return None
+        if kind == "tw":
+            return out.emit(step)
+        if kind == "lin":
             _, a, i, b, j = step
-            lmap.append(out.lin([(a, lmap[i], ()), (b, lmap[j], ())]))
-        else:  # mul
-            _, v, i = step
-            tv = rho.value(v)
-            if tv is None:
-                lmap.append(None if lmap[i] is None else out.emit(("mul", v, lmap[i])))
-            else:
-                lmap.append(out.lin([(encode_truth(tv, proof.basis, proof.field), lmap[i], ())]))
-    return PCProof(ax, tuple(out.steps)), tuple(lmap)
+            return out.lin([(a, _ref(i, k, lines), ()), (b, _ref(j, k, lines), ())])
+        _, v, i = step  # mul
+        parent = _ref(i, k, lines)
+        tv = rho.value(v)
+        if tv is None:
+            return None if parent is None else out.emit(("mul", v, parent))
+        return out.lin([(encode_truth(tv, proof.basis, proof.field), parent, ())])
+
+    lmap = tuple(new for _, _, new in _valid_input(_walk(proof.steps, derive)))
+    return PCProof(ax, tuple(out.steps)), lmap
 
 
 def restrict(target, rho: Restriction):
@@ -324,31 +336,35 @@ def _axiom_mentions(ax: AxiomSystem, base: Var) -> bool:
     return False
 
 
+_Components = Tuple[Optional[int], Optional[int]]
+
+
 def _split_pass(proof: PCProof, w: Var) -> PCProof:
     """One elimination pass at the single variable w (a base variable or a
     twin, treated as an independent variable of the representation).
     Each line P = P1*w + P0 is replaced by derivations of P1 and P0."""
     out = ProofWriter(proof.field.p)
-    hi: List[Optional[int]] = []
-    lo: List[Optional[int]] = []
-    for step in proof.steps:
+
+    def derive(step: Step, k: int, lines: Dict[int, _Components]) -> _Components:
+        """The output lines deriving (P1, P0), None for a zero component."""
         kind = step[0]
         if kind == "lin":
             _, a, i, b, j = step
-            for comp in (hi, lo):
-                comp.append(out.lin([(a, comp[i], ()), (b, comp[j], ())]))
-        elif kind == "mul" and step[1] == w:
-            # w * (P1*w + P0) = P0*w + P1: the components swap.
-            i = step[2]
-            hi.append(out.lin([(1, lo[i], ())]))
-            lo.append(out.lin([(1, hi[i], ())]))
-        elif kind == "mul":
+            (hi_i, lo_i), (hi_j, lo_j) = _ref(i, k, lines), _ref(j, k, lines)
+            return (out.lin([(a, hi_i, ()), (b, hi_j, ())]),
+                    out.lin([(a, lo_i, ()), (b, lo_j, ())]))
+        if kind == "mul":
             _, v, i = step
-            hi.append(None if hi[i] is None else out.emit(("mul", v, hi[i])))
-            lo.append(None if lo[i] is None else out.emit(("mul", v, lo[i])))
-        else:
-            hi.append(None)
-            lo.append(None if kind == "sq" else out.emit(step))
+            hi, lo = _ref(i, k, lines)
+            if v == w:
+                # w * (P1*w + P0) = P0*w + P1: the components swap.
+                return out.lin([(1, lo, ())]), out.lin([(1, hi, ())])
+            return (None if hi is None else out.emit(("mul", v, hi)),
+                    None if lo is None else out.emit(("mul", v, lo)))
+        return None, (None if kind == "sq" else out.emit(step))
+
+    for _ in _valid_input(_walk(proof.steps, derive)):
+        pass
     return PCProof(proof.axioms, tuple(out.steps))
 
 
@@ -415,14 +431,6 @@ def quadratic_containment_check(before: PCProof, after: PCProof, x: Var) -> bool
 
 # ---------------------------------------------------------------------------
 # quadratic degree to degree
-
-
-def _valid_input(walk):
-    """Pass a walk through, turning its StepError into an input error."""
-    try:
-        yield from walk
-    except StepError as e:
-        raise ValueError(f"input proof invalid at L{e.k + 1}: {e}") from None
 
 
 def qdeg_to_deg(proof: PCProof) -> PCProof:

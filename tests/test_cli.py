@@ -268,6 +268,35 @@ class TestTransform:
         assert run("transform", "split", "--proof", spare_proof, "--var", "x1",
                    "--out", tmp_path / "no") == 2
 
+    @pytest.mark.parametrize("label", ["L0", "L5"])
+    def test_split_bad_reference_is_input_error(self, spare_proof, tmp_path, label, capsys):
+        lines = spare_proof.read_text().splitlines()
+        lines[3] = f"L3 MUL s {label}"
+        spare_proof.write_text("\n".join(lines) + "\n")
+        assert run("transform", "split", "--proof", spare_proof, "--var", "s",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"input proof invalid at L3: reference to {label} not before L3" in err
+        assert not (tmp_path / "out" / "proof.pc").exists()
+
+    @pytest.mark.parametrize("step, message", [
+        ("MUL x2 L0", "reference to L0 not before L3"),
+        ("MUL x2 L5", "reference to L5 not before L3"),
+        ("AX 0", "no axiom 0: the system has 5"),
+    ])
+    def test_restrict_bad_step_is_input_error(self, tmp_path, step, message, capsys):
+        run("refute", "tseitin", "--n", 5, "--out", tmp_path / "in")
+        path = tmp_path / "in" / "proof.pc"
+        lines = path.read_text().splitlines()
+        lines[3] = f"L3 {step}"
+        path.write_text("\n".join(lines) + "\n")
+        write_restriction(Restriction({plain("x1"): True}), tmp_path / "rho.txt")
+        capsys.readouterr()
+        assert run("transform", "restrict", "--proof", path,
+                   "--restriction", tmp_path / "rho.txt", "--out", tmp_path / "out") == 2
+        assert f"input proof invalid at L3: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "proof.pc").exists()
+
     def test_qdeg2deg(self, tmp_path):
         run("refute", "tseitin", "--n", 6, "--out", tmp_path / "in")
         assert run("transform", "qdeg2deg", "--proof", tmp_path / "in" / "proof.pc",
