@@ -19,8 +19,9 @@ operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import total_ordering
+import bisect
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 DEFAULT_PRIME = 2**31 - 1
@@ -106,40 +107,39 @@ DEFAULT_FIELD = Field(DEFAULT_PRIME)
 _KIND_RANK = {"y": 0, "x": 1, "z": 2, "v": 3}
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Var:
+class Var(namedtuple("_VarFields", "rank kind index negated")):
     """A variable identifier.
 
     kind 'x' is a gadget/edge variable x(i,j,l) asserting i orders
     before j (l = 0 for the unlifted variable, l >= 1 once lifted),
     'y' a pointer bit y(j,a), 'z' a clustered gadget variable z(i,j,l),
     and 'v' a free-form named variable.  ``negated`` marks the twin.
-    The canonical variable order puts pointer variables before edge
-    variables and is otherwise index-lexicographic.
+
+    A variable is a tuple whose fields are the canonical order: the rank
+    of its kind (pointer < edge < cluster < plain), then the index, then
+    ``negated``, so a base sorts just before its twin.  Equality,
+    hashing and comparison are the tuple's own.
     """
 
-    kind: str
-    index: tuple
-    negated: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown variable kind {self.kind!r}")
+    def __new__(cls, kind: str, index: tuple, negated: bool = False):
+        rank = _KIND_RANK.get(kind)
+        if rank is None:
+            raise ValueError(f"unknown variable kind {kind!r}")
+        return tuple.__new__(cls, (rank, kind, index, negated))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild through __new__, which takes no rank
+        return self.kind, self.index, self.negated
 
     @property
     def twin(self) -> "Var":
-        return replace(self, negated=not self.negated)
+        return tuple.__new__(Var, (self.rank, self.kind, self.index, not self.negated))
 
     @property
     def base(self) -> "Var":
-        return self if not self.negated else replace(self, negated=False)
-
-    def _key(self):
-        return (_KIND_RANK[self.kind], self.index, self.negated)
-
-    def __lt__(self, other: "Var") -> bool:
-        return self._key() < other._key()
+        return self.twin if self.negated else self
 
     def __str__(self) -> str:
         return format_var(self)
@@ -180,10 +180,6 @@ def make_term(vs: Iterable[Var]) -> Term:
     return tuple(sorted(set(vs)))
 
 
-def term_degree(t: Term) -> int:
-    return len(t)
-
-
 def mul_term_by_var(t: Term, v: Var, basis: str) -> Tuple[Term, int]:
     """Multiply a term by one variable, folding the square per basis.
 
@@ -198,14 +194,7 @@ def mul_term_by_var(t: Term, v: Var, basis: str) -> Tuple[Term, int]:
             return t, 1
         return tuple(u for u in t if u != v), 1
     out = list(t)
-    lo, hi = 0, len(out)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if out[mid] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    out.insert(lo, v)
+    bisect.insort(out, v)
     return tuple(out), 1
 
 

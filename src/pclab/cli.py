@@ -37,17 +37,7 @@ from .constructions import (
     pcr_upper_bound,
     tseitin_fourier_refutation,
 )
-from .degreelab import (
-    ResidueOracle,
-    bop_context,
-    verify_all,
-    verify_residue_operator,
-    verify_residue_product,
-    verify_residue_properties,
-    verify_residue_support,
-    verify_touch_extension,
-    verify_touch_superset,
-)
+from .degreelab import LEMMAS, ResidueOracle, bop_context, verify_all
 from .formulas import (
     cnf_to_axioms,
     gen_bop,
@@ -60,6 +50,7 @@ from .formulas import (
     write_dimacs,
 )
 from .proofs import (
+    ResReport,
     check_pc,
     check_resolution,
     quadratic_degree,
@@ -204,6 +195,19 @@ def _cmd_refute(args) -> int:
 # check
 
 
+def _print_report(report) -> int:
+    """Print a proof check's one-line verdict; 1 when the proof is invalid."""
+    if not report.valid:
+        print(f"INVALID at L{report.first_bad_line + 1}: {report.message}")
+        return 1
+    tag = "refutation" if report.is_refutation else "derivation"
+    if isinstance(report, ResReport):
+        print(f"valid {tag}: lines={report.num_lines} width={report.max_width}")
+    else:
+        print(f"valid {tag}: lines={report.num_lines} size={report.size} degree={report.degree}")
+    return 0
+
+
 def _cmd_check(args) -> int:
     with open(args.proof) as fh:
         head = fh.readline().split()
@@ -211,21 +215,13 @@ def _cmd_check(args) -> int:
     if kind == "pcproof":
         axioms = read_axioms(args.formula) if args.formula else None
         report = check_pc(read_pcproof(args.proof, axioms=axioms))
-        if not report.valid:
-            print(f"INVALID at L{report.first_bad_line + 1}: {report.message}")
-            return 1
-        tag = "refutation" if report.is_refutation else "derivation"
-        print(f"valid {tag}: lines={report.num_lines} size={report.size} degree={report.degree}")
     elif kind == "resproof":
         cnf = read_dimacs(args.formula) if args.formula else None
         report = check_resolution(read_resproof(args.proof, cnf=cnf))
-        if not report.valid:
-            print(f"INVALID at L{report.first_bad_line + 1}: {report.message}")
-            return 1
-        tag = "refutation" if report.is_refutation else "derivation"
-        print(f"valid {tag}: lines={report.num_lines} width={report.max_width}")
     else:
         raise ValueError(f"unrecognized proof header in {args.proof}")
+    if _print_report(report):
+        return 1
     if args.refutation and not report.is_refutation:
         print("not a refutation")
         return 1
@@ -240,13 +236,7 @@ def _write_pc_artifacts(proof, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     write_axioms(proof.axioms, os.path.join(outdir, "axioms.txt"))
     write_pcproof(proof, os.path.join(outdir, "proof.pc"), "axioms.txt")
-    report = check_pc(read_pcproof(os.path.join(outdir, "proof.pc")))
-    if not report.valid:
-        print(f"INVALID at L{report.first_bad_line + 1}: {report.message}")
-        return 1
-    tag = "refutation" if report.is_refutation else "derivation"
-    print(f"valid {tag}: lines={report.num_lines} size={report.size} degree={report.degree}")
-    return 0
+    return _print_report(check_pc(read_pcproof(os.path.join(outdir, "proof.pc"))))
 
 
 def _cmd_split(args) -> int:
@@ -293,18 +283,8 @@ def _cmd_verify_lemmas(args) -> int:
     oracle = ResidueOracle(bop_context(args.n, args.ell))
     if args.which == "all":
         reports = verify_all(args.n, args.ell, seed=args.seed, oracle=oracle)
-    elif args.which == "properties":
-        reports = verify_residue_properties(args.n, args.ell, seed=args.seed, oracle=oracle)
-    elif args.which == "operator":
-        reports = (verify_residue_operator(args.n, args.ell, oracle=oracle),)
-    elif args.which == "extension":
-        reports = (verify_touch_extension(args.n, args.ell, oracle=oracle),)
-    elif args.which == "superset":
-        reports = (verify_touch_superset(args.n, args.ell, oracle=oracle),)
-    elif args.which == "support":
-        reports = (verify_residue_support(args.n, args.ell, oracle=oracle),)
     else:
-        reports = (verify_residue_product(args.n, args.ell, seed=args.seed, oracle=oracle),)
+        reports = LEMMAS[args.which](args.n, args.ell, args.seed, oracle)
     for rep in reports:
         print(rep)
     return 0 if all(rep.ok for rep in reports) else 1
@@ -473,9 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     t2.set_defaults(func=_cmd_res2pcr)
 
     v = sub.add_parser("verify-lemmas", help="run the reduction-operator lemma checks")
-    v.add_argument("--which", default="all",
-                   choices=("all", "properties", "operator", "extension",
-                            "superset", "support", "product"))
+    v.add_argument("--which", default="all", choices=("all", *LEMMAS))
     v.add_argument("--n", type=int, default=3)
     v.add_argument("--ell", type=int, default=1)
     v.add_argument("--seed", type=int, default=seed_default)

@@ -17,7 +17,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -662,18 +662,25 @@ def verify_residue_properties(
     return tuple(reports)
 
 
+# Every lemma runner by name, in report order: (n, ell, seed, oracle) ->
+# reports.  Each call looks its runner up as a module global, so a
+# wrapper installed on this module sees it.
+LEMMAS: Dict[str, Callable[[int, int, int, ResidueOracle], Tuple[LemmaReport, ...]]] = {
+    "properties": lambda n, ell, seed, o: verify_residue_properties(n, ell, seed=seed, oracle=o),
+    "operator": lambda n, ell, seed, o: (verify_residue_operator(n, ell, oracle=o),),
+    "extension": lambda n, ell, seed, o: (verify_touch_extension(n, ell, oracle=o),),
+    "superset": lambda n, ell, seed, o: (verify_touch_superset(n, ell, oracle=o),),
+    "support": lambda n, ell, seed, o: (verify_residue_support(n, ell, oracle=o),),
+    "product": lambda n, ell, seed, o: (verify_residue_product(n, ell, seed=seed, oracle=o),),
+}
+
+
 def verify_all(
     n: int = 3, ell: int = 1, seed: int = 0, oracle: Optional[ResidueOracle] = None
 ) -> Tuple[LemmaReport, ...]:
     """Every lemma runner over one shared oracle."""
     oracle = _default_oracle(n, ell, oracle)
-    reports = list(verify_residue_properties(n, ell, seed=seed, oracle=oracle))
-    reports.append(verify_residue_operator(n, ell, oracle=oracle))
-    reports.append(verify_touch_extension(n, ell, oracle=oracle))
-    reports.append(verify_touch_superset(n, ell, oracle=oracle))
-    reports.append(verify_residue_support(n, ell, oracle=oracle))
-    reports.append(verify_residue_product(n, ell, seed=seed, oracle=oracle))
-    return tuple(reports)
+    return tuple(rep for run in LEMMAS.values() for rep in run(n, ell, seed, oracle))
 
 
 # ---------------------------------------------------------------------------

@@ -99,9 +99,6 @@ class CNF:
     def width(self) -> int:
         return max((len(c) for c in self.clauses), default=0)
 
-    def group_clauses(self, label: str) -> List[Clause]:
-        return [self.clauses[i] for i in self.groups[label]]
-
 
 @dataclass(frozen=True)
 class AxiomSystem:
@@ -139,9 +136,6 @@ class AxiomSystem:
 
     def __len__(self) -> int:
         return len(self.polys)
-
-    def group_polys(self, label: str) -> List[Poly]:
-        return [self.polys[i] for i in self.groups[label]]
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +493,42 @@ def semantic_implies(premises: Sequence[Poly], g: Poly) -> bool:
 # file formats
 
 
+def _meta_lines(system, extra: Sequence[str] = ()) -> List[str]:
+    """The metadata lines of a CNF or axiom system: ``params n=.. ell=..``
+    when either is known, then ``extra``, then one ``group <label> :
+    <1-based indices>`` line per group.  DIMACS writes them as comments."""
+    params = [f"{k}={v}" for k, v in (("n", system.n), ("ell", system.ell)) if v is not None]
+    lines = ["params " + " ".join(params)] if params else []
+    lines.extend(extra)
+    for label, idxs in system.groups.items():
+        lines.append(f"group {label} : " + " ".join(str(i + 1) for i in idxs))
+    return lines
+
+
+def _read_meta(line: str, meta: Dict[str, object]) -> bool:
+    """Parse one line written by ``_meta_lines`` into ``meta``, keyed by
+    the CNF and AxiomSystem field names; False when it is neither kind."""
+    if line.startswith("params "):
+        for kv in line.split()[1:]:
+            k, val = kv.split("=")
+            if k in ("n", "ell"):
+                meta[k] = int(val)
+    elif line.startswith("group "):
+        head, idxs = line[len("group ") :].split(":")
+        meta.setdefault("groups", {})[head.strip()] = tuple(int(x) - 1 for x in idxs.split())
+    else:
+        return False
+    return True
+
+
 def write_dimacs(cnf: CNF, path) -> None:
     """DIMACS clause file plus a `<path>.names` sidecar mapping DIMACS
     indices to variable names; groups and family parameters ride along
     as comment lines."""
     num = {v: i + 1 for i, v in enumerate(cnf.universe)}
     with open(str(path), "w") as fh:
-        if cnf.n is not None or cnf.ell is not None:
-            parts = []
-            if cnf.n is not None:
-                parts.append(f"n={cnf.n}")
-            if cnf.ell is not None:
-                parts.append(f"ell={cnf.ell}")
-            fh.write("c params " + " ".join(parts) + "\n")
-        for label in cnf.groups:
-            idxs = " ".join(str(i + 1) for i in cnf.groups[label])
-            fh.write(f"c group {label} : {idxs}\n")
+        for line in _meta_lines(cnf):
+            fh.write(f"c {line}\n")
         fh.write(f"p cnf {len(cnf.universe)} {len(cnf.clauses)}\n")
         for c in cnf.clauses:
             lits = sorted((-num[v.base] if v.negated else num[v]) for v in c)
@@ -537,27 +551,15 @@ def read_dimacs(path) -> CNF:
                 raise ValueError(f"{path}.names: bad line {line!r}")
             names[int(toks[1])] = parse_var(expr.strip())
     clauses: List[Clause] = []
-    groups: Dict[str, Tuple[int, ...]] = {}
-    n = ell = None
+    meta: Dict[str, object] = {}
     nvars = nclauses = None
     with open(str(path)) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("c params"):
-                for kv in line.split()[2:]:
-                    k, val = kv.split("=")
-                    if k == "n":
-                        n = int(val)
-                    elif k == "ell":
-                        ell = int(val)
-                continue
-            if line.startswith("c group"):
-                head, idxs = line[len("c group") :].split(":")
-                groups[head.strip()] = tuple(int(x) - 1 for x in idxs.split())
-                continue
             if line.startswith("c"):
+                _read_meta(line[2:], meta)
                 continue
             if line.startswith("p cnf"):
                 _, _, a, b = line.split()
@@ -573,27 +575,18 @@ def read_dimacs(path) -> CNF:
     if nvars is None or len(clauses) != nclauses or len(names) != nvars:
         raise ValueError("malformed clause file")
     universe = tuple(names[i] for i in sorted(names))
-    return CNF(tuple(clauses), universe, groups, n=n, ell=ell)
+    return CNF(tuple(clauses), universe, **meta)
 
 
 def write_axioms(ax: AxiomSystem, path) -> None:
     with open(str(path), "w") as fh:
         fh.write(f"field={ax.field.p} basis={ax.basis}\n")
-        if ax.n is not None or ax.ell is not None:
-            parts = []
-            if ax.n is not None:
-                parts.append(f"n={ax.n}")
-            if ax.ell is not None:
-                parts.append(f"ell={ax.ell}")
-            fh.write("params " + " ".join(parts) + "\n")
         # universe variables no axiom mentions would otherwise be lost
         inferred = {v.base for p in ax.polys for v in p.variables()}
         extra = [v for v in ax.universe if v not in inferred]
-        if extra:
-            fh.write("universe " + " ".join(format_var(v) for v in extra) + "\n")
-        for label in ax.groups:
-            idxs = " ".join(str(i + 1) for i in ax.groups[label])
-            fh.write(f"group {label} : {idxs}\n")
+        universe = ["universe " + " ".join(format_var(v) for v in extra)] if extra else []
+        for line in _meta_lines(ax, universe):
+            fh.write(line + "\n")
         for p in ax.polys:
             fh.write(format_poly(p) + "\n")
 
@@ -604,24 +597,13 @@ def read_axioms(path) -> AxiomSystem:
     if not lines:
         raise ValueError(f"{path}: empty axiom file")
     field, basis = parse_header(lines[0])
-    groups: Dict[str, Tuple[int, ...]] = {}
-    n = ell = None
+    meta: Dict[str, object] = {}
     polys: List[Poly] = []
     extras: List[Var] = []
     for line in lines[1:]:
-        if line.startswith("params "):
-            for kv in line.split()[1:]:
-                k, val = kv.split("=")
-                if k == "n":
-                    n = int(val)
-                elif k == "ell":
-                    ell = int(val)
-        elif line.startswith("universe "):
+        if line.startswith("universe "):
             extras.extend(parse_var(tok).base for tok in line.split()[1:])
-        elif line.startswith("group "):
-            head, idxs = line[len("group ") :].split(":")
-            groups[head.strip()] = tuple(int(x) - 1 for x in idxs.split())
-        else:
+        elif not _read_meta(line, meta):
             polys.append(parse_poly(line, field, basis))
     universe = sorted({v.base for p in polys for v in p.variables()} | set(extras))
-    return AxiomSystem(field, basis, tuple(polys), tuple(universe), groups, n=n, ell=ell)
+    return AxiomSystem(field, basis, tuple(polys), tuple(universe), **meta)

@@ -501,6 +501,8 @@ class ClusterMap:
                 raise ValueError(f"pairing for {key} is not a perfect pairing of 1..{self.ell}")
 
     def pair_index(self, i: int, j: int, l: int) -> int:
+        if (i, j) not in self.pairs:
+            raise ValueError(f"edge ({i},{j}) is outside the cluster map over n={self.n} vertices")
         for p, pr in enumerate(self.pairs[(i, j)], start=1):
             if l in pr:
                 return p
@@ -579,7 +581,7 @@ def cluster(target, cmap: ClusterMap):
     """Substitute paired gadget copies by their cluster variable in a
     term, polynomial, axiom system, or proof.  The substitution respects
     every derivation rule, so proofs stay checker-valid line for line."""
-    if isinstance(target, tuple):
+    if isinstance(target, tuple) and not isinstance(target, Var):
         return cluster_term(target, cmap)
     if isinstance(target, Poly):
         return cluster_poly(target, cmap)

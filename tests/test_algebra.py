@@ -1,6 +1,9 @@
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pclab.algebra import (
     BOOLEAN,
@@ -10,6 +13,8 @@ from pclab.algebra import (
     BasisMismatch,
     Field,
     Poly,
+    Var,
+    cluster_var,
     compare_grlex,
     compare_poly_grlex,
     edge,
@@ -27,6 +32,7 @@ from pclab.algebra import (
     term_mul,
     write_poly_file,
 )
+from pclab.transforms import cluster, random_pairing
 
 F = DEFAULT_FIELD
 
@@ -69,6 +75,34 @@ class TestField:
             F.inv(0)
 
 
+# the canonical order written out: kind rank, then index, then the twin
+KIND_RANK = {"y": 0, "x": 1, "z": 2, "v": 3}
+
+
+def canonical_key(v):
+    return (KIND_RANK[v.kind], v.index, v.negated)
+
+
+def fields(v):
+    return (v.kind, v.index, v.negated)
+
+
+_ints = st.integers(0, 9)
+_ends = st.tuples(st.integers(1, 9), st.integers(1, 9)).filter(lambda ij: ij[0] != ij[1])
+_names = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True).filter(lambda s: s not in ("x", "y", "z"))
+SETTINGS = settings(deadline=None)
+variables = st.builds(
+    lambda v, negated: v.twin if negated else v,
+    st.one_of(
+        st.builds(pointer, _ints, _ints),
+        st.builds(lambda ij, l: edge(*ij, l), _ends, _ints),
+        st.builds(lambda ij, l: cluster_var(*ij, l), _ends, _ints),
+        st.builds(plain, _names),
+    ),
+    st.booleans(),
+)
+
+
 class TestVar:
     def test_order_kinds(self):
         # pointer < edge < cluster < plain
@@ -93,6 +127,50 @@ class TestVar:
     def test_hash_and_eq(self):
         assert edge(1, 2) == edge(1, 2, 0)
         assert len({edge(1, 2), edge(1, 2, 0), edge(1, 2).twin}) == 2
+
+    @SETTINGS
+    @given(st.lists(variables, max_size=12))
+    def test_sorted_is_the_canonical_key(self, vs):
+        assert sorted(vs) == sorted(vs, key=canonical_key)
+
+    @SETTINGS
+    @given(variables, variables)
+    def test_order_eq_and_hash_follow_the_fields(self, a, b):
+        assert (a < b) == (canonical_key(a) < canonical_key(b))
+        assert (a == b) == (fields(a) == fields(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @SETTINGS
+    @given(variables)
+    def test_twin_and_base(self, v):
+        assert v.twin.twin == v
+        assert v.twin != v and v.twin.negated != v.negated
+        assert not v.base.negated and v.base in (v, v.twin)
+
+    @SETTINGS
+    @given(variables)
+    def test_text_round_trip(self, v):
+        assert parse_var(format_var(v)) == v
+
+    @SETTINGS
+    @given(variables)
+    def test_pickle_and_copy_round_trip(self, v):
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(v, proto))
+            assert back == v and type(back) is Var
+        assert copy.deepcopy(v) == v and type(copy.deepcopy(v)) is Var
+        assert copy.deepcopy((v, v.twin)) == (v, v.twin)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            Var("q", (1,))
+
+    @SETTINGS
+    @given(variables)
+    def test_lone_variable_is_not_clustered_as_a_term(self, v):
+        with pytest.raises(TypeError):
+            cluster(v, random_pairing(2, 2, 0))
 
 
 def Var_z(i, j, l):

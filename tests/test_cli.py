@@ -23,7 +23,7 @@ from pclab.proofs import (
     read_resproof,
     write_pcproof,
 )
-from pclab.transforms import Restriction, write_restriction
+from pclab.transforms import Restriction, random_pairing, write_clustermap, write_restriction
 from pclab.formulas import write_axioms
 
 
@@ -339,6 +339,15 @@ class TestTransform:
                    "--map", tmp_path / "a" / "cluster.map", "--out", tmp_path / "b") == 0
         assert (tmp_path / "a" / "proof.pc").read_bytes() == \
             (tmp_path / "b" / "proof.pc").read_bytes()
+
+    def test_cluster_map_over_too_few_vertices_rejected(self, tmp_path, capsys):
+        ax = cnf_to_axioms(gen_bop_lifted(3, 2), FOURIER)
+        write_axioms(ax, tmp_path / "ax.txt")
+        write_pcproof(random_derivation(ax, 10, seed=1), tmp_path / "p.pc", "ax.txt")
+        write_clustermap(random_pairing(2, 2, 0), tmp_path / "small.map")
+        assert run("transform", "cluster", "--proof", tmp_path / "p.pc",
+                   "--map", tmp_path / "small.map", "--out", tmp_path / "out") == 2
+        assert "outside the cluster map over n=2" in capsys.readouterr().err
 
     def test_cluster_without_params_rejected(self, tmp_path):
         run("refute", "tseitin", "--n", 4, "--out", tmp_path / "in")
