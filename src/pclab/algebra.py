@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -76,21 +76,6 @@ class Field:
     def __post_init__(self):
         if self.p == 2 or not _is_prime(self.p):
             raise ValueError(f"field order must be an odd prime, got {self.p}")
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -432,7 +417,7 @@ def compare_poly_grlex(p: Poly, q: Poly) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # text grammar
 #
-#   header:      field=<p> basis=<boolean|fourier>
+#   header:      <magic words> <key>=<value> ...       read by LineReader.header
 #   polynomial:  <coef> * <var> <var> ... [; <coef> * ...]     one per line
 #   variable:    x(i,j,l) | x(i,j) | y(j,a) | z(i,j,l) | name, "~" = twin
 
@@ -514,32 +499,71 @@ def parse_poly(line: str, field: Field, basis: str) -> Poly:
     return Poly(field, basis, terms)
 
 
-def format_header(field: Field, basis: str) -> str:
-    return f"field={field.p} basis={basis}"
+def parse_fields(tokens: Iterable[str], required=(), allowed=()) -> Dict[str, str]:
+    """``key=value`` tokens as a dict.  Every ``required`` key must be
+    present, and no key outside ``required`` and ``allowed`` may be."""
+    known = set(required) | set(allowed)
+    fields: Dict[str, str] = {}
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}")
+        fields[key] = value
+    for key in required:
+        if key not in fields:
+            raise ValueError(f"header lacks {key}=")
+    return fields
 
 
-def parse_header(line: str) -> Tuple[Field, str]:
-    parts = dict(kv.split("=", 1) for kv in line.split())
-    if set(parts) != {"field", "basis"}:
-        raise ValueError(f"bad polynomial file header: {line!r}")
-    basis = parts["basis"]
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}")
-    return Field(int(parts["field"])), basis
+class FileFormatError(ValueError):
+    """Malformed text; the message names the file, and the line at fault."""
 
 
-def write_poly_file(path, polys: Iterable[Poly], field: Field, basis: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_header(field, basis) + "\n")
-        for p in polys:
-            fh.write(format_poly(p) + "\n")
+class LineReader:
+    """Streams the stripped, non-blank lines of a text file, and with
+    ``comments`` skips lines starting with ``#``.  ``k`` is the 1-based
+    physical number of the current line, None before the first and after
+    the last.  A ValueError raised in the ``with`` body is re-raised as
+    ``<path>: <reason> (line <k>)``, or as ``<path>: <reason>`` when no
+    line is current; a FileFormatError from a nested read passes as is.
+    """
 
+    def __init__(self, path, comments: bool = False):
+        self.path = str(path)
+        self.k: Optional[int] = None
+        self._comments = comments
 
-def read_poly_file(path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
-        raise ValueError(f"empty polynomial file {path}")
-    field, basis = parse_header(lines[0])
-    polys = [parse_poly(ln, field, basis) for ln in lines[1:] if ln.strip()]
-    return field, basis, polys
+    def __enter__(self) -> "LineReader":
+        self._fh = open(self.path, "rb")
+        self._lines = self._stream()
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self._fh.close()
+        if isinstance(exc, ValueError) and not isinstance(exc, FileFormatError):
+            where = "" if self.k is None else f" (line {self.k})"
+            raise FileFormatError(f"{self.path}: {exc}{where}") from None
+
+    def __iter__(self) -> Iterator[str]:
+        return self._lines
+
+    def _stream(self) -> Iterator[str]:
+        for k, raw in enumerate(self._fh, 1):
+            self.k = k
+            line = raw.decode("utf-8").strip()
+            if line and not (self._comments and line.startswith("#")):
+                yield line
+        self.k = None
+
+    def header(self, what: str, magic: str = "", required=(), allowed=()) -> Dict[str, str]:
+        """Read the first line: the words of ``magic``, then ``key=value``
+        fields as ``parse_fields`` checks them."""
+        line = next(self._lines, None)
+        if line is None:
+            raise ValueError(f"empty {what} file")
+        words, head = line.split(), magic.split()
+        if words[: len(head)] != head:
+            raise ValueError(f"expected a {magic!r} header, got {line!r}")
+        return parse_fields(words[len(head) :], required, allowed)

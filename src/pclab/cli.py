@@ -26,6 +26,7 @@ from .algebra import (
     DEFAULT_FIELD,
     FOURIER,
     Field,
+    LineReader,
     ScaleLimitExceeded,
     parse_var,
 )
@@ -209,8 +210,8 @@ def _print_report(report) -> int:
 
 
 def _cmd_check(args) -> int:
-    with open(args.proof) as fh:
-        head = fh.readline().split()
+    with LineReader(args.proof) as lines:
+        head = next(iter(lines), "").split()
     kind = head[0] if head else ""
     if kind == "pcproof":
         axioms = read_axioms(args.formula) if args.formula else None

@@ -300,11 +300,12 @@ def span_basis(
 ) -> SpanBasis:
     """Normal-form engine for the span of ``polys``.
 
-    ``method="points"`` evaluates over the common zero set and handles
-    up to 16 universe variables; ``method="closure"`` multiplies the
-    family out directly and is capped at 10, but shares no code with the
-    first route -- the two agree everywhere and are cross-checked in the
-    tests.  Twin variables must be expanded away before calling.
+    ``method="points"`` evaluates over the common zero set of the
+    variables the family mentions, whatever the universe, so it caps
+    those at 16; ``method="closure"`` multiplies the family out by every
+    universe variable and caps the universe at 10.  The two routes share
+    no code -- they agree everywhere and are cross-checked in the tests.
+    Twin variables must be expanded away before calling.
     """
     polys = list(polys)
     for p in polys:
@@ -333,9 +334,9 @@ def span_basis(
         raise ValueError(f"universe misses {sorted(format_var(v) for v in missing)}")
     if method not in ("points", "closure"):
         raise ValueError(f"unknown method {method!r}")
-    limit = SPAN_VAR_LIMIT if method == "points" else CLOSURE_VAR_LIMIT
-    if len(uni) > limit:
-        raise ScaleLimitExceeded(f"{len(uni)} variables exceed the {method} limit of {limit}")
+    limit, size = (SPAN_VAR_LIMIT, len(seen)) if method == "points" else (CLOSURE_VAR_LIMIT, len(uni))
+    if size > limit:
+        raise ScaleLimitExceeded(f"{size} variables exceed the {method} limit of {limit}")
     return SpanBasis(polys, tuple(uni), method, field, basis)
 
 

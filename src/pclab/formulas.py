@@ -23,11 +23,13 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 import numpy as np
 
 from .algebra import (
+    BASES,
     BOOLEAN,
     FOURIER,
     DEFAULT_FIELD,
     BasisMismatch,
     Field,
+    LineReader,
     Poly,
     ScaleLimitExceeded,
     Term,
@@ -36,7 +38,7 @@ from .algebra import (
     format_poly,
     format_var,
     make_term,
-    parse_header,
+    parse_fields,
     parse_poly,
     parse_var,
     plain,
@@ -57,6 +59,12 @@ def _check_clause(c: Clause):
     for v in c:
         if v.twin in c:
             raise ValueError(f"clause holds both polarities of {format_var(v.base)}")
+
+
+def _check_groups(groups: Dict[str, Tuple[int, ...]], count: int, what: str) -> None:
+    """Declared groups must partition the ``count`` items of the list."""
+    if groups and sorted(i for idxs in groups.values() for i in idxs) != list(range(count)):
+        raise ValueError(f"groups must partition the {what} list")
 
 
 @dataclass(frozen=True)
@@ -82,15 +90,7 @@ class CNF:
             for v in c:
                 if v.base not in uni:
                     raise ValueError(f"clause variable {v} outside universe")
-        if self.groups:
-            seen: set = set()
-            for idxs in self.groups.values():
-                for i in idxs:
-                    if i in seen or not (0 <= i < len(self.clauses)):
-                        raise ValueError("groups must partition the clause list")
-                    seen.add(i)
-            if len(seen) != len(self.clauses):
-                raise ValueError("groups must partition the clause list")
+        _check_groups(self.groups, len(self.clauses), "clause")
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -126,13 +126,7 @@ class AxiomSystem:
             for v in p.variables():
                 if v.base not in uni:
                     raise ValueError(f"axiom variable {v} outside universe")
-        if self.groups:
-            seen: set = set()
-            for idxs in self.groups.values():
-                for i in idxs:
-                    if i in seen or not (0 <= i < len(self.polys)):
-                        raise ValueError("groups must partition the axiom list")
-                    seen.add(i)
+        _check_groups(self.groups, len(self.polys), "axiom")
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -509,10 +503,8 @@ def _read_meta(line: str, meta: Dict[str, object]) -> bool:
     """Parse one line written by ``_meta_lines`` into ``meta``, keyed by
     the CNF and AxiomSystem field names; False when it is neither kind."""
     if line.startswith("params "):
-        for kv in line.split()[1:]:
-            k, val = kv.split("=")
-            if k in ("n", "ell"):
-                meta[k] = int(val)
+        for k, val in parse_fields(line.split()[1:], allowed=("n", "ell")).items():
+            meta[k] = int(val)
     elif line.startswith("group "):
         head, idxs = line[len("group ") :].split(":")
         meta.setdefault("groups", {})[head.strip()] = tuple(int(x) - 1 for x in idxs.split())
@@ -540,42 +532,35 @@ def write_dimacs(cnf: CNF, path) -> None:
 
 def read_dimacs(path) -> CNF:
     names: Dict[int, Var] = {}
-    with open(str(path) + ".names") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            head, expr = line.split("=", 1)
+    with LineReader(f"{path}.names") as lines:
+        for line in lines:
+            head, eq, expr = line.partition("=")
             toks = head.split()
-            if len(toks) != 2 or toks[0] != "var":
-                raise ValueError(f"{path}.names: bad line {line!r}")
-            names[int(toks[1])] = parse_var(expr.strip())
+            if not eq or len(toks) != 2 or toks[0] != "var":
+                raise ValueError(f"bad line {line!r}")
+            names[int(toks[1])] = parse_var(expr)
     clauses: List[Clause] = []
     meta: Dict[str, object] = {}
-    nvars = nclauses = None
-    with open(str(path)) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    counts = None
+    with LineReader(path) as lines:
+        for line in lines:
             if line.startswith("c"):
                 _read_meta(line[2:], meta)
-                continue
-            if line.startswith("p cnf"):
+            elif line.startswith("p cnf"):
                 _, _, a, b = line.split()
-                nvars, nclauses = int(a), int(b)
-                continue
-            lits = [int(x) for x in line.split()]
-            if lits[-1] != 0:
-                raise ValueError(f"clause line missing terminator: {line!r}")
-            try:
-                clauses.append(frozenset(names[abs(x)].twin if x < 0 else names[x] for x in lits[:-1]))
-            except KeyError as e:
-                raise ValueError(f"{path}: variable {e.args[0]} has no entry in {path}.names") from None
-    if nvars is None or len(clauses) != nclauses or len(names) != nvars:
-        raise ValueError("malformed clause file")
-    universe = tuple(names[i] for i in sorted(names))
-    return CNF(tuple(clauses), universe, **meta)
+                counts = int(a), int(b)
+            else:
+                lits = [int(x) for x in line.split()]
+                if lits[-1] != 0:
+                    raise ValueError(f"clause line missing terminator: {line!r}")
+                try:
+                    clauses.append(frozenset(names[abs(x)].twin if x < 0 else names[x] for x in lits[:-1]))
+                except KeyError as e:
+                    raise ValueError(f"variable {e.args[0]} has no entry in {path}.names") from None
+        if counts != (len(names), len(clauses)):
+            raise ValueError(f"no 'p cnf' line matches the {len(names)} names and {len(clauses)} clauses")
+        universe = tuple(names[i] for i in sorted(names))
+        return CNF(tuple(clauses), universe, **meta)
 
 
 def write_axioms(ax: AxiomSystem, path) -> None:
@@ -592,18 +577,18 @@ def write_axioms(ax: AxiomSystem, path) -> None:
 
 
 def read_axioms(path) -> AxiomSystem:
-    with open(str(path)) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty axiom file")
-    field, basis = parse_header(lines[0])
-    meta: Dict[str, object] = {}
-    polys: List[Poly] = []
-    extras: List[Var] = []
-    for line in lines[1:]:
-        if line.startswith("universe "):
-            extras.extend(parse_var(tok).base for tok in line.split()[1:])
-        elif not _read_meta(line, meta):
-            polys.append(parse_poly(line, field, basis))
-    universe = sorted({v.base for p in polys for v in p.variables()} | set(extras))
-    return AxiomSystem(field, basis, tuple(polys), tuple(universe), **meta)
+    with LineReader(path) as lines:
+        head = lines.header("axiom", required=("field", "basis"))
+        field, basis = Field(int(head["field"])), head["basis"]
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        meta: Dict[str, object] = {}
+        polys: List[Poly] = []
+        extras: List[Var] = []
+        for line in lines:
+            if line.startswith("universe "):
+                extras.extend(parse_var(tok).base for tok in line.split()[1:])
+            elif not _read_meta(line, meta):
+                polys.append(parse_poly(line, field, basis))
+        universe = sorted({v.base for p in polys for v in p.variables()} | set(extras))
+        return AxiomSystem(field, basis, tuple(polys), tuple(universe), **meta)

@@ -41,6 +41,7 @@ from .algebra import (
     FOURIER,
     BasisMismatch,
     Field,
+    LineReader,
     Poly,
     Term,
     Var,
@@ -498,9 +499,9 @@ def _parse_label(tok: str) -> int:
     return int(tok[1:]) - 1
 
 
-def parse_step(text: str, field: Field) -> Step:
-    toks = text.split()
-    kind = toks[0]
+def parse_step(toks: Sequence[str], field: Field) -> Step:
+    """A polynomial-calculus step from the tokens after its label."""
+    kind = toks[0] if toks else ""
     if kind == "AX" and len(toks) == 2:
         return ("ax", int(toks[1]) - 1)
     if kind == "SQ" and len(toks) == 2:
@@ -513,23 +514,27 @@ def parse_step(text: str, field: Field) -> Step:
         return ("lin", a, _parse_label(toks[2]), b, _parse_label(toks[4]))
     if kind == "MUL" and len(toks) == 3:
         return ("mul", parse_var(toks[1]), _parse_label(toks[2]))
-    raise ValueError(f"malformed step {text!r}")
+    raise ValueError(f"malformed step {' '.join(toks)!r}")
 
 
-def _read_proof_file(path, magic: str, keys: Sequence[str]) -> Tuple[Dict[str, str], List[str]]:
-    """The header's key=value pairs and the step lines of a proof file."""
-    with open(str(path)) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty proof file")
-    head = lines[0].split()
-    if head[:2] != [magic, "v1"]:
-        raise ValueError(f"bad proof header: {lines[0]!r}")
-    kv = dict(x.split("=", 1) for x in head[2:])
-    for key in keys:
-        if key not in kv:
-            raise ValueError(f"{path}: proof header lacks {key}=")
-    return kv, lines[1:]
+def _parse_res_step(toks: Sequence[str]) -> Step:
+    kind = toks[0] if toks else ""
+    if kind == "IN" and len(toks) == 2:
+        return ("in", int(toks[1]) - 1)
+    if kind == "RES" and len(toks) == 4:
+        return ("res", _parse_label(toks[1]), _parse_label(toks[2]), parse_var(toks[3]))
+    raise ValueError(f"malformed step {' '.join(toks)!r}")
+
+
+def _read_steps(lines: LineReader, parse) -> Tuple[Step, ...]:
+    """The steps of the lines ``L<k> <tokens>``, k = 1, 2, ..., each ``parse(tokens)``."""
+    steps: List[Step] = []
+    for line in lines:
+        label, *toks = line.split()
+        if label != f"L{len(steps) + 1}":
+            raise ValueError(f"expected label L{len(steps) + 1}, got {label!r}")
+        steps.append(parse(toks))
+    return tuple(steps)
 
 
 def _beside(path, name: str) -> str:
@@ -538,19 +543,14 @@ def _beside(path, name: str) -> str:
 
 
 def read_pcproof(path, axioms: Optional[AxiomSystem] = None) -> PCProof:
-    keys = ("basis", "field") if axioms is not None else ("basis", "field", "axioms")
-    kv, lines = _read_proof_file(path, "pcproof", keys)
-    if axioms is None:
-        axioms = read_axioms(_beside(path, kv["axioms"]))
-    if axioms.basis != kv["basis"] or axioms.field.p != int(kv["field"]):
-        raise ValueError("proof header disagrees with the axiom system")
-    steps = []
-    for k, line in enumerate(lines):
-        label, rest = line.split(None, 1)
-        if label != f"L{k + 1}":
-            raise ValueError(f"expected label L{k + 1}, got {label!r}")
-        steps.append(parse_step(rest, axioms.field))
-    return PCProof(axioms, tuple(steps))
+    with LineReader(path) as lines:
+        required = ("basis", "field") if axioms is not None else ("basis", "field", "axioms")
+        head = lines.header("proof", "pcproof v1", required, allowed=("axioms",))
+        if axioms is None:
+            axioms = read_axioms(_beside(path, head["axioms"]))
+        if axioms.basis != head["basis"] or axioms.field.p != int(head["field"]):
+            raise ValueError("proof header disagrees with the axiom system")
+        return PCProof(axioms, _read_steps(lines, lambda toks: parse_step(toks, axioms.field)))
 
 
 def write_resproof(proof: ResolutionProof, path, cnf_path: str) -> None:
@@ -565,18 +565,8 @@ def write_resproof(proof: ResolutionProof, path, cnf_path: str) -> None:
 
 
 def read_resproof(path, cnf: Optional[CNF] = None) -> ResolutionProof:
-    kv, lines = _read_proof_file(path, "resproof", () if cnf is not None else ("cnf",))
-    if cnf is None:
-        cnf = read_dimacs(_beside(path, kv["cnf"]))
-    steps: List[Step] = []
-    for k, line in enumerate(lines):
-        toks = line.split()
-        if toks[0] != f"L{k + 1}":
-            raise ValueError(f"expected label L{k + 1}, got {toks[0]!r}")
-        if len(toks) == 3 and toks[1] == "IN":
-            steps.append(("in", int(toks[2]) - 1))
-        elif len(toks) == 5 and toks[1] == "RES":
-            steps.append(("res", _parse_label(toks[2]), _parse_label(toks[3]), parse_var(toks[4])))
-        else:
-            raise ValueError(f"malformed step {line!r}")
-    return ResolutionProof(cnf, tuple(steps))
+    with LineReader(path) as lines:
+        head = lines.header("proof", "resproof v1", () if cnf is not None else ("cnf",), allowed=("cnf",))
+        if cnf is None:
+            cnf = read_dimacs(_beside(path, head["cnf"]))
+        return ResolutionProof(cnf, _read_steps(lines, _parse_res_step))

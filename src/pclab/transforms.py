@@ -19,6 +19,7 @@ from .algebra import (
     BOOLEAN,
     FOURIER,
     BasisMismatch,
+    LineReader,
     Poly,
     Term,
     Var,
@@ -113,7 +114,7 @@ def restrict_poly(p: Poly, rho: Restriction) -> Poly:
             if tv is None:
                 kept.append(v)
             else:
-                coef = p.field.mul(coef, encode_truth(tv, p.basis, p.field))
+                coef = coef * encode_truth(tv, p.basis, p.field) % p.field.p
                 if coef == 0:
                     break
         if coef == 0:
@@ -492,8 +493,10 @@ class ClusterMap:
     def __post_init__(self):
         if self.ell % 2 or self.ell < 2:
             raise ValueError(f"pairing needs an even number of copies, got ell={self.ell}")
-        want = {(i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1) if i != j}
-        if set(self.pairs) != want:
+        n = self.n
+        # counted, not listed: a map read from a file may declare a huge n
+        inside = all(1 <= i <= n and 1 <= j <= n and i != j for i, j in self.pairs)
+        if len(self.pairs) != n * (n - 1) or not inside:
             raise ValueError("pairing must cover every ordered vertex pair exactly")
         for key, pairing in self.pairs.items():
             flat = sorted(l for pr in pairing for l in pr)
@@ -627,26 +630,15 @@ def write_restriction(rho: Restriction, path) -> None:
 
 
 def read_restriction(path) -> Restriction:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "restriction v1":
-        raise ValueError("expected 'restriction v1' header")
-    assignment: Dict[Var, bool] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4 or parts[0] != "set" or parts[2] != "=":
-            raise ValueError(f"bad restriction line: {ln!r}")
-        if parts[3] not in ("true", "false"):
-            raise ValueError(f"bad truth value in: {ln!r}")
-        v = parse_var(parts[1])
-        val = parts[3] == "true"
-        prior = assignment.get(v.base)
-        literal = (not val) if v.negated else val
-        if prior is not None and prior != literal:
-            raise ValueError(f"inconsistent assignment for {parts[1]}")
-        assignment[v.base] = literal
-    return Restriction(assignment)
+    with LineReader(path, comments=True) as lines:
+        lines.header("restriction", "restriction v1")
+        pairs: List[Tuple[Var, bool]] = []
+        for line in lines:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "set" or parts[2] != "=" or parts[3] not in ("true", "false"):
+                raise ValueError(f"bad restriction line: {line!r}")
+            pairs.append((parse_var(parts[1]), parts[3] == "true"))
+        return Restriction(pairs)
 
 
 def write_clustermap(cmap: ClusterMap, path) -> None:
@@ -658,33 +650,19 @@ def write_clustermap(cmap: ClusterMap, path) -> None:
 
 
 def read_clustermap(path) -> ClusterMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty cluster map file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "clustermap" or head[1] != "v1":
-        raise ValueError("expected 'clustermap v1 n=.. ell=..' header")
-    n = ell = None
-    for tok in head[2:]:
-        if tok.startswith("n="):
-            n = int(tok[2:])
-        elif tok.startswith("ell="):
-            ell = int(tok[4:])
-    if n is None or ell is None:
-        raise ValueError("cluster map header must carry n= and ell=")
-    pairs: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 7 or parts[0] != "pair" or parts[5] != "->":
-            raise ValueError(f"bad cluster map line: {ln!r}")
-        i, j, l1, l2, p = (int(parts[k]) for k in (1, 2, 3, 4, 6))
-        bucket = pairs.setdefault((i, j), [])
-        if p != len(bucket) + 1:
-            raise ValueError(f"pair positions for edge ({i},{j}) must arrive in order")
-        bucket.append((min(l1, l2), max(l1, l2)))
-    return ClusterMap(n, ell, {k: tuple(v) for k, v in pairs.items()})
+    with LineReader(path, comments=True) as lines:
+        head = lines.header("cluster map", "clustermap v1", ("n", "ell"))
+        pairs: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        for line in lines:
+            parts = line.split()
+            if len(parts) != 7 or parts[0] != "pair" or parts[5] != "->":
+                raise ValueError(f"bad cluster map line: {line!r}")
+            i, j, l1, l2, p = (int(parts[k]) for k in (1, 2, 3, 4, 6))
+            bucket = pairs.setdefault((i, j), [])
+            if p != len(bucket) + 1:
+                raise ValueError(f"pair positions for edge ({i},{j}) must arrive in order")
+            bucket.append((min(l1, l2), max(l1, l2)))
+        return ClusterMap(int(head["n"]), int(head["ell"]), {k: tuple(v) for k, v in pairs.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def test_span_argument_checks():
 def test_span_scale_limits():
     vs = [plain(f"v{i:02d}") for i in range(17)]
     with pytest.raises(ScaleLimitExceeded):
-        span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs)
+        span_basis([Poly.variable(F, BOOLEAN, v) for v in vs], universe=vs)
     with pytest.raises(ScaleLimitExceeded):
         span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:11], method="closure")
     # at the limits both engines still build
@@ -340,7 +340,22 @@ def test_oracle_rejects_bad_contexts():
 def test_oracle_scale_limit_at_larger_family():
     orc = ResidueOracle(bop_context(4, 1))  # 20 variables
     with pytest.raises(ScaleLimitExceeded):
-        orc.R_term((pointer(1, 1),))
+        # a key of three vertices: 12 edge and 6 pointer variables active
+        orc.R_term((pointer(1, 1), pointer(2, 1), pointer(3, 1)))
+
+
+def test_points_cap_counts_active_variables_not_the_universe():
+    # bop_context(3, 2) has 18 variables; a key of two vertices makes its
+    # 12 edge and 4 pointer variables active, exactly the cap of 16
+    ctx = bop_context(3, 2)
+    orc = ResidueOracle(ctx)
+    t = (pointer(1, 2), pointer(2, 2))
+    assert touched(t, 3, 2).tau == {1, 2}
+    assert len(ctx.universe) == 18 and len(orc.span_for({1, 2}).active) == 16
+    r = orc.R_term(t)
+    assert not r.is_zero
+    premises = [ctx.polys[i] for g in ("T", "BV(1)", "BV(2)") for i in ctx.groups[g]]
+    assert semantic_implies(premises, Poly.from_term(F, BOOLEAN, t).sub(r))
 
 
 def test_oracle_mismatched_request(oracle):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -377,3 +378,18 @@ class TestFiles:
         assert back.universe == ax.universe
         assert back.polys == ax.polys
         assert back.groups == ax.groups
+
+
+def test_groups_must_partition_the_list(tmp_path):
+    tseitin = gen_cycle_tseitin(4)
+    for groups in ({"A": (0,)}, {"A": (0, 1, 2, 3, 3)}, {"A": (0, 1), "B": (2, 4)}):
+        with pytest.raises(ValueError, match="groups must partition the axiom list"):
+            AxiomSystem(tseitin.field, tseitin.basis, tseitin.polys, tseitin.universe, groups)
+    lop = gen_lop(3)
+    with pytest.raises(ValueError, match="groups must partition the clause list"):
+        CNF(lop.clauses, lop.universe, {"A": (0,)})
+    path = tmp_path / "ax.txt"
+    write_axioms(tseitin, path)
+    path.write_text(path.read_text().replace("\n", "\ngroup A : 1\n", 1))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: groups must partition the axiom list") + "$"):
+        read_axioms(path)

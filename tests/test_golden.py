@@ -14,6 +14,7 @@ from pclab.algebra import FOURIER
 from pclab.cli import main
 from pclab.formulas import cnf_to_axioms, gen_bop_lifted, write_axioms
 from pclab.proofs import random_derivation, write_pcproof
+from pclab.transforms import build_jcta, write_restriction
 
 GOLDEN = {
     "pcr-upper/axioms.txt": "fc6247c675b900c4a0ba998cadceb0b70258940505cdfaf56aa49789ca5f2511",
@@ -33,6 +34,7 @@ GOLDEN = {
     "cluster/proof.pc": "70aabbe1f7d1e3ae1a64ac6232f232af8ea62539d9a1d1134cb8b0a72e585e94",
     "qdeg2deg/axioms.txt": "9b1a40c9632cc93ca133cf3d88d61fbcda4ccf9903dc668f7aa498121e946e59",
     "qdeg2deg/proof.pc": "0dedfcb9b808c58af13a9c6e0f429005805140962f6ea8aad701a15fed2822a5",
+    "restriction.txt": "dff636ad6f7158f4137616c216b00f2a6d85869c35c048df6dc5634037b1bc16",
 }
 
 
@@ -55,6 +57,7 @@ def artifacts(tmp_path_factory):
     run("transform", "cluster", "--proof", d / "derivation" / "p.pc", "--seed", 3,
         "--out", d / "cluster")
     run("transform", "qdeg2deg", "--proof", d / "tseitin" / "proof.pc", "--out", d / "qdeg2deg")
+    write_restriction(build_jcta(3, 2, 1), d / "restriction.txt")
     return d
 
 
