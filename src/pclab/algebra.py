@@ -19,10 +19,11 @@ operations are pure.
 
 from __future__ import annotations
 
-import bisect
+import functools
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 DEFAULT_PRIME = 2**31 - 1
 
@@ -165,24 +166,6 @@ def make_term(vs: Iterable[Var]) -> Term:
     return tuple(sorted(set(vs)))
 
 
-def mul_term_by_var(t: Term, v: Var, basis: str) -> Tuple[Term, int]:
-    """Multiply a term by one variable, folding the square per basis.
-
-    Returns (term, sign); the sign is +1 under both encodings (v*v = v
-    keeps the variable, v*v = 1 drops it) and is part of the contract so
-    callers never assume more than they should.
-    """
-    if basis not in BASES:
-        raise BasisMismatch(f"unknown basis {basis!r}")
-    if v in t:
-        if basis == BOOLEAN:
-            return t, 1
-        return tuple(u for u in t if u != v), 1
-    out = list(t)
-    bisect.insort(out, v)
-    return tuple(out), 1
-
-
 def term_mul(t1: Term, t2: Term, basis: str) -> Term:
     """Product of two terms in the quotient: union (boolean) or
     symmetric difference (fourier).  Twin pairs are never folded."""
@@ -199,16 +182,9 @@ def grlex_key(t: Term):
     return (len(t), tuple(reversed(t)))
 
 
-def compare_grlex(t1: Term, t2: Term, key: Optional[Callable[[Var], object]] = None) -> int:
-    """-1, 0, or +1 as t1 precedes, equals, or follows t2 in graded lex.
-
-    ``key`` optionally replaces the canonical variable order.
-    """
-    if key is None:
-        k1, k2 = grlex_key(t1), grlex_key(t2)
-    else:
-        k1 = (len(t1), tuple(sorted((key(v) for v in t1), reverse=True)))
-        k2 = (len(t2), tuple(sorted((key(v) for v in t2), reverse=True)))
+def compare_grlex(t1: Term, t2: Term) -> int:
+    """-1, 0, or +1 as t1 precedes, equals, or follows t2 in graded lex."""
+    k1, k2 = grlex_key(t1), grlex_key(t2)
     if k1 < k2:
         return -1
     if k1 > k2:
@@ -230,13 +206,17 @@ class Poly:
             raise BasisMismatch(f"unknown basis {basis!r}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", basis)
-        # the one reduction mod p: callers pass unreduced sums and zeros
-        clean = {}
-        if terms:
-            for t, c in terms.items():
-                c = c % field.p
-                if c:
-                    clean[t] = c
+        # the one reduction mod p: callers pass unreduced sums and zeros.
+        # The copy keeps the stored hashes; only entries outside 1..p-1
+        # are looked up again.
+        p = field.p
+        clean = dict(terms) if terms else {}
+        for t in [t for t, c in clean.items() if not 0 < c < p]:
+            c = clean[t] % p
+            if c:
+                clean[t] = c
+            else:
+                del clean[t]
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *_):
@@ -268,7 +248,7 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return max((len(t) for t in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     @property
     def monomial_count(self) -> int:
@@ -299,31 +279,52 @@ class Poly:
         if self.field.p != other.field.p:
             raise ValueError("field mismatch")
 
-    def add(self, other: "Poly") -> "Poly":
+    def lin(self, a: int, other: "Poly", b: int) -> "Poly":
+        """a*self + b*other, built as one dict."""
         self._check(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, 0) + c
+        p = self.field.p
+        a %= p
+        b %= p
+        if a == 1:
+            out = dict(self.terms)
+        else:
+            out = {t: c * a % p for t, c in self.terms.items()} if a else {}
+        if b:
+            get = out.get
+            for t, c in other.terms.items():
+                out[t] = (get(t, 0) + c * b) % p
         return Poly(self.field, self.basis, out)
 
-    def neg(self) -> "Poly":
-        p = self.field.p
-        return Poly(self.field, self.basis, {t: p - c for t, c in self.terms.items()})
+    def add(self, other: "Poly") -> "Poly":
+        return self.lin(1, other, 1)
 
     def sub(self, other: "Poly") -> "Poly":
-        return self.add(other.neg())
+        return self.lin(1, other, -1)
+
+    def neg(self) -> "Poly":
+        return self.scale(-1)
 
     def scale(self, a: int) -> "Poly":
-        a %= self.field.p
-        if a == 0:
-            return Poly.zero(self.field, self.basis)
-        return Poly(self.field, self.basis, {t: c * a for t, c in self.terms.items()})
+        return self.lin(a, self, 0)
 
     def mul_var(self, v: Var) -> "Poly":
-        out: dict = {}
-        for t, c in self.terms.items():
-            nt, sign = mul_term_by_var(t, v, self.basis)
-            out[nt] = out.get(nt, 0) + sign * c
+        """v * self: v*v folds to v (boolean) or to 1 (fourier); a twin
+        is never folded.  Each product term is hashed once unless two of
+        them meet."""
+        fourier = self.basis == FOURIER
+        keys = []
+        for t in self.terms:
+            i = bisect_left(t, v)
+            if i == len(t) or t[i] != v:
+                t = t[:i] + (v,) + t[i:]
+            elif fourier:
+                t = t[:i] + t[i + 1 :]
+            keys.append(t)
+        out = dict(zip(keys, self.terms.values()))
+        if len(out) < len(keys):
+            out = {}
+            for t, c in zip(keys, self.terms.values()):
+                out[t] = out.get(t, 0) + c
         return Poly(self.field, self.basis, out)
 
     def mul_term(self, m: Term) -> "Poly":
@@ -334,11 +335,12 @@ class Poly:
 
     def mul(self, other: "Poly") -> "Poly":
         self._check(other)
+        p = self.field.p
         out: dict = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
                 t = term_mul(t1, t2, self.basis)
-                out[t] = out.get(t, 0) + c1 * c2
+                out[t] = (out.get(t, 0) + c1 * c2) % p
         return Poly(self.field, self.basis, out)
 
     # evaluation
@@ -397,23 +399,6 @@ def encode_truth(value: bool, basis: str, field: Field) -> int:
     raise BasisMismatch(f"unknown basis {basis!r}")
 
 
-def compare_poly_grlex(p: Poly, q: Poly) -> Optional[int]:
-    """Extension of graded lex to polynomials: compare the descending
-    monomial sequences positionwise; a missing position is smallest.
-    Returns -1/0/+1, or None when the sequences are identical but the
-    polynomials differ (incomparable)."""
-    s1, s2 = p.sorted_terms(), q.sorted_terms()
-    for t1, t2 in zip(s1, s2):
-        c = compare_grlex(t1, t2)
-        if c:
-            return c
-    if len(s1) != len(s2):
-        return -1 if len(s1) < len(s2) else 1
-    if p == q:
-        return 0
-    return None
-
-
 # ---------------------------------------------------------------------------
 # text grammar
 #
@@ -435,7 +420,11 @@ def format_var(v: Var) -> str:
     return f"{neg}{v.kind}({i},{j},{l})"
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def parse_var(tok: str) -> Var:
+    """The variable a token names.  Results are cached per token, so the
+    variables read from one file are shared objects; a bad token raises
+    every time, since exceptions are not cached."""
     s = tok.strip()
     negated = s.startswith("~")
     if negated:

@@ -176,19 +176,26 @@ class _PointsEngine:
 
 
 def _tail_reduce(poly: Poly, rows: Mapping[Term, Poly]) -> Poly:
-    fld = poly.field
+    """The remainder of ``poly`` by rows whose leading coefficient is 1,
+    keyed by their leading term: reduce a working dict in place."""
+    p = poly.field.p
+    work = dict(poly.terms)
     out: Dict[Term, int] = {}
-    work = poly
-    while not work.is_zero:
-        t = work.leading_term()
-        c = work.terms[t]
+    while work:
+        t = max(work, key=grlex_key)
+        c = work.pop(t)
         row = rows.get(t)
         if row is None:
             out[t] = c
-            work = work.sub(Poly.from_term(fld, poly.basis, t, c))
-        else:
-            work = work.sub(row.scale(c))
-    return Poly(fld, poly.basis, out)
+            continue
+        for s, cs in row.terms.items():
+            if s != t:
+                r = (work.get(s, 0) - c * cs) % p
+                if r:
+                    work[s] = r
+                else:
+                    del work[s]
+    return Poly(poly.field, poly.basis, out)
 
 
 class _ClosureEngine:
@@ -635,8 +642,8 @@ def verify_residue_properties(
         p2 = _random_pool_poly(rng, universe, fld, max_terms=4)
         a = rng.randrange(fld.p)
         b = rng.randrange(fld.p)
-        lhs = oracle.R(p1.scale(a).add(p2.scale(b)))
-        rhs = oracle.R(p1).scale(a).add(oracle.R(p2).scale(b))
+        lhs = oracle.R(p1.lin(a, p2, b))
+        rhs = oracle.R(p1).lin(a, oracle.R(p2), b)
         if lhs != rhs:
             bad.append(f"a={a} b={b} P={format_poly(p1)} Q={format_poly(p2)}")
     reports.append(

@@ -187,7 +187,7 @@ def _step_poly(step: Step, k: int, lines: Dict[int, Poly], proof: PCProof, uni: 
         _, a, i, b, j = step
         if not isinstance(a, int) or not isinstance(b, int):
             raise StepError(f"non-scalar coefficients in {step!r}")
-        return _ref(i, k, lines).scale(a).add(_ref(j, k, lines).scale(b))
+        return _ref(i, k, lines).lin(a, _ref(j, k, lines), b)
     v = step[1]
     if not isinstance(v, Var) or v.base not in uni:
         raise StepError(f"variable {v} outside the system universe")
@@ -439,7 +439,7 @@ def random_derivation(axioms: AxiomSystem, steps: int, seed: int) -> PCProof:
             else:
                 a, b = rng.randrange(axioms.field.p), rng.randrange(axioms.field.p)
                 out.append(("lin", a, i, b, j))
-                polys.append(polys[i].scale(a).add(polys[j].scale(b)))
+                polys.append(polys[i].lin(a, polys[j], b))
                 continue
         if kind == "mul":
             i = rng.randrange(len(polys))

@@ -28,7 +28,6 @@ from .algebra import (
     encode_truth,
     format_var,
     make_term,
-    mul_term_by_var,
     parse_var,
     pointer,
     term_mul,
@@ -545,7 +544,7 @@ def random_pairing(n: int, ell: int, seed: int) -> ClusterMap:
 def cluster_term(t: Term, cmap: ClusterMap) -> Term:
     out: Term = ()
     for v in t:
-        out, _ = mul_term_by_var(out, cmap.image(v), FOURIER)
+        out = term_mul(out, (cmap.image(v),), FOURIER)
     return out
 
 

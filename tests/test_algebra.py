@@ -17,13 +17,11 @@ from pclab.algebra import (
     Var,
     cluster_var,
     compare_grlex,
-    compare_poly_grlex,
     edge,
     format_poly,
     format_var,
     grlex_key,
     make_term,
-    mul_term_by_var,
     parse_poly,
     parse_var,
     plain,
@@ -178,26 +176,21 @@ class TestTerms:
 
     def test_mul_by_var_square_boolean(self):
         a, b = pvars("a", "b")
-        t, sign = mul_term_by_var((a, b), a, BOOLEAN)
-        assert t == (a, b) and sign == 1
+        assert Poly.from_term(F, BOOLEAN, (a, b)).mul_var(a).terms == {(a, b): 1}
 
     def test_mul_by_var_square_fourier(self):
         a, b = pvars("a", "b")
-        t, sign = mul_term_by_var((a, b), a, FOURIER)
-        assert t == (b,) and sign == 1
+        assert Poly.from_term(F, FOURIER, (a, b)).mul_var(a).terms == {(b,): 1}
 
     def test_mul_by_var_insert_keeps_order(self):
         a, b, c = pvars("a", "b", "c")
-        t, _ = mul_term_by_var((a, c), b, FOURIER)
-        assert t == (a, b, c)
+        assert Poly.from_term(F, FOURIER, (a, c)).mul_var(b).terms == {(a, b, c): 1}
 
     def test_twin_not_folded(self):
         # a term may hold a variable and its twin; only a proof step removes them
         a = plain("a")
-        t, _ = mul_term_by_var((a,), a.twin, FOURIER)
-        assert t == (a, a.twin)
-        t, _ = mul_term_by_var((a,), a.twin, BOOLEAN)
-        assert t == (a, a.twin)
+        for basis in (BOOLEAN, FOURIER):
+            assert Poly.from_term(F, basis, (a,)).mul_var(a.twin).terms == {(a, a.twin): 1}
 
     def test_term_mul(self):
         a, b, c = pvars("a", "b", "c")
@@ -233,12 +226,6 @@ class TestGrlex:
             u = make_term(rng.sample(fresh, 2))
             if compare_grlex(t1, t2) == -1:
                 assert compare_grlex(term_mul(t1, u, BOOLEAN), term_mul(t2, u, BOOLEAN)) <= 0
-
-    def test_custom_key(self):
-        a, b = pvars("a", "b")
-        # reversed variable order flips the same-degree comparison
-        assert compare_grlex((a,), (b,)) == -1
-        assert compare_grlex((a,), (b,), key=lambda v: -ord(v.index[0])) == 1
 
 
 class TestPoly:
@@ -385,6 +372,18 @@ class TestGrammar:
             with pytest.raises(ValueError):
                 parse_var(tok)
 
+    def test_token_cache(self):
+        # a bad token raises the same error every time: exceptions are not cached
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as e:
+                parse_var("x(3,3)")
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+        assert parse_var(" ~x(1,2,1) ") == parse_var("~x(1,2,1)") == edge(1, 2, 1).twin
+        assert parse_var("a") is parse_var("a")
+        assert parse_var.cache_info().maxsize is not None
+
     def test_poly_round_trip(self):
         rng = random.Random(9)
         vs = [edge(1, 2, 1), edge(2, 1, 1).twin, pointer(1, 0), plain("a")]
@@ -425,21 +424,6 @@ class TestGrammar:
         write_axioms(ax, path)
         back = read_axioms(path)
         assert back.field.p == F.p and back.basis == FOURIER and list(back.polys) == polys
-
-
-class TestPolyOrder:
-    def test_compare_poly(self):
-        p = parse_poly("1 * a ; 1", F, BOOLEAN)
-        q = parse_poly("1 * b ; 1", F, BOOLEAN)
-        assert compare_poly_grlex(p, q) == -1
-        assert compare_poly_grlex(q, p) == 1
-        assert compare_poly_grlex(p, p) == 0
-        # identical monomial sequence, different coefficients: incomparable
-        r = parse_poly("2 * a ; 1", F, BOOLEAN)
-        assert compare_poly_grlex(p, r) is None
-        # shorter sequence that is a prefix precedes
-        s = parse_poly("1 * a", F, BOOLEAN)
-        assert compare_poly_grlex(s, p) == -1
 
 
 def _random_poly(rng, vs, basis, max_terms=5):
