@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from itertools import combinations_with_replacement
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (
@@ -48,7 +50,6 @@ from .algebra import (
     format_var,
     grlex_key,
     parse_var,
-    term_mul,
 )
 from .formulas import CNF, AxiomSystem, Clause, read_axioms, read_dimacs
 
@@ -189,7 +190,7 @@ def _step_poly(step: Step, k: int, lines: Dict[int, Poly], proof: PCProof, uni: 
             raise StepError(f"non-scalar coefficients in {step!r}")
         return _ref(i, k, lines).lin(a, _ref(j, k, lines), b)
     v = step[1]
-    if not isinstance(v, Var) or v.base not in uni:
+    if not isinstance(v, Var) or v not in uni:
         raise StepError(f"variable {v} outside the system universe")
     if kind == "sq":
         return Poly.zero(ax.field, ax.basis)
@@ -200,7 +201,8 @@ def _step_poly(step: Step, k: int, lines: Dict[int, Poly], proof: PCProof, uni: 
 
 def walk_pc(proof: PCProof) -> Iterator[Tuple[int, Step, Poly]]:
     """Recompute every line of a polynomial-calculus proof from its step."""
-    uni = set(proof.axioms.universe)
+    # both polarities of each base in the universe: the variables a step may name
+    uni = {w for v in proof.axioms.universe if not v.negated for w in (v, v.twin)}
     return _walk(proof.steps, lambda step, k, lines: _step_poly(step, k, lines, proof, uni))
 
 
@@ -317,33 +319,66 @@ def check_resolution(proof: ResolutionProof) -> ResReport:
 
 @dataclass(frozen=True)
 class QuadraticSet:
-    """Unordered pairs of cohabiting terms and their folded products."""
+    """The folded products of every unordered pair (self-pairs included)
+    of terms sharing a line of ``proof``.
 
-    pairs: FrozenSet[Tuple[Term, Term]]
+    ``pairs`` holds those pairs, each ordered by grlex.  No metric needs
+    them, so the set is built by a second walk of ``proof`` when first
+    read and kept from then on.
+    """
+
     products: FrozenSet[Term]
     qdeg: int
     d0: int
+    proof: PCProof = dc_field(repr=False, compare=False)
+
+    @cached_property
+    def pairs(self) -> FrozenSet[Tuple[Term, Term]]:
+        return frozenset(
+            pair
+            for _, _, p in walk_pc(self.proof)
+            for pair in combinations_with_replacement(sorted(p.terms, key=grlex_key), 2)
+        )
 
 
 def quadratic_set(proof: PCProof) -> QuadraticSet:
-    """All unordered pairs (including self-pairs) of terms sharing a
-    line, and their products folded modulo v*v = 1.  Defined for the
-    {+1,-1} encoding only."""
+    """All products of two terms sharing a line, folded modulo v*v = 1.
+    Defined for the {+1,-1} encoding only.
+
+    A term is a bit mask over the sorted universe, a base variable at bit
+    2i and its twin at 2i+1, so a product is the XOR of two masks and
+    never folds a twin into its base; only the distinct products are
+    turned back into terms."""
     if proof.basis != FOURIER:
         raise BasisMismatch("quadratic machinery is specific to the {+1,-1} encoding")
-    pairs: Set[Tuple[Term, Term]] = set()
-    products: Set[Term] = set()
+    var_of: List[Var] = []
+    for v in sorted({v.base for v in proof.axioms.universe}):
+        var_of += (v, v.twin)
+    # bit positions, not masks: on a large universe a table (or a cache)
+    # of wide ints would hold more memory than the products themselves
+    pos = {v: i for i, v in enumerate(var_of)}
+    products: Set[int] = set()
     d0 = 0
     for _, step, p in walk_pc(proof):
         if step[0] in ("ax", "sq", "tw"):
             d0 = max(d0, p.degree)
-        ts = sorted(p.terms, key=grlex_key)
-        for a in range(len(ts)):
-            for b in range(a, len(ts)):
-                pairs.add((ts[a], ts[b]))
-                products.add(term_mul(ts[a], ts[b], FOURIER))
-    qdeg = max((len(t) for t in products), default=0)
-    return QuadraticSet(frozenset(pairs), frozenset(products), qdeg, d0)
+        masks = [sum(1 << pos[v] for v in t) for t in p.terms]
+        if masks:
+            products.add(0)
+        for i, m in enumerate(masks):
+            products.update(map(m.__xor__, masks[i + 1 :]))
+    qdeg = max((m.bit_count() for m in products), default=0)
+    return QuadraticSet(frozenset(_term_of(m, var_of) for m in products), qdeg, d0, proof)
+
+
+def _term_of(mask: int, var_of: Sequence[Var]) -> Term:
+    """The term whose variables sit at the set bits of ``mask``, lowest first."""
+    t = []
+    while mask:
+        low = mask & -mask
+        t.append(var_of[low.bit_length() - 1])
+        mask ^= low
+    return tuple(t)
 
 
 def quadratic_degree(proof: PCProof) -> int:

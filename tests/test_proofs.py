@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -230,6 +231,15 @@ class TestQuadratic:
         assert qs.d0 == 3
         assert qs.qdeg == 2  # every cross product has degree 2, self-products 0
         assert quadratic_degree(proof) == 2
+
+    def test_immutable(self):
+        ax = plain_system(FOURIER, [Poly(F, FOURIER, {(plain("a"),): 1, (plain("b"),): 1})])
+        qs = quadratic_set(PCProof(ax, (("ax", 0),)))
+        for name in ("products", "qdeg", "d0", "pairs", "pairs"):  # pairs before and after its first read
+            with pytest.raises(FrozenInstanceError):
+                setattr(qs, name, None)
+            getattr(qs, name)
+        assert len(qs.pairs) == 3
 
     def test_single_term_line(self):
         x = plain("a")

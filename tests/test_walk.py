@@ -2,10 +2,10 @@
 them, and a unit test of the proof writer's combination rule."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pclab.algebra import BOOLEAN, FOURIER, DEFAULT_FIELD, grlex_key, plain, term_mul
-from pclab.constructions import lop_resolution_refutation
+from pclab.algebra import BOOLEAN, FOURIER, DEFAULT_FIELD, Poly, grlex_key, plain, term_mul
+from pclab.constructions import lop_resolution_refutation, tseitin_fourier_refutation
 from pclab.formulas import AxiomSystem, cnf_to_axioms, gen_cycle_tseitin, gen_lop
 from pclab.proofs import (
     PCProof,
@@ -71,8 +71,17 @@ def test_check_pc_is_a_fold_over_the_lines(basis):
     check()
 
 
+def twin_sum_proof():
+    """The one axiom x + ~x: its pair products are 1 and x*~x, never folded."""
+    x = plain("x")
+    ax = AxiomSystem(F, FOURIER, (Poly(F, FOURIER, {(x,): 1, (x.twin,): 1}),), (x,))
+    return PCProof(ax, (("ax", 0),))
+
+
 @SETTINGS
 @given(derivations(FOURIER))
+@example(tseitin_fourier_refutation(80))  # 80 variables: masks wider than 64 bits
+@example(twin_sum_proof())
 def test_quadratic_set_matches_brute_force(proof):
     lines, bad = lines_or_error(proof)
     if bad is not None:
