@@ -43,6 +43,7 @@ from .proofs import PCProof, quadratic_set, touched
 from .transforms import isolate_vertex_restriction, restrict_proof, split
 
 SPAN_VAR_LIMIT = 16
+SPAN_POINTS_LIMIT = 1024
 CLOSURE_VAR_LIMIT = 10
 
 
@@ -50,50 +51,22 @@ CLOSURE_VAR_LIMIT = 10
 # span bases
 
 
-def _degree_masks(nbits: int, deg: int) -> List[int]:
-    # ascending mask value == graded-lex order within one degree
-    return sorted(sum(1 << b for b in c) for c in itertools.combinations(range(nbits), deg))
-
-
-def _inv_mod(m: np.ndarray, field: Field) -> np.ndarray:
-    """Inverse of a square matrix over the prime field, Gauss-Jordan."""
-    p = field.p
-    s = m.shape[0]
-    a = m % p
-    e = np.eye(s, dtype=np.int64)
-    for c in range(s):
-        nz = np.flatnonzero(a[c:, c])
-        if nz.size == 0:
-            raise ArithmeticError("singular matrix")
-        r = c + int(nz[0])
-        if r != c:
-            a[[c, r]] = a[[r, c]]
-            e[[c, r]] = e[[r, c]]
-        inv = field.inv(int(a[c, c]))
-        a[c] = (a[c] * inv) % p
-        e[c] = (e[c] * inv) % p
-        f = a[:, c].copy()
-        f[c] = 0
-        sel = np.flatnonzero(f)
-        if sel.size:
-            a[sel] = (a[sel] - f[sel, None] * a[c][None, :]) % p
-            e[sel] = (e[sel] - f[sel, None] * e[c][None, :]) % p
-    return e
-
-
-def _matvec_mod(m: np.ndarray, col: np.ndarray, p: int) -> np.ndarray:
-    # 16-bit limbs keep the int64 dot products exact for p < 2^31
-    out = ((m @ (col >> 16)) % p) << 16
-    out += m @ (col & 0xFFFF)
-    return out % p
-
-
 class _PointsEngine:
     """Remainders via evaluation on the common zero set.
 
-    Standard monomials are collected greedily in graded-lex order; their
-    evaluation columns form an invertible matrix over the zero set, so a
-    remainder is a single solve per queried monomial.
+    Modulo the span, a polynomial is its function on the family's common
+    zeros (at most ``SPAN_POINTS_LIMIT`` of them).  The standard monomials
+    are the graded-lex-first monomials whose value vectors there are
+    independent; they form an order ideal, so the Buchberger-Moeller build
+    visits one degree at a time only the candidates whose one-variable
+    divisors are all standard.  Each candidate's values are reduced
+    against the rows found so far, kept in reduced echelon form (a unit at
+    the row's own pivot point, zeros at the other pivots) beside their
+    expressions over the standard monomials.  A candidate that reduces to
+    zero is a leading term; any other is standard, and its scaled residue
+    becomes a row.  Once every point is a pivot, each row is the unit
+    vector of its pivot, so the expressions, scattered by pivot, invert
+    the standard monomials' value matrix: a remainder is one product.
     """
 
     def __init__(self, polys: Sequence[Poly], active: Sequence[Var], field: Field, basis: str):
@@ -101,6 +74,10 @@ class _PointsEngine:
         self.basis = basis
         self.cube = Cube(active, field, basis)
         self.points = np.concatenate(list(self.cube.common_zeros(polys)))
+        if len(self.points) > SPAN_POINTS_LIMIT:
+            raise ScaleLimitExceeded(
+                f"{len(self.points)} common zeros exceed the points limit of {SPAN_POINTS_LIMIT}"
+            )
         self.std_monomials: Tuple[Term, ...] = ()
         self._std: Dict[int, Term] = {}  # mask -> standard monomial
         self._minv: Optional[np.ndarray] = None
@@ -111,43 +88,45 @@ class _PointsEngine:
     def _build_standard(self) -> None:
         p = self.field.p
         npts = len(self.points)
-        std: List[int] = []
-        rows: List[np.ndarray] = []  # echelon columns, unit at their pivot point
+        bits = [1 << i for i in range(len(self.cube.universe))]
+        # row k: its values at the points, then its expression over std
+        rows = np.zeros((npts, 2 * npts), dtype=np.int64)
         piv: List[int] = []
-        raw: List[np.ndarray] = []
-        chunk = max(16, (1 << 22) // npts)
-        nbits = len(self.cube.universe)
-        for deg in range(nbits + 1):
-            if len(raw) == npts:
-                break
-            masks = _degree_masks(nbits, deg)
-            for base in range(0, len(masks), chunk):
-                if len(raw) == npts:
+        std: List[int] = []
+        level = [0]  # ascending masks of one degree: graded-lex order
+        while level and len(std) < npts:
+            start = len(std)
+            for m in level:
+                k = len(std)
+                vals = self.cube.monomials(self.points, m, 0).astype(np.int64)
+                res = np.concatenate((vals, np.zeros(k, np.int64), [1]))
+                res -= np.einsum("i,ij->j", vals[piv], rows[:k, : npts + k + 1])
+                res %= p
+                nz = np.flatnonzero(res[:npts])
+                if not nz.size:
+                    continue
+                q = int(nz[0])
+                res = (res * self.field.inv(int(res[q]))) % p
+                # clear column q from the rows nonzero there, on res's support only
+                sel = np.flatnonzero(rows[:k, q])
+                cols = np.flatnonzero(res)
+                at = np.ix_(sel, cols)
+                rows[at] = (rows[at] - rows[sel, q, None] * res[cols]) % p
+                rows[k, : npts + k + 1] = res
+                piv.append(q)
+                std.append(m)
+                if len(std) == npts:
                     break
-                block = np.array(masks[base : base + chunk], dtype=np.uint32)
-                c = self.cube.monomials(self.points[:, None], block, 0) % p
-                craw = c.copy()
-                for q, e in zip(piv, rows):
-                    c = (c - e[:, None] * c[q][None, :]) % p
-                for bi in range(c.shape[1]):
-                    col = c[:, bi]
-                    if not col.any():
-                        continue
-                    q = int(np.flatnonzero(col)[0])
-                    e = (col * self.field.inv(int(col[q]))) % p
-                    std.append(int(block[bi]))
-                    raw.append(craw[:, bi].copy())
-                    rows.append(e)
-                    piv.append(q)
-                    if len(raw) == npts:
-                        break
-                    if bi + 1 < c.shape[1]:
-                        c[:, bi + 1 :] = (c[:, bi + 1 :] - e[:, None] * c[q, bi + 1 :][None, :]) % p
-        if len(raw) != npts:
+            have = set(std)
+            nxt = sorted({m | b for m in std[start:] for b in bits if not m & b})
+            level = [c for c in nxt if all(c ^ b in have for b in bits if c & b)]
+        if len(std) != npts:
             raise ArithmeticError("monomials failed to span the point functions")
         self._std = {m: self.cube.term(m) for m in std}
         self.std_monomials = tuple(self._std.values())
-        self._minv = _inv_mod(np.stack(raw, axis=1), self.field)
+        # every row is now the unit vector of its pivot point
+        self._minv = np.zeros((npts, npts), dtype=np.int64)
+        self._minv[:, piv] = rows[:, npts:].T
 
     def nf_mask(self, mask: int) -> Poly:
         got = self._nf.get(mask)
@@ -159,8 +138,7 @@ class _PointsEngine:
         elif std is not None:
             got = Poly.from_term(self.field, self.basis, std)
         else:
-            col = self.cube.monomials(self.points, mask, 0) % self.field.p
-            coef = _matvec_mod(self._minv, col, self.field.p)
+            coef = (self._minv @ self.cube.monomials(self.points, mask, 0)) % self.field.p
             got = Poly(self.field, self.basis, dict(zip(self.std_monomials, coef.tolist())))
         self._nf[mask] = got
         return got
@@ -307,12 +285,17 @@ def span_basis(
 ) -> SpanBasis:
     """Normal-form engine for the span of ``polys``.
 
-    ``method="points"`` evaluates over the common zero set of the
-    variables the family mentions, whatever the universe, so it caps
-    those at 16; ``method="closure"`` multiplies the family out by every
-    universe variable and caps the universe at 10.  The two routes share
-    no code -- they agree everywhere and are cross-checked in the tests.
-    Twin variables must be expanded away before calling.
+    ``method="points"`` enumerates the common zeros of the family over
+    the variables it mentions, whatever the universe, and runs one
+    Buchberger-Moeller elimination over them.  Its costs are the cube it
+    enumerates and the matrices it eliminates, so it refuses more than
+    ``SPAN_VAR_LIMIT`` (16) such variables or more than
+    ``SPAN_POINTS_LIMIT`` (1024) common zeros.  ``method="closure"``
+    multiplies the family out by every universe variable and refuses a
+    universe of more than ``CLOSURE_VAR_LIMIT`` (10).  A refusal raises
+    ``ScaleLimitExceeded``.  The two routes share no code -- they agree
+    everywhere and are cross-checked in the tests, where sympy Groebner
+    bases check both.  Twin variables must be expanded away before calling.
     """
     polys = list(polys)
     for p in polys:

@@ -328,11 +328,13 @@ def cnf_to_axioms(cnf: CNF, basis: str, field: Field = DEFAULT_FIELD, twins: boo
 # ---------------------------------------------------------------------------
 # brute-force evaluation over the Boolean cube
 
-# Mod-p arithmetic on the numpy paths runs in int64.  With p < 2^31 a
-# coefficient times a 16-bit limb stays below 2^47, so the sums over the
-# at most 2^16 points of a span stay below 2^63; so do the products of
-# two residues and the sums of coefficients times monomial values 0, +1
-# or -1.
+# Mod-p arithmetic on the numpy paths runs in int64.  With p < 2^31 the
+# product of two residues stays below 2^62: that bounds the row updates
+# of the points span engine.  Each of that engine's matrix products has
+# one factor of monomial values 0, +1 or -1, so its sums of residues over
+# at most SPAN_POINTS_LIMIT = 2^10 common zeros stay below 2^41; the sums
+# of coefficients times monomial values in Cube.zero_test stay below 2^63
+# for any polynomial of fewer than 2^32 terms.
 NUMPY_PRIME_LIMIT = 2**31
 
 _PARITY16 = None

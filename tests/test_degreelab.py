@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import random
+import time
 
 import pytest
 
@@ -10,12 +13,15 @@ from pclab.algebra import (
     Poly,
     ScaleLimitExceeded,
     edge,
+    format_poly,
+    format_var,
     grlex_key,
     make_term,
     plain,
     pointer,
 )
 from pclab.degreelab import (
+    SPAN_POINTS_LIMIT,
     HeavySelection,
     LemmaReport,
     ResidueOracle,
@@ -200,6 +206,57 @@ def test_span_scale_limits():
     # at the limits both engines still build
     span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:16])
     span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:10], method="closure")
+
+
+def test_span_points_limit():
+    # one monomial over k variables vanishes at all 2^k - 1 other points
+    vs = [plain(f"v{i:02d}") for i in range(11)]
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimitExceeded, match="2047 common zeros"):
+        span_basis([Poly.from_term(F, BOOLEAN, make_term(vs))])
+    assert time.perf_counter() - start < 1.0
+    sp = span_basis([Poly.from_term(F, BOOLEAN, make_term(vs[:10]))])
+    assert len(sp.std_monomials) == SPAN_POINTS_LIMIT - 1
+    assert sp.leading_terms() == (make_term(vs[:10]),)
+
+
+def _engine_pin(n, ell, seed=0, terms=50):
+    """How many touch keys the points engine accepts at (n, ell), and a
+    sha256 over each one's standard monomials and the remainders of
+    seeded terms."""
+    oracle = ResidueOracle(bop_context(n, ell))
+    universe = list(oracle.context.universe)
+    rng = random.Random(seed)
+    queries = [make_term(rng.sample(universe, rng.randint(0, 5))) for _ in range(terms)]
+    digest = hashlib.sha256()
+    keys = 0
+    for k in range(n + 1):
+        for key in itertools.combinations(range(1, n + 1), k):
+            try:
+                sp = oracle.span_for(key)
+            except ScaleLimitExceeded:
+                continue
+            keys += 1
+            lines = [repr(key)]
+            lines += ["*".join(format_var(v) for v in t) or "1" for t in sp.std_monomials]
+            lines += [format_poly(sp.reduce(Poly.from_term(F, BOOLEAN, t))) for t in queries]
+            digest.update(("\n".join(lines) + "\n").encode())
+    return keys, digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, ell, keys, sha",
+    [
+        (4, 1, 11, "854693e4153a98ad9447dc728e42f55ca0d4634c68a61fe5c03db0516b665721"),
+        (3, 2, 7, "f32a2ada33679c0c026b0fcffd44a9b0f6f8ac35d8019d6c46e60cb9ef8f03aa"),
+    ],
+    ids=["4-1", "3-2"],
+)
+def test_points_engine_pinned_on_large_touch_keys(n, ell, keys, sha):
+    """Spans of up to 16 active variables and 235 common zeros, where the
+    candidate pruning matters: recorded before the Buchberger-Moeller
+    build replaced the scan over every mask."""
+    assert _engine_pin(n, ell) == (keys, sha)
 
 
 # ---------------------------------------------------------------------------
