@@ -178,7 +178,13 @@ def _tail_reduce(poly: Poly, rows: Mapping[Term, Poly]) -> Poly:
 
 class _ClosureEngine:
     """Remainders via direct closure: keep a triangular family of
-    representatives and multiply until no product adds a leading term."""
+    representatives and multiply until no product adds a leading term.
+
+    In {0,1}, ``v*v = v``, so ``v`` times a row whose every term holds
+    ``v`` is that row, already in the span; the product is skipped.  In
+    {+1,-1}, ``v*v = 1`` and such a product strips ``v`` from every term,
+    so there every product is taken.
+    """
 
     def __init__(
         self,
@@ -197,9 +203,11 @@ class _ClosureEngine:
             if g.is_zero:
                 continue
             lt = g.leading_term()
-            rows[lt] = g.scale(field.inv(g.terms[lt]))
-            for v in universe:
-                queue.append(rows[lt].mul_var(v))
+            row = rows[lt] = g.scale(field.inv(g.terms[lt]))
+            fixed = set(lt) if basis == BOOLEAN else set()
+            for t in row.terms:
+                fixed.intersection_update(t)
+            queue.extend(row.mul_var(v) for v in universe if v not in fixed)
         self.rows = rows
         self.std_monomials = tuple(t for t in _family_terms(active, len(active)) if t not in rows)
 
@@ -292,8 +300,10 @@ def span_basis(
     ``SPAN_VAR_LIMIT`` (16) such variables or more than
     ``SPAN_POINTS_LIMIT`` (1024) common zeros.  ``method="closure"``
     multiplies the family out by every universe variable and refuses a
-    universe of more than ``CLOSURE_VAR_LIMIT`` (10).  A refusal raises
-    ``ScaleLimitExceeded``.  The two routes share no code -- they agree
+    universe of more than ``CLOSURE_VAR_LIMIT`` (10).  In {0,1} it skips
+    the product of a row by a variable in every one of its terms, which
+    is the row itself; in {+1,-1}, where ``v*v = 1``, it skips nothing.
+    A refusal raises ``ScaleLimitExceeded``.  The two routes share no code -- they agree
     everywhere and are cross-checked in the tests, where sympy Groebner
     bases check both.  Twin variables must be expanded away before calling.
     """
@@ -345,7 +355,9 @@ class ResidueOracle:
 
     A term is reduced modulo the span of the ordering group together
     with the pointer groups of exactly the vertices it touches.  Spans
-    and per-term remainders are cached, so exhaustive sweeps stay cheap.
+    per key, remainders per term and touch keys per term are cached on
+    the oracle, so exhaustive sweeps stay cheap and each new oracle
+    starts cold.  Equal touch keys are one frozenset.
     """
 
     def __init__(self, context: AxiomSystem):
@@ -367,6 +379,8 @@ class ResidueOracle:
         self.ell = context.ell
         self._spans: Dict[FrozenSet[int], SpanBasis] = {}
         self._rterm: Dict[Term, Poly] = {}
+        self._tau: Dict[Term, FrozenSet[int]] = {}
+        self._keys: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
     def span_for(self, vertices: Iterable[int]) -> SpanBasis:
         key = frozenset(vertices)
@@ -391,11 +405,19 @@ class ResidueOracle:
         """Remainder of the whole polynomial under one fixed key."""
         return self.span_for(vertices).reduce(poly)
 
+    def tau(self, t: Term) -> FrozenSet[int]:
+        """The touch key ``touched(t, n, ell).tau`` of a term, computed
+        once per term; an invalid term raises every time."""
+        got = self._tau.get(t)
+        if got is None:
+            key = touched(t, self.n, self.ell).tau
+            got = self._tau[t] = self._keys.setdefault(key, key)
+        return got
+
     def R_term(self, t: Term) -> Poly:
         got = self._rterm.get(t)
         if got is None:
-            tau = touched(t, self.n, self.ell).tau
-            got = self.span_for(tau).reduce(Poly.from_term(self.context.field, BOOLEAN, t))
+            got = self.span_for(self.tau(t)).reduce(Poly.from_term(self.context.field, BOOLEAN, t))
             self._rterm[t] = got
         return got
 
@@ -442,10 +464,21 @@ def _fmt_term(t: Term) -> str:
 
 
 def _family_terms(universe: Sequence[Var], max_degree: int) -> List[Term]:
+    """Every term over a universe of distinct variables up to
+    ``max_degree``, in graded-lex order.
+
+    Within one degree, graded lex orders terms by their variables read
+    from the largest down, lexicographically.  ``combinations`` of the
+    universe sorted largest first yields exactly those descending tuples,
+    and in lexicographic order of positions, where an earlier position
+    holds a larger variable: graded-lex largest first.  So each tuple is
+    reversed into a term and each block is reversed; nothing is sorted.
+    """
+    desc = sorted(universe, reverse=True)
     out: List[Term] = []
     for d in range(max_degree + 1):
-        block = [make_term(c) for c in itertools.combinations(universe, d)]
-        block.sort(key=grlex_key)
+        block = [c[::-1] for c in itertools.combinations(desc, d)]
+        block.reverse()
         out.extend(block)
     return out
 
@@ -470,14 +503,14 @@ def verify_touch_extension(
     cases = 0
     bad: List[str] = []
     for t in _family_terms(universe, max_degree):
-        tau_t = touched(t, n, ell).tau
+        tau_t = oracle.tau(t)
         if len(tau_t) >= n:
             continue
         pt = Poly.from_term(fld, BOOLEAN, t)
         base = oracle.residue(pt, tau_t)
         for w in universe:
             wt = term_mul(t, (w,), BOOLEAN)
-            tau_wt = touched(wt, n, ell).tau
+            tau_wt = oracle.tau(wt)
             if len(tau_wt) >= n:
                 continue
             cases += 1
@@ -497,7 +530,7 @@ def verify_touch_superset(
     cases = 0
     bad: List[str] = []
     for t in _family_terms(oracle.context.universe, max_degree):
-        tau = touched(t, n, ell).tau
+        tau = oracle.tau(t)
         if len(tau) >= n:
             continue
         pt = Poly.from_term(fld, BOOLEAN, t)
@@ -523,10 +556,10 @@ def verify_residue_support(
     cases = 0
     bad: List[str] = []
     for t in _family_terms(oracle.context.universe, max_degree):
-        tau = touched(t, n, ell).tau
+        tau = oracle.tau(t)
         cases += 1
         for s in oracle.R_term(t).terms:
-            if not touched(s, n, ell).tau <= tau:
+            if not oracle.tau(s) <= tau:
                 bad.append(f"t={_fmt_term(t)} term {_fmt_term(s)} escapes {sorted(tau)}")
     return LemmaReport("residue-support", n, ell, cases, tuple(bad), time.perf_counter() - start)
 
@@ -642,7 +675,7 @@ def verify_residue_properties(
         pt = Poly.from_term(fld, BOOLEAN, t)
         for w in universe:
             wt = term_mul(t, (w,), BOOLEAN)
-            if len(touched(wt, n, ell).tau) >= n:
+            if len(oracle.tau(wt)) >= n:
                 continue
             cases += 1
             if oracle.R(pt.mul_var(w)) != oracle.R(oracle.R(pt).mul_var(w)):

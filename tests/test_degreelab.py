@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pclab.algebra import (
     BOOLEAN,
@@ -12,6 +13,7 @@ from pclab.algebra import (
     BasisMismatch,
     Poly,
     ScaleLimitExceeded,
+    cluster_var,
     edge,
     format_poly,
     format_var,
@@ -25,6 +27,7 @@ from pclab.degreelab import (
     HeavySelection,
     LemmaReport,
     ResidueOracle,
+    _family_terms,
     bop_context,
     heavy_split_round,
     heavy_term_selection,
@@ -161,6 +164,42 @@ def test_closure_route_matches_points_route():
             assert a.reduce(q) == b.reduce(q)
 
 
+@pytest.mark.parametrize("basis", [BOOLEAN, FOURIER])
+def test_closure_route_on_rows_sharing_a_variable(basis):
+    # every term of x*y + x holds x.  In {0,1}, x times it is itself, and
+    # y times it is 2*x*y, which puts x in the span.  In {+1,-1}, x times
+    # it is y + 1, which puts y in the leading terms.
+    x, y, z = plain("x"), plain("y"), plain("z")
+    fam = [_poly(basis, {(x, y): 1, (x,): 1})]
+    a = span_basis(fam, universe=[x, y, z], basis=basis, field=F, method="points")
+    b = span_basis(fam, universe=[x, y, z], basis=basis, field=F, method="closure")
+    assert a.std_monomials == b.std_monomials
+    assert a.leading_terms() == b.leading_terms()
+    want = ((x,),) if basis == BOOLEAN else ((y,),)
+    assert b.leading_terms() == want
+
+
+def _mixed_vars():
+    kinds = st.one_of(
+        st.builds(pointer, st.integers(1, 3), st.integers(1, 2)),
+        st.builds(edge, st.integers(1, 2), st.integers(3, 4), st.integers(0, 2)),
+        st.builds(cluster_var, st.integers(1, 2), st.integers(3, 4), st.integers(1, 2)),
+        st.builds(plain, st.sampled_from("abcd")),
+    )
+    return st.one_of(kinds, kinds.map(lambda v: v.twin))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_mixed_vars(), max_size=8, unique=True), st.data())
+def test_family_terms_matches_sorted_combinations(universe, data):
+    universe = data.draw(st.permutations(universe))
+    max_degree = data.draw(st.integers(0, len(universe) + 1))
+    want = []
+    for d in range(max_degree + 1):
+        want.extend(sorted((make_term(c) for c in itertools.combinations(universe, d)), key=grlex_key))
+    assert _family_terms(universe, max_degree) == want
+
+
 def test_span_escalier_and_basis_poly_invariants():
     rng = random.Random(13)
     vs = [plain(f"v{i}") for i in range(6)]
@@ -287,6 +326,35 @@ def test_span_for_is_cached_and_sized(oracle):
         oracle.span_for({0})
     with pytest.raises(ValueError):
         oracle.span_for({4})
+
+
+def test_tau_is_the_touch_key_interned():
+    ctx = bop_context(3, 1)
+    orc = ResidueOracle(ctx)
+    terms = _family_terms(ctx.universe, len(ctx.universe))
+    assert len(terms) == 4096
+    keys = {}
+    for t in terms:
+        key = orc.tau(t)
+        assert key == touched(t, 3, 1).tau
+        assert keys.setdefault(key, key) is key
+        assert orc.tau(t) is key
+    assert len(keys) == 8
+
+
+@pytest.mark.parametrize("bad", [(pointer(1, 1).twin,), (plain("w"),), (pointer(4, 1),), (edge(1, 2, 2),)])
+def test_tau_does_not_cache_errors(bad):
+    orc = ResidueOracle(bop_context(3, 1))
+    t = make_term((edge(1, 2, 1),) + bad)
+    with pytest.raises(ValueError) as want:
+        touched(t, 3, 1)
+    for _ in range(3):
+        with pytest.raises(ValueError) as got:
+            orc.tau(t)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError):
+            orc.R_term(t)
+    assert orc.tau((edge(1, 2, 1),)) == frozenset({1, 2})
 
 
 def test_residue_kills_order_violations(oracle):

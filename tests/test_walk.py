@@ -1,12 +1,21 @@
 """Property tests for the proof-line walks and the metrics folded over
 them, and a unit test of the proof writer's combination rule."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pclab.algebra import BOOLEAN, FOURIER, DEFAULT_FIELD, Poly, grlex_key, plain, term_mul
+from pclab.algebra import BOOLEAN, FOURIER, DEFAULT_FIELD, Poly, format_poly, grlex_key, plain, term_mul
 from pclab.constructions import lop_resolution_refutation, tseitin_fourier_refutation
-from pclab.formulas import AxiomSystem, cnf_to_axioms, gen_cycle_tseitin, gen_lop
+from pclab.formulas import (
+    AxiomSystem,
+    cnf_to_axioms,
+    gen_bop_lifted,
+    gen_cycle_tseitin,
+    gen_lop,
+    semantic_implies,
+)
 from pclab.proofs import (
     PCProof,
     ProofWriter,
@@ -69,6 +78,41 @@ def test_check_pc_is_a_fold_over_the_lines(basis):
         assert rep.num_lines == len(proof.steps)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "axioms", [cnf_to_axioms(gen_bop_lifted(2, 1), BOOLEAN), parity_axioms()], ids=[BOOLEAN, FOURIER]
+)
+def test_random_derivation_lines_are_implied_by_their_axioms(axioms):
+    """Every derived line vanishes wherever the axioms it derives from
+    vanish, checked by evaluation on the cube rather than by the rules.
+
+    Neither system has a common zero, so implication by the whole system
+    would hold for any line.  Each line is checked against only the
+    axioms its steps reach back to, and most of those sets have common
+    zeros."""
+    one = Poly.constant(axioms.field, axioms.basis, 1)
+    kinds = Counter()
+    satisfiable = 0
+    for seed in range(12):
+        proof = random_derivation(axioms, 40, seed=seed)
+        deps = []
+        for step, q in zip(proof.steps, proof_lines(proof)):
+            kinds[step[0]] += 1
+            if step[0] == "ax":
+                deps.append({step[1]})
+            elif step[0] == "lin":
+                deps.append(deps[step[2]] | deps[step[4]])
+            elif step[0] == "mul":
+                deps.append(deps[step[2]])
+            else:  # twin and square axioms vanish at every encoded point
+                deps.append(set())
+            premises = [axioms.polys[k] for k in sorted(deps[-1])]
+            assert semantic_implies(premises, q), (seed, step, format_poly(q))
+            satisfiable += not semantic_implies(premises, one)
+    assert semantic_implies(axioms.polys, one)
+    assert kinds["lin"] and kinds["mul"] and kinds["tw"] and kinds["sq"]
+    assert satisfiable >= sum(kinds.values()) // 2
 
 
 def twin_sum_proof():
