@@ -182,16 +182,6 @@ def grlex_key(t: Term):
     return (len(t), tuple(reversed(t)))
 
 
-def compare_grlex(t1: Term, t2: Term) -> int:
-    """-1, 0, or +1 as t1 precedes, equals, or follows t2 in graded lex."""
-    k1, k2 = grlex_key(t1), grlex_key(t2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -383,9 +373,6 @@ class Poly:
             and self.field.p == other.field.p
             and self.terms == other.terms
         )
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __repr__(self) -> str:
         return f"Poly({self.basis}; {format_poly(self)})"

@@ -266,9 +266,10 @@ def _cmd_cluster(args) -> int:
         if ax.n is None or ax.ell is None:
             raise ValueError("axiom system lacks (n, ell) parameters; pass --map instead")
         cmap = random_pairing(ax.n, ax.ell, args.seed)
-        os.makedirs(args.out, exist_ok=True)
+    status = _write_pc_artifacts(cluster_proof(proof, cmap), args.out)
+    if not args.map:
         write_clustermap(cmap, os.path.join(args.out, "cluster.map"))
-    return _write_pc_artifacts(cluster_proof(proof, cmap), args.out)
+    return status
 
 
 def _cmd_res2pcr(args) -> int:

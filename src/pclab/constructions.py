@@ -9,7 +9,7 @@ appears.  The lifted variant runs the same scheme once per gadget copy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -27,26 +27,21 @@ from .proofs import PCProof, ProofWriter, ResolutionProof
 from .transforms import res_to_pcr
 
 
-def _clause_index(cnf: CNF) -> Dict[Clause, int]:
-    out = {c: i for i, c in enumerate(cnf.clauses)}
-    if len(out) != len(cnf.clauses):
-        raise ValueError("clause list contains duplicates; cannot index axioms")
-    return out
+class _Builder(ProofWriter):
+    """Writes a resolution proof, naming each input clause by its value."""
 
-
-class _Builder:
     def __init__(self, cnf: CNF):
+        super().__init__()
         self.cnf = cnf
-        self.lookup = _clause_index(cnf)
-        self.steps: List[Tuple] = []
+        self.lookup = {c: i for i, c in enumerate(cnf.clauses)}
+        if len(self.lookup) != len(cnf.clauses):
+            raise ValueError("clause list contains duplicates; cannot index axioms")
 
     def axiom(self, clause: Clause) -> int:
-        self.steps.append(("in", self.lookup[clause]))
-        return len(self.steps) - 1
+        return self.emit(("in", self.lookup[clause]))
 
     def resolve(self, i: int, j: int, pivot: Var) -> int:
-        self.steps.append(("res", i, j, pivot))
-        return len(self.steps) - 1
+        return self.emit(("res", i, j, pivot))
 
     def proof(self) -> ResolutionProof:
         return ResolutionProof(self.cnf, tuple(self.steps))

@@ -17,16 +17,17 @@ step:
 A resolution proof is a sequence of ("in", i) steps, the i-th input
 clause, and ("res", i, j, pivot) steps, the resolvent of lines i and j.
 
-Line references are 0-based positions of earlier lines.  Every line is
-computed in one place: ``walk_pc`` (and ``walk_resolution`` for clauses)
-recomputes each line from its step, trusting nothing, and yields
-``(k, step, line)`` for every step in order.  A line is kept only while a
-later step still reads it and is released after its last use, so a walk
-holds the live frontier, not the whole proof; a caller that wants every
-line collects them itself.  The first step that does not derive a line
-ends the walk with a ``StepError`` whose ``k`` is that step's index; its
-message quotes axiom, clause and line numbers 1-based, as the file
-writes them.  The checkers and metrics below are folds over these walks.
+Line references are 0-based positions of earlier lines.  One walk reads
+every proof: it checks that each reference names an earlier line and
+yields ``(k, step, derive(step, parents))`` for every step in order,
+``parents`` being the lines the step reads.  A line is kept only while a
+later step still reads it, so a walk holds the live frontier, not the
+whole proof.  The rest of what makes a polynomial-calculus step valid is
+checked in one place, ``_walk_pc``, which ``walk_pc`` (and so every
+checker and metric below) and the transforms all read through.  The
+first step that does not derive a line ends the walk with a
+``StepError`` whose ``k`` is that step's index; its message quotes
+axiom, clause and line numbers 1-based, as the file writes them.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ class StepError(ValueError):
 
 
 class ProofWriter:
-    """Appends steps to a proof under construction; ``steps[k]`` is line k."""
+    """Appends steps to a proof under construction; ``steps[k]`` is line k.
+    Only ``lin`` needs the field size ``p``."""
 
-    def __init__(self, p: int):
+    def __init__(self, p: Optional[int] = None):
         self.p = p
         self.steps: List[Step] = []
 
@@ -126,32 +128,35 @@ def _num(i) -> str:
     return str(i + 1) if isinstance(i, int) else repr(i)
 
 
-def _refs(step: Step) -> Tuple[int, ...]:
-    """The earlier lines a step reads: the parents of a "lin", "mul" or
-    "res" step; nothing for any other or malformed step."""
+def _refs(step: Step) -> tuple:
+    """The earlier lines a step names, of any type: the parents of a "lin",
+    "mul" or "res" step; nothing for any other or malformed step."""
     if len(step) == 5 and step[0] == "lin":
-        refs = (step[2], step[4])
-    elif len(step) == 3 and step[0] == "mul":
-        refs = (step[2],)
-    elif len(step) == 4 and step[0] == "res":
-        refs = (step[1], step[2])
-    else:
-        return ()
-    return tuple(i for i in refs if isinstance(i, int))
+        return (step[2], step[4])
+    if len(step) == 3 and step[0] == "mul":
+        return (step[2],)
+    if len(step) == 4 and step[0] == "res":
+        return (step[1], step[2])
+    return ()
 
 
 def _walk(steps: Sequence[Step], derive) -> Iterator[Tuple[int, Step, object]]:
-    """Yield (k, step, derive(step, k, lines)) for every step, where
-    ``lines`` holds exactly the earlier lines some later step reads."""
+    """Yield (k, step, derive(step, parents)) for every step, ``parents``
+    being the lines it reads; a reference to anything but an earlier line
+    ends the walk before ``derive`` runs."""
     refs = [_refs(step) for step in steps]
     last_use: Dict[int, int] = {}
     for k, rs in enumerate(refs):
         for i in rs:
-            last_use[i] = k
+            if isinstance(i, int):
+                last_use[i] = k
     lines: Dict[int, object] = {}
     for k, step in enumerate(steps):
         try:
-            line = derive(step, k, lines)
+            for i in refs[k]:
+                if not isinstance(i, int) or not 0 <= i < k:
+                    raise StepError(f"reference to L{_num(i)} not before L{k + 1}")
+            line = derive(step, [lines[i] for i in refs[k]])
         except StepError as e:
             raise StepError(str(e), k) from None
         if k in last_use:
@@ -162,48 +167,59 @@ def _walk(steps: Sequence[Step], derive) -> Iterator[Tuple[int, Step, object]]:
         yield k, step, line
 
 
-def _ref(i, k: int, lines: Dict[int, object]):
-    if not isinstance(i, int) or not 0 <= i < k:
-        raise StepError(f"reference to L{_num(i)} not before L{k + 1}")
-    return lines[i]
-
-
-def _axiom(i, axioms: Sequence):
-    if not isinstance(i, int) or not 0 <= i < len(axioms):
-        raise StepError(f"no axiom {_num(i)}: the system has {len(axioms)}")
-    return axioms[i]
-
-
-_STEP_ARITY = {"ax": 2, "sq": 2, "tw": 2, "lin": 5, "mul": 3}
-
-
-def _step_poly(step: Step, k: int, lines: Dict[int, Poly], proof: PCProof, uni: Set[Var]) -> Poly:
-    ax = proof.axioms
+def _kind(step: Step, arity: Dict[str, int]) -> str:
+    """The kind of a step whose shape ``arity`` allows."""
     kind = step[0] if step else None
-    if not isinstance(kind, str) or _STEP_ARITY.get(kind) != len(step):
+    if not isinstance(kind, str) or arity.get(kind) != len(step):
         raise StepError(f"malformed step {step!r}")
+    return kind
+
+
+_PC_ARITY = {"ax": 2, "sq": 2, "tw": 2, "lin": 5, "mul": 3}
+
+
+def _walk_pc(proof: PCProof, derive) -> Iterator[Tuple[int, Step, object]]:
+    """``_walk`` with each step checked against the proof's system before
+    ``derive`` sees it: its shape, its axiom index, integer coefficients,
+    and a variable of the universe in either polarity."""
+    n_ax = len(proof.axioms.polys)
+    # both polarities of each base in the universe: the variables a step may name
+    uni = {w for v in proof.axioms.universe if not v.negated for w in (v, v.twin)}
+
+    def checked(step: Step, parents: list):
+        kind = _kind(step, _PC_ARITY)
+        if kind == "ax":
+            i = step[1]
+            if not isinstance(i, int) or not 0 <= i < n_ax:
+                raise StepError(f"no axiom {_num(i)}: the system has {n_ax}")
+        elif kind == "lin":
+            if not isinstance(step[1], int) or not isinstance(step[3], int):
+                raise StepError(f"non-scalar coefficients in {step!r}")
+        elif not isinstance(step[1], Var) or step[1] not in uni:
+            raise StepError(f"variable {step[1]} outside the system universe")
+        return derive(step, parents)
+
+    return _walk(proof.steps, checked)
+
+
+def _step_poly(step: Step, parents: list, ax: AxiomSystem) -> Poly:
+    """The line a checked step derives from its parents."""
+    kind = step[0]
     if kind == "ax":
-        return _axiom(step[1], ax.polys)
+        return ax.polys[step[1]]
     if kind == "lin":
-        _, a, i, b, j = step
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise StepError(f"non-scalar coefficients in {step!r}")
-        return _ref(i, k, lines).lin(a, _ref(j, k, lines), b)
-    v = step[1]
-    if not isinstance(v, Var) or v not in uni:
-        raise StepError(f"variable {v} outside the system universe")
+        return parents[0].lin(step[1], parents[1], step[3])
+    if kind == "mul":
+        return parents[0].mul_var(step[1])
     if kind == "sq":
         return Poly.zero(ax.field, ax.basis)
-    if kind == "tw":
-        return twin_axiom_poly(v, ax.field, ax.basis)
-    return _ref(step[2], k, lines).mul_var(v)
+    return twin_axiom_poly(step[1], ax.field, ax.basis)
 
 
 def walk_pc(proof: PCProof) -> Iterator[Tuple[int, Step, Poly]]:
     """Recompute every line of a polynomial-calculus proof from its step."""
-    # both polarities of each base in the universe: the variables a step may name
-    uni = {w for v in proof.axioms.universe if not v.negated for w in (v, v.twin)}
-    return _walk(proof.steps, lambda step, k, lines: _step_poly(step, k, lines, proof, uni))
+    ax = proof.axioms
+    return _walk_pc(proof, lambda step, parents: _step_poly(step, parents, ax))
 
 
 def proof_lines(proof: PCProof) -> List[Poly]:
@@ -277,22 +293,23 @@ def resolve_clauses(c1: Clause, c2: Clause, pivot: Var) -> Clause:
     return frozenset(v for v in (pos | neg) if v.base != pivot)
 
 
+_RES_ARITY = {"in": 2, "res": 4}
+
+
 def walk_resolution(proof: ResolutionProof) -> Iterator[Tuple[int, Step, Clause]]:
     """Recompute every clause of a resolution proof from its step."""
     clauses = proof.cnf.clauses
 
-    def derive(step: Step, k: int, lines: Dict[int, Clause]) -> Clause:
-        if len(step) == 2 and step[0] == "in":
+    def derive(step: Step, parents: list) -> Clause:
+        if _kind(step, _RES_ARITY) == "in":
             i = step[1]
             if not isinstance(i, int) or not (0 <= i < len(clauses)):
                 raise StepError(f"no input clause {_num(i)}: the formula has {len(clauses)}")
             return clauses[i]
-        if len(step) == 4 and step[0] == "res":
-            _, i, j, pivot = step
-            if not isinstance(pivot, Var):
-                raise StepError(f"pivot {pivot!r} is not a variable")
-            return resolve_clauses(_ref(i, k, lines), _ref(j, k, lines), pivot)
-        raise StepError(f"malformed step {step!r}")
+        pivot = step[3]
+        if not isinstance(pivot, Var):
+            raise StepError(f"pivot {pivot!r} is not a variable")
+        return resolve_clauses(parents[0], parents[1], pivot)
 
     return _walk(proof.steps, derive)
 

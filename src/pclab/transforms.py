@@ -39,10 +39,8 @@ from .proofs import (
     ResolutionProof,
     Step,
     StepError,
-    _axiom,
-    _ref,
     _refs,
-    _walk,
+    _walk_pc,
     quadratic_set,
     walk_pc,
     walk_resolution,
@@ -198,26 +196,25 @@ def restrict_proof(
     ax, amap = restrict_axioms(proof.axioms, rho)
     out = ProofWriter(proof.field.p)
 
-    def derive(step: Step, k: int, lines: Dict[int, Optional[int]]) -> Optional[int]:
+    def derive(step: Step, parents: List[Optional[int]]) -> Optional[int]:
         kind = step[0]
         if kind == "ax":
-            new = _axiom(step[1], amap)
+            new = amap[step[1]]
             return None if new is None else out.emit(("ax", new))
         if kind == "sq" or (kind == "tw" and step[1] in rho):
             return None
         if kind == "tw":
             return out.emit(step)
         if kind == "lin":
-            _, a, i, b, j = step
-            return out.lin([(a, _ref(i, k, lines), ()), (b, _ref(j, k, lines), ())])
-        _, v, i = step  # mul
-        parent = _ref(i, k, lines)
+            return out.lin([(step[1], parents[0], ()), (step[3], parents[1], ())])
+        (parent,) = parents  # mul
+        v = step[1]
         tv = rho.value(v)
         if tv is None:
             return None if parent is None else out.emit(("mul", v, parent))
         return out.lin([(encode_truth(tv, proof.basis, proof.field), parent, ())])
 
-    lmap = tuple(new for _, _, new in _valid_input(_walk(proof.steps, derive)))
+    lmap = tuple(new for _, _, new in _valid_input(_walk_pc(proof, derive)))
     return PCProof(ax, tuple(out.steps)), lmap
 
 
@@ -345,25 +342,27 @@ def _split_pass(proof: PCProof, w: Var) -> PCProof:
     Each line P = P1*w + P0 is replaced by derivations of P1 and P0."""
     out = ProofWriter(proof.field.p)
 
-    def derive(step: Step, k: int, lines: Dict[int, _Components]) -> _Components:
+    def derive(step: Step, parents: List[_Components]) -> _Components:
         """The output lines deriving (P1, P0), None for a zero component."""
         kind = step[0]
         if kind == "lin":
-            _, a, i, b, j = step
-            (hi_i, lo_i), (hi_j, lo_j) = _ref(i, k, lines), _ref(j, k, lines)
+            a, b = step[1], step[3]
+            (hi_i, lo_i), (hi_j, lo_j) = parents
             return (out.lin([(a, hi_i, ()), (b, hi_j, ())]),
                     out.lin([(a, lo_i, ()), (b, lo_j, ())]))
         if kind == "mul":
-            _, v, i = step
-            hi, lo = _ref(i, k, lines)
+            v = step[1]
+            ((hi, lo),) = parents
             if v == w:
                 # w * (P1*w + P0) = P0*w + P1: the components swap.
                 return out.lin([(1, lo, ())]), out.lin([(1, hi, ())])
             return (None if hi is None else out.emit(("mul", v, hi)),
                     None if lo is None else out.emit(("mul", v, lo)))
+        if kind == "tw" and step[1].base == w.base:
+            raise ValueError(f"twin-axiom step at {format_var(w.base)} mentions the split variable")
         return None, (None if kind == "sq" else out.emit(step))
 
-    for _ in _valid_input(_walk(proof.steps, derive)):
+    for _ in _valid_input(_walk_pc(proof, derive)):
         pass
     return PCProof(proof.axioms, tuple(out.steps))
 
@@ -383,11 +382,6 @@ def split(proof: PCProof, x: Var, prune_dead: bool = False) -> PCProof:
     base = x.base
     if _axiom_mentions(proof.axioms, base):
         raise ValueError(f"{format_var(base)} occurs in an axiom; cannot split")
-    for step in proof.steps:
-        if step[0] == "tw" and step[1].base == base:
-            raise ValueError(
-                f"twin-axiom step at {format_var(base)} mentions the split variable"
-            )
     out = _split_pass(proof, base)
     twin = base.twin
     if any(s[0] == "mul" and s[1] == twin for s in out.steps):
@@ -407,16 +401,15 @@ def strip_dead(proof: PCProof) -> PCProof:
         if k in keep:
             keep.update(_refs(proof.steps[k]))
     new_index: Dict[int, int] = {}
-    steps: List[Step] = []
+    out = ProofWriter(proof.field.p)
     for k in sorted(keep):
         step = proof.steps[k]
         if step[0] == "lin":
             step = ("lin", step[1], new_index[step[2]], step[3], new_index[step[4]])
         elif step[0] == "mul":
             step = ("mul", step[1], new_index[step[2]])
-        new_index[k] = len(steps)
-        steps.append(step)
-    return PCProof(proof.axioms, tuple(steps))
+        new_index[k] = out.emit(step)
+    return PCProof(proof.axioms, tuple(out.steps))
 
 
 def quadratic_containment_check(before: PCProof, after: PCProof, x: Var) -> bool:
@@ -568,15 +561,15 @@ def cluster_axioms(ax: AxiomSystem, cmap: ClusterMap) -> AxiomSystem:
 
 def cluster_proof(proof: PCProof, cmap: ClusterMap) -> PCProof:
     ax = cluster_axioms(proof.axioms, cmap)
-    steps: List[Step] = []
-    for step in proof.steps:
+    out = ProofWriter(proof.field.p)
+    for _, step, _ in _valid_input(_walk_pc(proof, lambda step, parents: None)):
         if step[0] in ("sq", "tw"):
-            steps.append((step[0], cmap.image(step[1])))
+            out.emit((step[0], cmap.image(step[1])))
         elif step[0] == "mul":
-            steps.append(("mul", cmap.image(step[1]), step[2]))
+            out.emit(("mul", cmap.image(step[1]), step[2]))
         else:
-            steps.append(step)
-    return PCProof(ax, tuple(steps))
+            out.emit(step)
+    return PCProof(ax, tuple(out.steps))
 
 
 def cluster(target, cmap: ClusterMap):

@@ -16,7 +16,6 @@ from pclab.algebra import (
     Poly,
     Var,
     cluster_var,
-    compare_grlex,
     edge,
     format_poly,
     format_var,
@@ -203,14 +202,14 @@ class TestGrlex:
     def test_frozen_examples(self):
         x1, x2, x3 = pvars("x1", "x2", "x3")
         # degree dominates
-        assert compare_grlex((), (x1,)) == -1
-        assert compare_grlex((x3,), (x1, x2)) == -1
+        assert grlex_key(()) < grlex_key((x1,))
+        assert grlex_key((x3,)) < grlex_key((x1, x2))
         # same degree: compare from the largest variable down
-        assert compare_grlex((x1,), (x2,)) == -1
-        assert compare_grlex((x1, x3), (x2, x3)) == -1
-        assert compare_grlex((x1, x2), (x1, x3)) == -1
-        assert compare_grlex((x2, x3), (x2, x3)) == 0
-        assert compare_grlex((x2, x3), (x1, x3)) == 1
+        assert grlex_key((x1,)) < grlex_key((x2,))
+        assert grlex_key((x1, x3)) < grlex_key((x2, x3))
+        assert grlex_key((x1, x2)) < grlex_key((x1, x3))
+        assert grlex_key(make_term([x3, x2])) == grlex_key((x2, x3))
+        assert grlex_key((x2, x3)) > grlex_key((x1, x3))
 
     def test_total_order_random(self):
         rng = random.Random(7)
@@ -218,14 +217,14 @@ class TestGrlex:
         terms = [make_term(rng.sample(vs, rng.randrange(0, 6))) for _ in range(60)]
         s = sorted(terms, key=grlex_key)
         for t1, t2 in zip(s, s[1:]):
-            assert compare_grlex(t1, t2) <= 0
+            assert grlex_key(t1) <= grlex_key(t2)
         # monotone under multiplication by a fresh disjoint variable
         fresh = pvars(*(f"w{i}" for i in range(4)))
         for _ in range(200):
             t1, t2 = rng.choice(terms), rng.choice(terms)
             u = make_term(rng.sample(fresh, 2))
-            if compare_grlex(t1, t2) == -1:
-                assert compare_grlex(term_mul(t1, u, BOOLEAN), term_mul(t2, u, BOOLEAN)) <= 0
+            if grlex_key(t1) < grlex_key(t2):
+                assert grlex_key(term_mul(t1, u, BOOLEAN)) <= grlex_key(term_mul(t2, u, BOOLEAN))
 
 
 class TestPoly:

@@ -268,21 +268,28 @@ class TestTransform:
         assert run("transform", "split", "--proof", spare_proof, "--var", "x1",
                    "--out", tmp_path / "no") == 2
 
-    @pytest.mark.parametrize("label", ["L0", "L5"])
-    def test_split_bad_reference_is_input_error(self, spare_proof, tmp_path, label, capsys):
+    @pytest.mark.parametrize("step, message", [
+        pytest.param("MUL s L0", "reference to L0 not before L3", id="L0"),
+        pytest.param("MUL s L5", "reference to L5 not before L3", id="L5"),
+        ("MUL foo L1", "variable foo outside the system universe"),
+        ("AX 99", "no axiom 99: the system has 4"),
+    ])
+    def test_split_bad_reference_is_input_error(self, spare_proof, tmp_path, step, message, capsys):
         lines = spare_proof.read_text().splitlines()
-        lines[3] = f"L3 MUL s {label}"
+        lines[3] = f"L3 {step}"
         spare_proof.write_text("\n".join(lines) + "\n")
         assert run("transform", "split", "--proof", spare_proof, "--var", "s",
                    "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert f"input proof invalid at L3: reference to {label} not before L3" in err
+        assert f"input proof invalid at L3: {message}" in err
         assert not (tmp_path / "out" / "proof.pc").exists()
 
     @pytest.mark.parametrize("step, message", [
         ("MUL x2 L0", "reference to L0 not before L3"),
         ("MUL x2 L5", "reference to L5 not before L3"),
         ("AX 0", "no axiom 0: the system has 5"),
+        ("MUL foo L1", "variable foo outside the system universe"),
+        ("AX 99", "no axiom 99: the system has 5"),
     ])
     def test_restrict_bad_step_is_input_error(self, tmp_path, step, message, capsys):
         run("refute", "tseitin", "--n", 5, "--out", tmp_path / "in")
@@ -296,6 +303,25 @@ class TestTransform:
                    "--restriction", tmp_path / "rho.txt", "--out", tmp_path / "out") == 2
         assert f"input proof invalid at L3: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "proof.pc").exists()
+
+    @pytest.mark.parametrize("step, message", [
+        ("MUL x(1,2,1) L0", "reference to L0 not before L3"),
+        ("MUL x(1,2,1) L5", "reference to L5 not before L3"),
+        ("MUL foo L1", "variable foo outside the system universe"),
+        ("AX 99", "no axiom 99: the system has 8"),
+    ])
+    def test_cluster_bad_step_is_input_error(self, tmp_path, step, message, capsys):
+        ax = cnf_to_axioms(gen_bop_lifted(2, 2), FOURIER)
+        write_axioms(ax, tmp_path / "ax.txt")
+        write_pcproof(random_derivation(ax, 30, seed=5), tmp_path / "p.pc", "ax.txt")
+        lines = (tmp_path / "p.pc").read_text().splitlines()
+        lines[3] = f"L3 {step}"
+        (tmp_path / "p.pc").write_text("\n".join(lines) + "\n")
+        assert run("transform", "cluster", "--proof", tmp_path / "p.pc", "--seed", 3,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"input proof invalid at L3: {message}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_qdeg2deg(self, tmp_path):
         run("refute", "tseitin", "--n", 6, "--out", tmp_path / "in")

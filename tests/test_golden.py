@@ -10,10 +10,10 @@ import hashlib
 
 import pytest
 
-from pclab.algebra import FOURIER
+from pclab.algebra import FOURIER, plain
 from pclab.cli import main
-from pclab.formulas import cnf_to_axioms, gen_bop_lifted, write_axioms
-from pclab.proofs import random_derivation, write_pcproof
+from pclab.formulas import AxiomSystem, cnf_to_axioms, gen_bop_lifted, gen_cycle_tseitin, write_axioms
+from pclab.proofs import PCProof, random_derivation, write_pcproof
 from pclab.transforms import build_jcta, write_restriction
 
 GOLDEN = {
@@ -35,6 +35,14 @@ GOLDEN = {
     "qdeg2deg/axioms.txt": "9b1a40c9632cc93ca133cf3d88d61fbcda4ccf9903dc668f7aa498121e946e59",
     "qdeg2deg/proof.pc": "0dedfcb9b808c58af13a9c6e0f429005805140962f6ea8aad701a15fed2822a5",
     "restriction.txt": "dff636ad6f7158f4137616c216b00f2a6d85869c35c048df6dc5634037b1bc16",
+    "spare/p.pc": "9a949cd08fec5b231a61bbb99104ecfbaec86e0e49dbed6ed32c894685b4799e",
+    "split/axioms.txt": "6cc3f74fe07a19d4d827076b4d76127e51d603ccd590cb1edd1203237033cf30",
+    "split/proof.pc": "b2173d23e30894de62b4cd8cac4a6ddbd3e0cbdd91a49bc60aa56250a987126c",
+    "jcta4.txt": "cc865c65950df77b0561ddd5c2567c2b6c2620237af2ee6d46d2a1f16a466fba",
+    "restrict/axioms.txt": "78ab2ab881c1e81a05c61a6ba14ca062035a85ff41a309ba3625470222d0609a",
+    "restrict/proof.pc": "4b089eac48a3596b6543e2db3ee4706490a0efec13a0ff4682e9e07059160782",
+    "res2pcr/axioms.txt": "154512753eecf632cd5280d7c1d18416607654a1c5100a3d4aeb75b78ae07f90",
+    "res2pcr/proof.pc": "b91425c4790bb6802a6dc62ce893b1d906de70d2c17e2c18de25c3810397a5d6",
 }
 
 
@@ -58,6 +66,25 @@ def artifacts(tmp_path_factory):
         "--out", d / "cluster")
     run("transform", "qdeg2deg", "--proof", d / "tseitin" / "proof.pc", "--out", d / "qdeg2deg")
     write_restriction(build_jcta(3, 2, 1), d / "restriction.txt")
+    # the 4-cycle parity system plus a spare w1, and a derivation whose last
+    # line sums every earlier one, so that --prune-dead keeps most of it
+    ax = gen_cycle_tseitin(4)
+    ax = AxiomSystem(ax.field, ax.basis, ax.polys, ax.universe + (plain("w1"),),
+                     dict(ax.groups), n=ax.n, ell=ax.ell)
+    steps = list(random_derivation(ax, 40, seed=0).steps)
+    last = 0
+    for i in range(1, len(steps)):
+        steps.append(("lin", 1, last, 1, i))
+        last = len(steps) - 1
+    (d / "spare").mkdir()
+    write_axioms(ax, d / "spare" / "ax.txt")
+    write_pcproof(PCProof(ax, tuple(steps)), d / "spare" / "p.pc", "ax.txt")
+    run("transform", "split", "--proof", d / "spare" / "p.pc", "--var", "w1", "--prune-dead",
+        "--out", d / "split")
+    write_restriction(build_jcta(4, 2, 1), d / "jcta4.txt")
+    run("transform", "restrict", "--proof", d / "pcr-upper" / "proof.pc",
+        "--restriction", d / "jcta4.txt", "--out", d / "restrict")
+    run("transform", "res2pcr", "--proof", d / "lop" / "proof.res", "--out", d / "res2pcr")
     return d
 
 

@@ -37,6 +37,7 @@ from pclab.transforms import (
     Restriction,
     build_jcta,
     cluster,
+    cluster_proof,
     cluster_retention,
     isolate_vertex_restriction,
     qdeg_to_deg,
@@ -310,6 +311,21 @@ def test_split_rejects_twin_axiom_step_at_x():
         split(proof, w)
     with pytest.raises(ValueError):
         split(proof, w.twin)
+
+
+def test_transforms_refuse_a_malformed_step_as_the_checker_does():
+    # the malformed steps of test_proofs.py's test_malformed_step_reported_not_raised
+    a, s = plain("a"), plain("s")
+    ax = AxiomSystem(F, FOURIER, (fpoly({(a,): 1, (): F.p - 1}), fpoly({(a,): 1, (): 1})), (a, s))
+    for bad in (("lin", 1, 0), ("frob", 1), ("lin", "a", 0, 1, 0), ("mul", 3, 0), ()):
+        proof = PCProof(ax, (("ax", 0), bad))
+        want = f"input proof invalid at L2: {check_pc(proof).message}"
+        for transform in (lambda: restrict_proof(proof, Restriction({s: True})),
+                          lambda: split(proof, s),
+                          lambda: cluster_proof(proof, random_pairing(2, 2, 0))):
+            with pytest.raises(ValueError) as e:
+                transform()
+            assert str(e.value) == want
 
 
 def test_split_handles_twin_multiplications():
