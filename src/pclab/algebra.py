@@ -182,6 +182,46 @@ def grlex_key(t: Term):
     return (len(t), tuple(reversed(t)))
 
 
+def lin_dict(a: int, x: Mapping, b: int, y: Mapping, p: int) -> dict:
+    """a*x + b*y mod p for dicts of coefficients in 1..p-1, keyed by terms."""
+    a, b = a % p, b % p
+    out = dict(x) if a == 1 else {t: c * a % p for t, c in x.items()} if a else {}
+    if b:
+        get = out.get
+        for t, c in y.items():
+            c = (get(t, 0) + c * b) % p
+            if c:
+                out[t] = c
+            else:
+                del out[t]
+    return out
+
+
+class TermCodec:
+    """Terms as bit masks: the i-th base in canonical order at bit 2i, its
+    twin at 2i+1.  Only positions are stored: on a universe of thousands
+    of variables a table of masks would hold wide ints."""
+
+    __slots__ = ("pos", "var_of")
+
+    def __init__(self, bases: Iterable[Var]):
+        self.var_of: Tuple[Var, ...] = tuple(w for v in sorted(set(bases)) for w in (v, v.twin))
+        self.pos: Dict[Var, int] = {v: i for i, v in enumerate(self.var_of)}
+
+    def encode(self, p: "Poly") -> Dict[int, int]:
+        """A polynomial as a ``{mask: coeff}`` dict."""
+        return {sum(1 << self.pos[v] for v in t): c for t, c in p.terms.items()}
+
+    def term(self, mask: int) -> Term:
+        """The term whose variables sit at the set bits of ``mask``."""
+        t = []
+        while mask:
+            low = mask & -mask
+            t.append(self.var_of[low.bit_length() - 1])
+            mask ^= low
+        return tuple(t)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -256,10 +296,7 @@ class Poly:
         return max(self.terms, key=grlex_key)
 
     def variables(self):
-        out = set()
-        for t in self.terms:
-            out.update(t)
-        return out
+        return {v for t in self.terms for v in t}
 
     # arithmetic
 
@@ -270,20 +307,9 @@ class Poly:
             raise ValueError("field mismatch")
 
     def lin(self, a: int, other: "Poly", b: int) -> "Poly":
-        """a*self + b*other, built as one dict."""
+        """a*self + b*other."""
         self._check(other)
-        p = self.field.p
-        a %= p
-        b %= p
-        if a == 1:
-            out = dict(self.terms)
-        else:
-            out = {t: c * a % p for t, c in self.terms.items()} if a else {}
-        if b:
-            get = out.get
-            for t, c in other.terms.items():
-                out[t] = (get(t, 0) + c * b) % p
-        return Poly(self.field, self.basis, out)
+        return Poly(self.field, self.basis, lin_dict(a, self.terms, b, other.terms, self.field.p))
 
     def add(self, other: "Poly") -> "Poly":
         return self.lin(1, other, 1)
@@ -316,12 +342,6 @@ class Poly:
             for t, c in zip(keys, self.terms.values()):
                 out[t] = out.get(t, 0) + c
         return Poly(self.field, self.basis, out)
-
-    def mul_term(self, m: Term) -> "Poly":
-        out = self
-        for v in m:
-            out = out.mul_var(v)
-        return out
 
     def mul(self, other: "Poly") -> "Poly":
         self._check(other)

@@ -39,7 +39,7 @@ from .algebra import (
     term_mul,
 )
 from .formulas import AxiomSystem, Cube, cnf_to_axioms, gen_bop_lifted, pointer_bits
-from .proofs import PCProof, quadratic_set, touched
+from .proofs import PCProof, TouchReport, quadratic_set, touched
 from .transforms import isolate_vertex_restriction, restrict_proof, split
 
 SPAN_VAR_LIMIT = 16
@@ -273,15 +273,6 @@ class SpanBasis:
                     border.add(m)
         mins = [m for m in border if all(tuple(u for u in m if u != v) in std for v in m)]
         return tuple(sorted(mins, key=grlex_key))
-
-    def basis_polys(self) -> Tuple[Poly, ...]:
-        """One generator per minimal non-standard monomial: the monomial
-        minus its remainder, so it keeps that monomial as leading term."""
-        out = []
-        for m in self.leading_terms():
-            pm = Poly.from_term(self.field, self.basis, m)
-            out.append(pm.sub(self.reduce(pm)))
-        return tuple(out)
 
 
 def span_basis(
@@ -735,16 +726,18 @@ class RoundReport:
     skipped: Tuple[Var, ...]
 
 
-def _heavy_terms(proof: PCProof, threshold: int) -> Set[Term]:
+def _heavy_terms(proof: PCProof, threshold: int) -> Dict[Term, TouchReport]:
+    """Each quadratic product, twins replaced by bases, that touches at
+    least ``threshold`` vertices, with its touch report."""
     n, ell = proof.axioms.n, proof.axioms.ell
     if n is None or ell is None:
         raise ValueError("heavy analysis needs the (n, ell) family context")
-    out: Set[Term] = set()
+    reports: Dict[Term, TouchReport] = {}
     for t in quadratic_set(proof).products:
         base = make_term(v.base for v in t)
-        if len(touched(base, n, ell).tau) >= threshold:
-            out.add(base)
-    return out
+        if base not in reports:
+            reports[base] = touched(base, n, ell)
+    return {t: rep for t, rep in reports.items() if len(rep.tau) >= threshold}
 
 
 def heavy_term_selection(proof: PCProof, threshold: int) -> HeavySelection:
@@ -756,39 +749,23 @@ def heavy_term_selection(proof: PCProof, threshold: int) -> HeavySelection:
     so the touch analysis sees a positive term."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    n, ell = proof.axioms.n, proof.axioms.ell
+    n = proof.axioms.n
     heavy = _heavy_terms(proof, threshold)
     if not heavy:
         raise ValueError(f"no quadratic product touches >= {threshold} vertices")
-    counts: Counter = Counter()
-    for t in heavy:
-        for j in touched(t, n, ell).strong:
-            counts[j] += 1
-    top = max(counts.values())
-    vertex = min(j for j, c in counts.items() if c == top)
+    counts = Counter(j for rep in heavy.values() for j in rep.strong)
+    vertex = min(counts, key=lambda j: (-counts[j], j))
     copies: Dict[int, Counter] = {}
     for t in heavy:
         for v in t:
             if v.kind == "x" and v.index[1] == vertex:
                 copies.setdefault(v.index[0], Counter())[v.index[2]] += 1
-    l_choice: Dict[int, int] = {}
-    for i in range(1, n + 1):
-        if i == vertex:
-            continue
-        cnt = copies.get(i)
-        if cnt:
-            best = max(cnt.values())
-            l_choice[i] = min(l for l, c in cnt.items() if c == best)
-        else:
-            l_choice[i] = 1
+    l_choice = {i: min(copies[i], key=lambda l: (-copies[i][l], l)) if i in copies else 1
+                for i in range(1, n + 1) if i != vertex}
     split_vars = [pointer(vertex, a) for a in range(1, pointer_bits(n) + 1)]
     split_vars += [edge(i, vertex, l) for i, l in l_choice.items()]
-    return HeavySelection(
-        vertex,
-        tuple(sorted(l_choice.items())),
-        tuple(sorted(split_vars)),
-        frozenset(heavy),
-    )
+    return HeavySelection(vertex, tuple(sorted(l_choice.items())), tuple(sorted(split_vars)),
+                          frozenset(heavy))
 
 
 def heavy_split_round(proof: PCProof, threshold: int) -> Tuple[PCProof, RoundReport]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +34,7 @@ from .algebra import (
     Poly,
     ScaleLimitExceeded,
     Term,
+    TermCodec,
     Var,
     edge,
     format_poly,
@@ -130,6 +132,11 @@ class AxiomSystem:
 
     def __len__(self) -> int:
         return len(self.polys)
+
+    @cached_property
+    def codec(self) -> TermCodec:
+        """Masks over every variable a proof step may name."""
+        return TermCodec(v for v in self.universe if not v.negated)
 
 
 # ---------------------------------------------------------------------------

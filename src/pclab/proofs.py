@@ -18,16 +18,21 @@ A resolution proof is a sequence of ("in", i) steps, the i-th input
 clause, and ("res", i, j, pivot) steps, the resolvent of lines i and j.
 
 Line references are 0-based positions of earlier lines.  One walk reads
-every proof: it checks that each reference names an earlier line and
-yields ``(k, step, derive(step, parents))`` for every step in order,
-``parents`` being the lines the step reads.  A line is kept only while a
-later step still reads it, so a walk holds the live frontier, not the
-whole proof.  The rest of what makes a polynomial-calculus step valid is
-checked in one place, ``_walk_pc``, which ``walk_pc`` (and so every
-checker and metric below) and the transforms all read through.  The
-first step that does not derive a line ends the walk with a
-``StepError`` whose ``k`` is that step's index; its message quotes
-axiom, clause and line numbers 1-based, as the file writes them.
+every proof: it checks each step's shape and that each reference names
+an earlier line, and yields ``(k, step, derive(kind, step, parents))``
+for every step in order, ``parents`` being the lines the step reads.  A
+line is kept only while a later step still reads it, so a walk holds the
+live frontier, not the whole proof.  The rest of what makes a
+polynomial-calculus step valid is checked in one place, ``_walk_pc``,
+which every checker, metric and transform reads through.  The first step
+that does not derive a line ends the walk with a ``StepError`` whose
+``k`` is that step's index; its message quotes axiom, clause and line
+numbers 1-based, as the file writes them.
+
+One evaluator, ``_mask_lines``, computes each line as a ``{mask: coeff}``
+dict over the axiom system's ``codec`` (the i-th universe base at bit 2i,
+its twin at 2i+1): a product by a variable is ``|`` in {0,1} and ``^`` in
+{+1,-1}, and a degree is ``bit_count()``.  ``walk_pc`` decodes to ``Poly``.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .algebra import (
     Var,
     format_var,
     grlex_key,
+    lin_dict,
     parse_var,
 )
 from .formulas import CNF, AxiomSystem, Clause, read_axioms, read_dimacs
@@ -140,39 +146,37 @@ def _refs(step: Step) -> tuple:
     return ()
 
 
-def _walk(steps: Sequence[Step], derive) -> Iterator[Tuple[int, Step, object]]:
-    """Yield (k, step, derive(step, parents)) for every step, ``parents``
-    being the lines it reads; a reference to anything but an earlier line
-    ends the walk before ``derive`` runs."""
+def _walk(steps: Sequence[Step], arity: Dict[str, int], derive) -> Iterator[Tuple[int, Step, object]]:
+    """Yield (k, step, derive(kind, step, parents)) for every step,
+    ``parents`` being the lines it reads.  A step whose shape ``arity``
+    does not allow, or that references anything but an earlier line, ends
+    the walk before ``derive`` runs."""
     refs = [_refs(step) for step in steps]
-    last_use: Dict[int, int] = {}
+    # the last step that reads each line; 0 (never a reader) when none does
+    last_use = [0] * len(steps)
     for k, rs in enumerate(refs):
         for i in rs:
-            if isinstance(i, int):
+            if isinstance(i, int) and 0 <= i < k:
                 last_use[i] = k
-    lines: Dict[int, object] = {}
+    lines: List[object] = [None] * len(steps)
     for k, step in enumerate(steps):
+        rs = refs[k]
         try:
-            for i in refs[k]:
+            for i in rs:
                 if not isinstance(i, int) or not 0 <= i < k:
                     raise StepError(f"reference to L{_num(i)} not before L{k + 1}")
-            line = derive(step, [lines[i] for i in refs[k]])
+            kind = step[0] if step else None
+            if not isinstance(kind, str) or arity.get(kind) != len(step):
+                raise StepError(f"malformed step {step!r}")
+            line = derive(kind, step, [lines[i] for i in rs])
         except StepError as e:
             raise StepError(str(e), k) from None
-        if k in last_use:
+        if last_use[k]:
             lines[k] = line
-        for i in refs[k]:
+        for i in rs:
             if last_use[i] == k:
-                lines.pop(i, None)
+                lines[i] = None
         yield k, step, line
-
-
-def _kind(step: Step, arity: Dict[str, int]) -> str:
-    """The kind of a step whose shape ``arity`` allows."""
-    kind = step[0] if step else None
-    if not isinstance(kind, str) or arity.get(kind) != len(step):
-        raise StepError(f"malformed step {step!r}")
-    return kind
 
 
 _PC_ARITY = {"ax": 2, "sq": 2, "tw": 2, "lin": 5, "mul": 3}
@@ -180,46 +184,64 @@ _PC_ARITY = {"ax": 2, "sq": 2, "tw": 2, "lin": 5, "mul": 3}
 
 def _walk_pc(proof: PCProof, derive) -> Iterator[Tuple[int, Step, object]]:
     """``_walk`` with each step checked against the proof's system before
-    ``derive`` sees it: its shape, its axiom index, integer coefficients,
-    and a variable of the universe in either polarity."""
+    ``derive(kind, at, step, parents)`` sees it: its shape, its axiom index
+    ``at``, integer coefficients, or a variable of the universe at bit
+    ``at`` of the system's codec."""
     n_ax = len(proof.axioms.polys)
-    # both polarities of each base in the universe: the variables a step may name
-    uni = {w for v in proof.axioms.universe if not v.negated for w in (v, v.twin)}
+    pos = proof.axioms.codec.pos
 
-    def checked(step: Step, parents: list):
-        kind = _kind(step, _PC_ARITY)
+    def checked(kind: str, step: Step, parents: list):
+        at = step[1]
         if kind == "ax":
-            i = step[1]
-            if not isinstance(i, int) or not 0 <= i < n_ax:
-                raise StepError(f"no axiom {_num(i)}: the system has {n_ax}")
+            if not isinstance(at, int) or not 0 <= at < n_ax:
+                raise StepError(f"no axiom {_num(at)}: the system has {n_ax}")
         elif kind == "lin":
-            if not isinstance(step[1], int) or not isinstance(step[3], int):
+            if not isinstance(at, int) or not isinstance(step[3], int):
                 raise StepError(f"non-scalar coefficients in {step!r}")
-        elif not isinstance(step[1], Var) or step[1] not in uni:
+        elif not isinstance(at, Var) or (at := pos.get(at)) is None:
             raise StepError(f"variable {step[1]} outside the system universe")
-        return derive(step, parents)
+        return derive(kind, at, step, parents)
 
-    return _walk(proof.steps, checked)
+    return _walk(proof.steps, _PC_ARITY, checked)
 
 
-def _step_poly(step: Step, parents: list, ax: AxiomSystem) -> Poly:
-    """The line a checked step derives from its parents."""
-    kind = step[0]
-    if kind == "ax":
-        return ax.polys[step[1]]
-    if kind == "lin":
-        return parents[0].lin(step[1], parents[1], step[3])
-    if kind == "mul":
-        return parents[0].mul_var(step[1])
-    if kind == "sq":
-        return Poly.zero(ax.field, ax.basis)
-    return twin_axiom_poly(step[1], ax.field, ax.basis)
+def _mask_lines(proof: PCProof) -> Iterator[Tuple[int, Step, Dict[int, int]]]:
+    """Recompute every line as a ``{mask: coeff}`` dict over the system's
+    codec: the one evaluator of proof lines."""
+    ax = proof.axioms
+    p = ax.field.p
+    fourier = ax.basis == FOURIER
+
+    def derive(kind: str, at, step: Step, parents: list) -> Dict[int, int]:
+        if kind == "mul":
+            (line,) = parents
+            v = 1 << at
+            if fourier:  # v*v = 1: XOR is one-to-one, so no two terms meet
+                return {m ^ v: c for m, c in line.items()}
+            out = {m | v: c for m, c in line.items()}
+            if len(out) == len(line):
+                return out
+            # v*v = v: a term with v met the same term without v; add them
+            with_v = {m: c for m, c in line.items() if m & v}
+            return lin_dict(1, with_v, 1, {m | v: c for m, c in line.items() if not m & v}, p)
+        if kind == "lin":
+            return lin_dict(step[1], parents[0], step[3], parents[1], p)
+        if kind == "ax":
+            return ax.codec.encode(ax.polys[at])
+        if kind == "sq":
+            return {}
+        base = 1 << (at & ~1)  # the twin sits one bit above its base
+        return {base | base << 1: 1, 0: 1} if fourier else {base: 1, base << 1: 1, 0: p - 1}
+
+    return _walk_pc(proof, derive)
 
 
 def walk_pc(proof: PCProof) -> Iterator[Tuple[int, Step, Poly]]:
     """Recompute every line of a polynomial-calculus proof from its step."""
     ax = proof.axioms
-    return _walk_pc(proof, lambda step, parents: _step_poly(step, parents, ax))
+    term = ax.codec.term
+    for k, step, line in _mask_lines(proof):
+        yield k, step, Poly(ax.field, ax.basis, {term(m): c for m, c in line.items()})
 
 
 def proof_lines(proof: PCProof) -> List[Poly]:
@@ -247,15 +269,14 @@ def check_pc(proof: PCProof) -> PCReport:
     not the proof length.
     """
     size = degree = 0
-    final: Optional[Poly] = None
+    line: Optional[Dict[int, int]] = None
     try:
-        for _, _, final in walk_pc(proof):
-            size += final.monomial_count
-            degree = max(degree, final.degree)
+        for _, _, line in _mask_lines(proof):
+            size += len(line)
+            degree = max(degree, max(map(int.bit_count, line), default=0))
     except StepError as e:
         return PCReport(False, False, size, degree, len(proof.steps), e.k, str(e))
-    one = Poly.constant(proof.field, proof.basis, 1)
-    return PCReport(True, final is not None and final == one, size, degree, len(proof.steps))
+    return PCReport(True, line == {0: 1}, size, degree, len(proof.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +321,8 @@ def walk_resolution(proof: ResolutionProof) -> Iterator[Tuple[int, Step, Clause]
     """Recompute every clause of a resolution proof from its step."""
     clauses = proof.cnf.clauses
 
-    def derive(step: Step, parents: list) -> Clause:
-        if _kind(step, _RES_ARITY) == "in":
+    def derive(kind: str, step: Step, parents: list) -> Clause:
+        if kind == "in":
             i = step[1]
             if not isinstance(i, int) or not (0 <= i < len(clauses)):
                 raise StepError(f"no input clause {_num(i)}: the formula has {len(clauses)}")
@@ -311,7 +332,7 @@ def walk_resolution(proof: ResolutionProof) -> Iterator[Tuple[int, Step, Clause]
             raise StepError(f"pivot {pivot!r} is not a variable")
         return resolve_clauses(parents[0], parents[1], pivot)
 
-    return _walk(proof.steps, derive)
+    return _walk(proof.steps, _RES_ARITY, derive)
 
 
 def resolution_lines(proof: ResolutionProof) -> List[Clause]:
@@ -362,40 +383,22 @@ def quadratic_set(proof: PCProof) -> QuadraticSet:
     """All products of two terms sharing a line, folded modulo v*v = 1.
     Defined for the {+1,-1} encoding only.
 
-    A term is a bit mask over the sorted universe, a base variable at bit
-    2i and its twin at 2i+1, so a product is the XOR of two masks and
-    never folds a twin into its base; only the distinct products are
-    turned back into terms."""
+    A product of two mask terms is their XOR, which never folds a twin
+    into its base; only the distinct products are turned back into
+    terms."""
     if proof.basis != FOURIER:
         raise BasisMismatch("quadratic machinery is specific to the {+1,-1} encoding")
-    var_of: List[Var] = []
-    for v in sorted({v.base for v in proof.axioms.universe}):
-        var_of += (v, v.twin)
-    # bit positions, not masks: on a large universe a table (or a cache)
-    # of wide ints would hold more memory than the products themselves
-    pos = {v: i for i, v in enumerate(var_of)}
     products: Set[int] = set()
     d0 = 0
-    for _, step, p in walk_pc(proof):
+    for _, step, line in _mask_lines(proof):
+        masks = list(line)
         if step[0] in ("ax", "sq", "tw"):
-            d0 = max(d0, p.degree)
-        masks = [sum(1 << pos[v] for v in t) for t in p.terms]
-        if masks:
-            products.add(0)
-        for i, m in enumerate(masks):
-            products.update(map(m.__xor__, masks[i + 1 :]))
-    qdeg = max((m.bit_count() for m in products), default=0)
-    return QuadraticSet(frozenset(_term_of(m, var_of) for m in products), qdeg, d0, proof)
-
-
-def _term_of(mask: int, var_of: Sequence[Var]) -> Term:
-    """The term whose variables sit at the set bits of ``mask``, lowest first."""
-    t = []
-    while mask:
-        low = mask & -mask
-        t.append(var_of[low.bit_length() - 1])
-        mask ^= low
-    return tuple(t)
+            d0 = max(d0, max(map(int.bit_count, masks), default=0))
+        for i, m in enumerate(masks):  # self-pairs included: m ^ m = 0
+            products.update(map(m.__xor__, masks[i:]))
+    qdeg = max(map(int.bit_count, products), default=0)
+    term = proof.axioms.codec.term
+    return QuadraticSet(frozenset(map(term, products)), qdeg, d0, proof)
 
 
 def quadratic_degree(proof: PCProof) -> int:

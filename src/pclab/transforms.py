@@ -39,10 +39,10 @@ from .proofs import (
     ResolutionProof,
     Step,
     StepError,
+    _mask_lines,
     _refs,
     _walk_pc,
     quadratic_set,
-    walk_pc,
     walk_resolution,
 )
 
@@ -196,10 +196,9 @@ def restrict_proof(
     ax, amap = restrict_axioms(proof.axioms, rho)
     out = ProofWriter(proof.field.p)
 
-    def derive(step: Step, parents: List[Optional[int]]) -> Optional[int]:
-        kind = step[0]
+    def derive(kind: str, at, step: Step, parents: List[Optional[int]]) -> Optional[int]:
         if kind == "ax":
-            new = amap[step[1]]
+            new = amap[at]
             return None if new is None else out.emit(("ax", new))
         if kind == "sq" or (kind == "tw" and step[1] in rho):
             return None
@@ -325,14 +324,6 @@ def isolate_vertex_restriction(
 # split
 
 
-def _axiom_mentions(ax: AxiomSystem, base: Var) -> bool:
-    for p in ax.polys:
-        for v in p.variables():
-            if v.base == base:
-                return True
-    return False
-
-
 _Components = Tuple[Optional[int], Optional[int]]
 
 
@@ -342,9 +333,8 @@ def _split_pass(proof: PCProof, w: Var) -> PCProof:
     Each line P = P1*w + P0 is replaced by derivations of P1 and P0."""
     out = ProofWriter(proof.field.p)
 
-    def derive(step: Step, parents: List[_Components]) -> _Components:
+    def derive(kind: str, at, step: Step, parents: List[_Components]) -> _Components:
         """The output lines deriving (P1, P0), None for a zero component."""
-        kind = step[0]
         if kind == "lin":
             a, b = step[1], step[3]
             (hi_i, lo_i), (hi_j, lo_j) = parents
@@ -380,7 +370,7 @@ def split(proof: PCProof, x: Var, prune_dead: bool = False) -> PCProof:
     if proof.basis != FOURIER:
         raise BasisMismatch("split is specific to the {+1,-1} encoding")
     base = x.base
-    if _axiom_mentions(proof.axioms, base):
+    if any(v.base == base for p in proof.axioms.polys for v in p.variables()):
         raise ValueError(f"{format_var(base)} occurs in an axiom; cannot split")
     out = _split_pass(proof, base)
     twin = base.twin
@@ -393,7 +383,9 @@ def split(proof: PCProof, x: Var, prune_dead: bool = False) -> PCProof:
 
 def strip_dead(proof: PCProof) -> PCProof:
     """Drop lines that do not feed the final line, keeping the final line
-    and renumbering references."""
+    and renumbering references.  The whole input is checked first."""
+    for _ in _valid_input(_walk_pc(proof, lambda *_: None)):
+        pass
     if not proof.steps:
         return proof
     keep: Set[int] = {len(proof.steps) - 1}
@@ -440,16 +432,17 @@ def qdeg_to_deg(proof: PCProof) -> PCProof:
     if proof.basis != FOURIER:
         raise BasisMismatch("the degree conversion is specific to the {+1,-1} encoding")
     out = ProofWriter(proof.field.p)
+    term = proof.axioms.codec.term
     idx: List[int] = []
-    tsel: List[Optional[Term]] = []  # the chosen term; None for a zero line
-    for _, step, val in _valid_input(walk_pc(proof)):
+    tsel: List[Optional[Term]] = []  # the chosen term, not its wide mask; None for a zero line
+    for _, step, line in _valid_input(_mask_lines(proof)):
         kind = step[0]
         if kind == "mul":
             _, v, i = step
             idx.append(idx[i])
-            tsel.append(None if val.is_zero else term_mul(tsel[i], (v,), FOURIER))
+            tsel.append(term_mul(tsel[i], (v,), FOURIER) if line else None)
             continue
-        t = None if val.is_zero else val.leading_term()
+        t = term(max(line, key=lambda m: (m.bit_count(), m))) if line else None  # grlex leading term
         if kind != "lin":
             cur = out.emit(step)
             for v in t or ():
@@ -562,7 +555,7 @@ def cluster_axioms(ax: AxiomSystem, cmap: ClusterMap) -> AxiomSystem:
 def cluster_proof(proof: PCProof, cmap: ClusterMap) -> PCProof:
     ax = cluster_axioms(proof.axioms, cmap)
     out = ProofWriter(proof.field.p)
-    for _, step, _ in _valid_input(_walk_pc(proof, lambda step, parents: None)):
+    for _, step, _ in _valid_input(_walk_pc(proof, lambda *_: None)):
         if step[0] in ("sq", "tw"):
             out.emit((step[0], cmap.image(step[1])))
         elif step[0] == "mul":

@@ -27,6 +27,7 @@ from pclab.proofs import (
     quadratic_set,
     random_derivation,
     resolution_lines,
+    twin_axiom_poly,
     walk_pc,
 )
 
@@ -136,6 +137,109 @@ def test_quadratic_set_matches_brute_force(proof):
     qs = quadratic_set(proof)
     assert qs.pairs == pairs
     assert qs.products == {term_mul(s, t, FOURIER) for s, t in pairs}
+
+
+def spare_axioms(basis):
+    """A system whose universe has variables no axiom mentions."""
+    if basis == FOURIER:
+        return parity_axioms()
+    base = AXIOMS[BOOLEAN]
+    return AxiomSystem(base.field, base.basis, base.polys, base.universe + (plain("w1"),), dict(base.groups))
+
+
+@st.composite
+def valid_derivations(draw, basis):
+    """A valid derivation whose steps are drawn one by one, so that a
+    multiplier often already sits in the term and a combination often
+    cancels a line against itself."""
+    axioms = spare_axioms(basis)
+    variables = [w for v in axioms.universe for w in (v, v.twin)]
+    coefs = st.sampled_from([0, 1, 2, F.p - 1, F.p - 2])
+    steps = []
+    for k in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["ax", "sq", "tw"] + (["lin", "mul", "mul", "mul"] if k else [])))
+        if kind == "ax":
+            steps.append(("ax", draw(st.integers(0, len(axioms.polys) - 1))))
+        elif kind in ("sq", "tw"):
+            steps.append((kind, draw(st.sampled_from(variables))))
+        elif kind == "mul":
+            i = draw(st.integers(0, k - 1))
+            steps.append(("mul", draw(st.sampled_from(variables)), i))
+        else:
+            i = draw(st.integers(0, k - 1))
+            j = draw(st.one_of(st.just(i), st.integers(0, k - 1)))
+            steps.append(("lin", draw(coefs), i, draw(coefs), j))
+    return PCProof(axioms, tuple(steps))
+
+
+def replay(proof):
+    """Every line recomputed with tuple-term ``Poly`` arithmetic alone."""
+    ax = proof.axioms
+    lines = []
+    for step in proof.steps:
+        kind = step[0]
+        if kind == "ax":
+            q = ax.polys[step[1]]
+        elif kind == "sq":
+            q = Poly.zero(ax.field, ax.basis)
+        elif kind == "tw":
+            q = twin_axiom_poly(step[1], ax.field, ax.basis)
+        elif kind == "lin":
+            q = lines[step[2]].lin(step[1], lines[step[4]], step[3])
+        else:
+            q = lines[step[2]].mul_var(step[1])
+        lines.append(q)
+    return lines
+
+
+def edge_case_proof(basis):
+    """A square folded in a term, a twin kept beside its base, a spare
+    variable and a combination that cancels to zero."""
+    axioms = spare_axioms(basis)
+    x, w = axioms.universe[0], plain("w1")
+    return PCProof(axioms, (
+        ("tw", x),            # x + ~x - 1, or x*~x + 1
+        ("mul", x, 0),        # x*x folds to x, or to 1
+        ("mul", x.twin, 1),   # ~x beside x
+        ("lin", 1, 2, F.p - 1, 2),  # zero
+        ("mul", w, 3),
+        ("ax", 0),
+        ("mul", w.twin, 5),
+        ("mul", w.twin, 6),   # ~w*~w
+        ("lin", 2, 7, 1, 2),
+    ))
+
+
+@pytest.mark.parametrize("basis", [BOOLEAN, FOURIER])
+def test_mask_lines_match_the_poly_replay(basis):
+    @SETTINGS
+    @given(valid_derivations(basis))
+    @example(edge_case_proof(basis))
+    def check(proof):
+        lines = replay(proof)
+        assert proof_lines(proof) == lines
+        rep = check_pc(proof)
+        assert rep.valid
+        assert rep.size == sum(q.monomial_count for q in lines)
+        assert rep.degree == max(q.degree for q in lines)
+        assert rep.is_refutation == (lines[-1] == Poly.constant(F, basis, 1))
+        if basis == FOURIER:
+            qs = quadratic_set(proof)
+            assert qs.products == {term_mul(s, t, FOURIER) for q in lines for s in q.terms for t in q.terms}
+            assert qs.qdeg == max(map(len, qs.products), default=0)
+            assert qs.d0 == max((q.degree for step, q in zip(proof.steps, lines)
+                                 if step[0] in ("ax", "sq", "tw")), default=0)
+
+    check()
+
+
+def test_edge_case_proof_covers_its_cases():
+    for basis in (BOOLEAN, FOURIER):
+        lines = replay(edge_case_proof(basis))
+        x = spare_axioms(basis).universe[0]
+        assert lines[3].is_zero
+        assert any(x in t and x.twin in t for t in lines[0].terms) == (basis == FOURIER)
+        assert any(x in t and x.twin in t for t in lines[2].terms)
 
 
 STEP_PARTS = st.one_of(
