@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -151,16 +152,15 @@ def _walk(steps: Sequence[Step], arity: Dict[str, int], derive) -> Iterator[Tupl
     ``parents`` being the lines it reads.  A step whose shape ``arity``
     does not allow, or that references anything but an earlier line, ends
     the walk before ``derive`` runs."""
-    refs = [_refs(step) for step in steps]
-    # the last step that reads each line; 0 (never a reader) when none does
-    last_use = [0] * len(steps)
-    for k, rs in enumerate(refs):
-        for i in rs:
+    # the last step reading each line, 0 if none: machine words, no object per step
+    last_use = array("q", bytes(8 * len(steps)))
+    for k, step in enumerate(steps):
+        for i in _refs(step):
             if isinstance(i, int) and 0 <= i < k:
                 last_use[i] = k
     lines: List[object] = [None] * len(steps)
     for k, step in enumerate(steps):
-        rs = refs[k]
+        rs = _refs(step)
         try:
             for i in rs:
                 if not isinstance(i, int) or not 0 <= i < k:
@@ -265,8 +265,8 @@ def check_pc(proof: PCProof) -> PCReport:
 
     ``size`` is the total monomial count over all lines and ``degree``
     the maximum line degree.  The walk releases lines no longer
-    referenced later, so memory stays proportional to the live frontier,
-    not the proof length.
+    referenced later, so the lines it holds are the live frontier, plus
+    two machine words of bookkeeping per step.
     """
     size = degree = 0
     line: Optional[Dict[int, int]] = None
