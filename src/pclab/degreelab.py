@@ -5,9 +5,10 @@ The span of a polynomial family is the smallest linear space that
 contains it and is closed under multiplication by variables -- all a
 derivation can reach with no degree cap.  ``span_basis`` computes
 canonical remainders modulo a span by two independent routes (point
-evaluation and linear closure); ``ResidueOracle`` reduces each term
-modulo the span keyed by the vertex set the term touches, yielding the
-operator whose properties the ``verify_*`` runners check case by case.
+evaluation, and a linear closure kept as an echelon basis of bit-mask
+rows); ``ResidueOracle`` reduces each term modulo the span keyed by the
+vertex set the term touches, yielding the operator whose properties the
+``verify_*`` runners check case by case.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -29,11 +30,13 @@ from .algebra import (
     Poly,
     ScaleLimitExceeded,
     Term,
+    TermCodec,
     Var,
     edge,
     format_poly,
     format_var,
     grlex_key,
+    lin_dict,
     make_term,
     pointer,
     term_mul,
@@ -44,7 +47,7 @@ from .transforms import isolate_vertex_restriction, restrict_proof, split
 
 SPAN_VAR_LIMIT = 16
 SPAN_POINTS_LIMIT = 1024
-CLOSURE_VAR_LIMIT = 10
+CLOSURE_VAR_LIMIT = 12
 
 
 # ---------------------------------------------------------------------------
@@ -153,66 +156,81 @@ class _PointsEngine:
         return Poly(self.field, self.basis, out)
 
 
-def _tail_reduce(poly: Poly, rows: Mapping[Term, Poly]) -> Poly:
-    """The remainder of ``poly`` by rows whose leading coefficient is 1,
-    keyed by their leading term: reduce a working dict in place."""
-    p = poly.field.p
-    work = dict(poly.terms)
-    out: Dict[Term, int] = {}
-    while work:
-        t = max(work, key=grlex_key)
-        c = work.pop(t)
-        row = rows.get(t)
-        if row is None:
-            out[t] = c
-            continue
-        for s, cs in row.terms.items():
-            if s != t:
-                r = (work.get(s, 0) - c * cs) % p
-                if r:
-                    work[s] = r
-                else:
-                    del work[s]
-    return Poly(poly.field, poly.basis, out)
-
-
 class _ClosureEngine:
-    """Remainders via direct closure: keep a triangular family of
-    representatives and multiply until no product adds a leading term.
+    """Remainders via direct closure: an echelon basis of the span, grown
+    until every row times every universe variable reduces to zero.
 
-    In {0,1}, ``v*v = v``, so ``v`` times a row whose every term holds
-    ``v`` is that row, already in the span; the product is skipped.  In
-    {+1,-1}, ``v*v = 1`` and such a product strips ``v`` from every term,
-    so there every product is taken.
+    Terms are bit masks of one ``TermCodec`` of the universe, so within a
+    degree graded lex is integer order.  ``rows`` maps a leading mask to
+    its row's tail (the leading coefficient is 1) and stays fully reduced:
+    a new row is subtracted from every tail that holds its lead, so no
+    tail holds a leading mask and a remainder is one pass over the terms.
+    A row's products are queued when it arrives; later row operations
+    keep them in the span.  In {0,1}, ``v*v = v``: a product is ``m | b``,
+    terms that meet are added, and ``v`` times a row whose every term
+    holds ``v`` is that row, so it is skipped.  In {+1,-1}, ``v*v = 1``,
+    the product ``m ^ b`` merges no terms and every product is taken.
     """
 
-    def __init__(
-        self,
-        polys: Sequence[Poly],
-        active: Sequence[Var],
-        universe: Sequence[Var],
-        field: Field,
-        basis: str,
-    ):
+    def __init__(self, polys: Sequence[Poly], active: Sequence[Var], universe: Sequence[Var],
+                 field: Field, basis: str):
         self.field = field
         self.basis = basis
-        rows: Dict[Term, Poly] = {}
-        queue: List[Poly] = [q for q in polys if not q.is_zero]
+        self.codec = TermCodec(universe)
+        p = field.p
+        boolean = basis == BOOLEAN
+        bits = [1 << self.codec.pos[v] for v in universe]
+        self.rows: Dict[int, Dict[int, int]] = {}
+        users: Dict[int, Set[int]] = defaultdict(set)  # mask -> leads whose tail may hold it
+        queue = [self.codec.encode(q) for q in polys]
         while queue:
-            g = _tail_reduce(queue.pop(), rows)
-            if g.is_zero:
+            g = self._reduce(queue.pop())
+            if not g:
                 continue
-            lt = g.leading_term()
-            row = rows[lt] = g.scale(field.inv(g.terms[lt]))
-            fixed = set(lt) if basis == BOOLEAN else set()
-            for t in row.terms:
-                fixed.intersection_update(t)
-            queue.extend(row.mul_var(v) for v in universe if v not in fixed)
-        self.rows = rows
-        self.std_monomials = tuple(t for t in _family_terms(active, len(active)) if t not in rows)
+            lt = max(g, key=lambda m: (m.bit_count(), m))
+            inv = field.inv(g.pop(lt))
+            tail = {m: c * inv % p for m, c in g.items()}
+            for lead in users.pop(lt, ()):
+                c = self.rows[lead].pop(lt, 0)
+                if c:
+                    self.rows[lead] = lin_dict(1, self.rows[lead], -c, tail, p)
+                    for m in tail:
+                        users[m].add(lead)
+            self.rows[lt] = tail
+            for m in tail:
+                users[m].add(lt)
+            row = {lt: 1, **tail}
+            fixed = lt if boolean else 0
+            for m in tail:
+                fixed &= m
+            for b in bits:
+                if not b & fixed:
+                    prod: Dict[int, int] = {}
+                    for m, c in row.items():
+                        m = m | b if boolean else m ^ b
+                        prod[m] = prod.get(m, 0) + c
+                    queue.append(prod)
+        pos = self.codec.pos
+        self.std_monomials = tuple(
+            t for t in _family_terms(active, len(active)) if sum(1 << pos[v] for v in t) not in self.rows
+        )
+
+    def _reduce(self, poly: Mapping[int, int]) -> Dict[int, int]:
+        """The remainder of a ``{mask: coeff}`` dict in one pass."""
+        p = self.field.p
+        out: Dict[int, int] = {}
+        for m, c in poly.items():
+            tail = self.rows.get(m)
+            if tail is None:
+                out[m] = out.get(m, 0) + c
+            else:
+                for s, cs in tail.items():
+                    out[s] = out.get(s, 0) - c * cs
+        return {m: c % p for m, c in out.items() if c % p}
 
     def nf_poly(self, poly: Poly) -> Poly:
-        return _tail_reduce(poly, self.rows)
+        out = self._reduce(self.codec.encode(poly))
+        return Poly(self.field, self.basis, {self.codec.term(m): c for m, c in out.items()})
 
 
 class SpanBasis:
@@ -290,11 +308,13 @@ def span_basis(
     enumerates and the matrices it eliminates, so it refuses more than
     ``SPAN_VAR_LIMIT`` (16) such variables or more than
     ``SPAN_POINTS_LIMIT`` (1024) common zeros.  ``method="closure"``
-    multiplies the family out by every universe variable and refuses a
-    universe of more than ``CLOSURE_VAR_LIMIT`` (10).  In {0,1} it skips
-    the product of a row by a variable in every one of its terms, which
-    is the row itself; in {+1,-1}, where ``v*v = 1``, it skips nothing.
-    A refusal raises ``ScaleLimitExceeded``.  The two routes share no code -- they agree
+    keeps a fully reduced echelon basis of bit-mask rows and multiplies
+    every row by every universe variable, so the universe drives its cost
+    and it refuses one of more than ``CLOSURE_VAR_LIMIT`` (12), the size
+    of the ``bop_context(3, 1)`` universe.  In {0,1} it skips the product
+    of a row by a variable in every one of its terms, which is the row
+    itself; in {+1,-1}, where ``v*v = 1``, it skips nothing.  A refusal
+    raises ``ScaleLimitExceeded``.  The two routes share no code -- they agree
     everywhere and are cross-checked in the tests, where sympy Groebner
     bases check both.  Twin variables must be expanded away before calling.
     """

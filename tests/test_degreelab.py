@@ -179,6 +179,51 @@ def test_closure_route_on_rows_sharing_a_variable(basis):
     assert b.leading_terms() == want
 
 
+@pytest.mark.parametrize("basis", [BOOLEAN, FOURIER])
+def test_closure_rows_stay_fully_reduced(basis):
+    """The one-pass remainder needs every row reduced against every other:
+    no tail holds a leading mask, and each lead tops its own row."""
+    x, y, z = plain("x"), plain("y"), plain("z")
+    # x*y - x holds t = x and t*y: in {0,1}, y times it is x*y - x*y = 0,
+    # so x stays standard; dropping one of the two terms that meet would
+    # put x*y, then x, in the span
+    fams = [[_poly(basis, {(x, y): 1, (x,): -1})]]
+    rng = random.Random(11)
+    fams += [[_rand_poly(rng, [x, y, z], basis, max_terms=4) for _ in range(rng.randint(1, 3))] for _ in range(8)]
+    if basis == BOOLEAN:
+        ctx = bop_context(2, 3)
+        fams.append([ctx.polys[i] for g in ("T", "BV(1)") for i in ctx.groups[g]])
+    for fam in fams:
+        universe = sorted({v for q in fam for v in q.variables()} | {x, y, z})
+        b = span_basis(fam, universe=universe, basis=basis, field=F, method="closure")
+        rows = b._engine.rows
+        for lead, tail in rows.items():
+            assert not tail.keys() & rows.keys()
+            assert all((m.bit_count(), m) < (lead.bit_count(), lead) for m in tail)
+        a = span_basis(fam, universe=universe, basis=basis, field=F, method="points")
+        assert a.std_monomials == b.std_monomials
+    if basis == BOOLEAN:
+        b = span_basis(fams[0], universe=[x, y], field=F, method="closure")
+        assert b.std_monomials == ((), (x,), (y,))
+
+
+def test_closure_matches_points_on_every_touch_key():
+    """Both engines over the 12-variable universe of (3, 1): the same
+    standard monomials and remainders on every key and every term."""
+    oracle = ResidueOracle(bop_context(3, 1))
+    ctx = oracle.context
+    terms = [Poly.from_term(F, BOOLEAN, t) for t in _family_terms(ctx.universe, len(ctx.universe))]
+    assert len(terms) == 4096
+    for k in range(4):
+        for key in itertools.combinations(range(1, 4), k):
+            points = oracle.span_for(key)
+            family = [ctx.polys[i] for g in ("T",) + tuple(f"BV({j})" for j in key) for i in ctx.groups[g]]
+            closure = span_basis(family, universe=ctx.universe, method="closure")
+            assert closure.std_monomials == points.std_monomials, key
+            for q in terms:
+                assert closure.reduce(q) == points.reduce(q), (key, q)
+
+
 def _mixed_vars():
     kinds = st.one_of(
         st.builds(pointer, st.integers(1, 3), st.integers(1, 2)),
@@ -242,10 +287,10 @@ def test_span_scale_limits():
     with pytest.raises(ScaleLimitExceeded):
         span_basis([Poly.variable(F, BOOLEAN, v) for v in vs], universe=vs)
     with pytest.raises(ScaleLimitExceeded):
-        span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:11], method="closure")
+        span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:13], method="closure")
     # at the limits both engines still build
     span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:16])
-    span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:10], method="closure")
+    span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:12], method="closure")
 
 
 def test_span_points_limit():
