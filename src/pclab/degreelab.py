@@ -485,6 +485,8 @@ def _family_terms(universe: Sequence[Var], max_degree: int) -> List[Term]:
     holds a larger variable: graded-lex largest first.  So each tuple is
     reversed into a term and each block is reversed; nothing is sorted.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     desc = sorted(universe, reverse=True)
     out: List[Term] = []
     for d in range(max_degree + 1):
@@ -502,32 +504,48 @@ def _default_oracle(n: int, ell: int, oracle: Optional[ResidueOracle]) -> Residu
     return ResidueOracle(bop_context(n, ell))
 
 
+def _in_regime(key: FrozenSet[int], n: int) -> bool:
+    """Whether the reduction operator acts under a touch key: the key
+    leaves at least one of the n vertices out.  At every size measured, a
+    key covering all n vertices has no common zero, so its span is the
+    whole ring, and a remainder modulo the whole ring is not a reduction."""
+    return len(key) < n
+
+
+def _lemma(name: str, n: int, ell: int, oracle: Optional[ResidueOracle],
+           cases: Callable[[ResidueOracle], Iterable[Tuple[str, ...]]]) -> LemmaReport:
+    """Check one identity case by case: ``cases`` yields, per case, its
+    counterexamples, none when the case holds.  The time includes
+    building the oracle when none is given."""
+    start = time.perf_counter()
+    oracle = _default_oracle(n, ell, oracle)
+    count = 0
+    bad: List[str] = []
+    for found in cases(oracle):
+        count += 1
+        bad.extend(found)
+    return LemmaReport(name, n, ell, count, tuple(bad), time.perf_counter() - start)
+
+
 def verify_touch_extension(
     n: int = 3, ell: int = 1, max_degree: int = 4, oracle: Optional[ResidueOracle] = None
 ) -> LemmaReport:
     """Multiplying a term by a variable can only grow its touch key, and
     the term's remainder is the same under either key."""
-    start = time.perf_counter()
-    oracle = _default_oracle(n, ell, oracle)
-    universe = oracle.context.universe
-    fld = oracle.context.field
-    cases = 0
-    bad: List[str] = []
-    for t in _family_terms(universe, max_degree):
-        tau_t = oracle.tau(t)
-        if len(tau_t) >= n:
-            continue
-        pt = Poly.from_term(fld, BOOLEAN, t)
-        base = oracle.residue(pt, tau_t)
-        for w in universe:
-            wt = term_mul(t, (w,), BOOLEAN)
-            tau_wt = oracle.tau(wt)
-            if len(tau_wt) >= n:
+
+    def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+        for t in _family_terms(o.context.universe, max_degree):
+            tau_t = o.tau(t)
+            if not _in_regime(tau_t, n):
                 continue
-            cases += 1
-            if oracle.residue(pt, tau_wt) != base:
-                bad.append(f"t={_fmt_term(t)} w={format_var(w)}")
-    return LemmaReport("touch-extension", n, ell, cases, tuple(bad), time.perf_counter() - start)
+            pt = Poly.from_term(o.context.field, BOOLEAN, t)
+            base = o.residue(pt, tau_t)
+            for w in o.context.universe:
+                tau_wt = o.tau(term_mul(t, (w,), BOOLEAN))
+                if _in_regime(tau_wt, n):
+                    yield () if o.residue(pt, tau_wt) == base else (f"t={_fmt_term(t)} w={format_var(w)}",)
+
+    return _lemma("touch-extension", n, ell, oracle, cases)
 
 
 def verify_touch_superset(
@@ -535,44 +553,36 @@ def verify_touch_superset(
 ) -> LemmaReport:
     """Reducing under any proper-sized superset of the touch key gives
     the same remainder as the key itself."""
-    start = time.perf_counter()
-    oracle = _default_oracle(n, ell, oracle)
-    fld = oracle.context.field
-    cases = 0
-    bad: List[str] = []
-    for t in _family_terms(oracle.context.universe, max_degree):
-        tau = oracle.tau(t)
-        if len(tau) >= n:
-            continue
-        pt = Poly.from_term(fld, BOOLEAN, t)
-        base = oracle.residue(pt, tau)
-        rest = [j for j in range(1, n + 1) if j not in tau]
-        for k in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, k):
-                key = tau | set(extra)
-                if len(key) >= n:
-                    continue
-                cases += 1
-                if oracle.residue(pt, key) != base:
-                    bad.append(f"t={_fmt_term(t)} I={sorted(key)}")
-    return LemmaReport("touch-superset", n, ell, cases, tuple(bad), time.perf_counter() - start)
+
+    def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+        for t in _family_terms(o.context.universe, max_degree):
+            tau = o.tau(t)
+            if not _in_regime(tau, n):
+                continue
+            pt = Poly.from_term(o.context.field, BOOLEAN, t)
+            base = o.residue(pt, tau)
+            rest = [j for j in range(1, n + 1) if j not in tau]
+            for k in range(len(rest) + 1):
+                for extra in itertools.combinations(rest, k):
+                    key = tau | set(extra)
+                    if _in_regime(key, n):
+                        yield () if o.residue(pt, key) == base else (f"t={_fmt_term(t)} I={sorted(key)}",)
+
+    return _lemma("touch-superset", n, ell, oracle, cases)
 
 
 def verify_residue_support(
     n: int = 3, ell: int = 1, max_degree: int = 4, oracle: Optional[ResidueOracle] = None
 ) -> LemmaReport:
     """Remainders never touch vertices the original term did not."""
-    start = time.perf_counter()
-    oracle = _default_oracle(n, ell, oracle)
-    cases = 0
-    bad: List[str] = []
-    for t in _family_terms(oracle.context.universe, max_degree):
-        tau = oracle.tau(t)
-        cases += 1
-        for s in oracle.R_term(t).terms:
-            if not oracle.tau(s) <= tau:
-                bad.append(f"t={_fmt_term(t)} term {_fmt_term(s)} escapes {sorted(tau)}")
-    return LemmaReport("residue-support", n, ell, cases, tuple(bad), time.perf_counter() - start)
+
+    def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+        for t in _family_terms(o.context.universe, max_degree):
+            tau = o.tau(t)
+            yield tuple(f"t={_fmt_term(t)} term {_fmt_term(s)} escapes {sorted(tau)}"
+                        for s in o.R_term(t).terms if not o.tau(s) <= tau)
+
+    return _lemma("residue-support", n, ell, oracle, cases)
 
 
 def _random_pool_poly(
@@ -594,38 +604,35 @@ def verify_residue_product(
     oracle: Optional[ResidueOracle] = None,
 ) -> LemmaReport:
     """Reduce-multiply-reduce agrees with multiply-reduce on random
-    polynomials drawn from a two-vertex variable pool, where every
-    product keeps its touch key below the full vertex set."""
-    start = time.perf_counter()
-    oracle = _default_oracle(n, ell, oracle)
-    fld = oracle.context.field
-    b = pointer_bits(n)
-    pool = [pointer(j, a) for j in (1, 2) for a in range(1, b + 1)]
-    pool += [edge(1, 2, l) for l in range(1, ell + 1)]
-    pool += [edge(2, 1, l) for l in range(1, ell + 1)]
-    rng = random.Random(seed)
-    cases = 0
-    bad: List[str] = []
-    for _ in range(samples):
-        poly = _random_pool_poly(rng, pool, fld)
-        w = rng.choice(pool)
-        cases += 1
-        if oracle.R(poly.mul_var(w)) != oracle.R(oracle.R(poly).mul_var(w)):
-            bad.append(f"w={format_var(w)} P={format_poly(poly)}")
-    return LemmaReport("residue-product", n, ell, cases, tuple(bad), time.perf_counter() - start)
+    polynomials drawn from the variable pool of vertices 1 and 2.  For
+    n >= 3 every product keeps its touch key below the full vertex set;
+    at n = 2 the pool covers every vertex, so products leave the regime
+    of ``_in_regime``."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+
+    def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+        pool = [pointer(j, a) for j in (1, 2) for a in range(1, pointer_bits(n) + 1)]
+        pool += [edge(1, 2, l) for l in range(1, ell + 1)]
+        pool += [edge(2, 1, l) for l in range(1, ell + 1)]
+        rng = random.Random(seed)
+        for _ in range(samples):
+            poly = _random_pool_poly(rng, pool, o.context.field)
+            w = rng.choice(pool)
+            same = o.R(poly.mul_var(w)) == o.R(o.R(poly).mul_var(w))
+            yield () if same else (f"w={format_var(w)} P={format_poly(poly)}",)
+
+    return _lemma("residue-product", n, ell, oracle, cases)
 
 
-def _operator_reports(n: int, ell: int, oracle: ResidueOracle) -> Tuple[LemmaReport, LemmaReport]:
-    """The reduction kills every axiom, and it fixes the constant 1."""
-    start = time.perf_counter()
-    polys = oracle.context.polys
-    bad = [f"axiom {i} survives the reduction" for i, axiom in enumerate(polys) if not oracle.R(axiom).is_zero]
-    axioms = LemmaReport("residue-axioms-vanish", n, ell, len(polys), tuple(bad), time.perf_counter() - start)
-    start = time.perf_counter()
-    one = Poly.constant(oracle.context.field, BOOLEAN, 1)
-    bad = [] if oracle.R(one) == one else ["the constant 1 is not fixed"]
-    unit = LemmaReport("residue-unit-fixed", n, ell, 1, tuple(bad), time.perf_counter() - start)
-    return axioms, unit
+def _axiom_cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+    for i, axiom in enumerate(o.context.polys):
+        yield () if o.R(axiom).is_zero else (f"axiom {i} survives the reduction",)
+
+
+def _unit_cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+    one = Poly.constant(o.context.field, BOOLEAN, 1)
+    yield () if o.R(one) == one else ("the constant 1 is not fixed",)
 
 
 def verify_residue_operator(
@@ -633,16 +640,8 @@ def verify_residue_operator(
 ) -> LemmaReport:
     """The reduction kills every axiom and fixes the constant 1: the
     axiom and unit checks of ``verify_residue_properties`` as one report."""
-    start = time.perf_counter()
-    axioms, unit = _operator_reports(n, ell, _default_oracle(n, ell, oracle))
-    return LemmaReport(
-        "residue-operator",
-        n,
-        ell,
-        axioms.cases + unit.cases,
-        axioms.counterexamples + unit.counterexamples,
-        time.perf_counter() - start,
-    )
+    return _lemma("residue-operator", n, ell, oracle,
+                  lambda o: itertools.chain(_axiom_cases(o), _unit_cases(o)))
 
 
 def verify_residue_properties(
@@ -656,45 +655,37 @@ def verify_residue_properties(
     """The four defining properties of the reduction operator, each as
     its own report: linearity on seeded pairs, axioms vanish, the unit
     is fixed, and the product condition on all small terms."""
+    if pairs < 0:
+        raise ValueError(f"pairs must be >= 0, got {pairs}")
     oracle = _default_oracle(n, ell, oracle)
     fld = oracle.context.field
     universe = oracle.context.universe
-    reports: List[LemmaReport] = []
+    small = _family_terms(universe, max_degree)
 
-    start = time.perf_counter()
-    rng = random.Random(seed)
-    bad: List[str] = []
-    for _ in range(pairs):
-        p1 = _random_pool_poly(rng, universe, fld, max_terms=4)
-        p2 = _random_pool_poly(rng, universe, fld, max_terms=4)
-        a = rng.randrange(fld.p)
-        b = rng.randrange(fld.p)
-        lhs = oracle.R(p1.lin(a, p2, b))
-        rhs = oracle.R(p1).lin(a, oracle.R(p2), b)
-        if lhs != rhs:
-            bad.append(f"a={a} b={b} P={format_poly(p1)} Q={format_poly(p2)}")
-    reports.append(
-        LemmaReport("residue-linearity", n, ell, pairs, tuple(bad), time.perf_counter() - start)
+    def linearity(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+        rng = random.Random(seed)
+        for _ in range(pairs):
+            p1 = _random_pool_poly(rng, universe, fld, max_terms=4)
+            p2 = _random_pool_poly(rng, universe, fld, max_terms=4)
+            a = rng.randrange(fld.p)
+            b = rng.randrange(fld.p)
+            same = o.R(p1.lin(a, p2, b)) == o.R(p1).lin(a, o.R(p2), b)
+            yield () if same else (f"a={a} b={b} P={format_poly(p1)} Q={format_poly(p2)}",)
+
+    def product(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+        for t in small:
+            pt = Poly.from_term(fld, BOOLEAN, t)
+            for w in universe:
+                if _in_regime(o.tau(term_mul(t, (w,), BOOLEAN)), n):
+                    same = o.R(pt.mul_var(w)) == o.R(o.R(pt).mul_var(w))
+                    yield () if same else (f"t={_fmt_term(t)} w={format_var(w)}",)
+
+    return (
+        _lemma("residue-linearity", n, ell, oracle, linearity),
+        _lemma("residue-axioms-vanish", n, ell, oracle, _axiom_cases),
+        _lemma("residue-unit-fixed", n, ell, oracle, _unit_cases),
+        _lemma("residue-product-small", n, ell, oracle, product),
     )
-
-    reports.extend(_operator_reports(n, ell, oracle))
-
-    start = time.perf_counter()
-    cases = 0
-    bad = []
-    for t in _family_terms(universe, max_degree):
-        pt = Poly.from_term(fld, BOOLEAN, t)
-        for w in universe:
-            wt = term_mul(t, (w,), BOOLEAN)
-            if len(oracle.tau(wt)) >= n:
-                continue
-            cases += 1
-            if oracle.R(pt.mul_var(w)) != oracle.R(oracle.R(pt).mul_var(w)):
-                bad.append(f"t={_fmt_term(t)} w={format_var(w)}")
-    reports.append(
-        LemmaReport("residue-product-small", n, ell, cases, tuple(bad), time.perf_counter() - start)
-    )
-    return tuple(reports)
 
 
 # Every lemma runner by name, in report order: (n, ell, seed, oracle) ->

@@ -586,6 +586,8 @@ def cluster_retention(ell: int, term_degree: int, trials: int, seed: int) -> flo
     i.e. every pair has exactly one copy inside the term."""
     if ell % 2 or ell < 2:
         raise ValueError(f"pairing needs an even number of copies, got ell={ell}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
     m = term_degree
     rng = random.Random(seed)
     idxs = list(range(1, ell + 1))

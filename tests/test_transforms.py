@@ -642,6 +642,14 @@ def test_cluster_retention_exact_small_cases():
     assert cluster_retention(4, 3, 1000, seed=3) == 0.0
 
 
+def test_cluster_retention_refuses_bad_input():
+    with pytest.raises(ValueError, match="even number of copies"):
+        cluster_retention(3, 1, 100, seed=1)
+    for trials in (0, -2):  # 0 trials once divided by zero
+        with pytest.raises(ValueError, match="at least one trial"):
+            cluster_retention(2, 1, trials, seed=1)
+
+
 def test_cluster_retention_decays_with_ell():
     est = cluster_retention(8, 4, 30000, seed=4)
     truth = 16 / 70  # 2^4 / C(8,4)
