@@ -30,6 +30,7 @@ from pclab.proofs import (
     twin_axiom_poly,
     walk_pc,
 )
+from pclab.transforms import Restriction, restrict_proof, split, strip_dead
 
 F = DEFAULT_FIELD
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -287,3 +288,77 @@ def test_writer_lin_keeps_live_parts():
     assert w.lin([(0, 4, ()), (2, 5, ())]) == 0
     assert w.lin([(1, 6, (x,)), (F.p - 1, 7, ())]) == 2
     assert w.steps == [("lin", 2, 5, 0, 5), ("mul", x, 6), ("lin", 1, 1, F.p - 1, 7)]
+
+
+# ---------------------------------------------------------------------------
+# the walk's error contract: one fault after three good lines, at k = 3
+
+PARITY = parity_axioms()
+X1 = PARITY.universe[0]
+PC_PREFIX = (("ax", 0), ("ax", 1), ("tw", X1))
+PC_FAULTS = [  # (id, step at L4, message or None for a valid step)
+    ("empty", (), "malformed step ()"),
+    ("list-kind", (["ax"], 0), "malformed step (['ax'], 0)"),
+    ("arity", ("ax", 0, 1), "malformed step ('ax', 0, 1)"),
+    ("negative-ref", ("mul", X1, -1), "reference to L0 not before L4"),
+    ("forward-ref", ("mul", X1, 5), "reference to L6 not before L4"),
+    ("self-ref", ("mul", X1, 3), "reference to L4 not before L4"),
+    ("float-ref", ("mul", X1, 1.0), "reference to L1.0 not before L4"),
+    ("string-ref", ("mul", X1, "L1"), "reference to L'L1' not before L4"),
+    ("two-bad-refs", ("lin", 1, 7, 1, -2), "reference to L8 not before L4"),
+    ("res-forward-refs", ("res", 9, 9, X1), "reference to L10 not before L4"),
+    ("res-kind", ("res", 0, 1, X1), f"malformed step ('res', 0, 1, {X1!r})"),
+    ("axiom-range", ("ax", 4), "no axiom 5: the system has 4"),
+    ("axiom-negative", ("ax", -1), "no axiom 0: the system has 4"),
+    ("axiom-float", ("ax", 1.0), "no axiom 1.0: the system has 4"),
+    ("coefficient", ("lin", 1.5, 0, 1, 1), "non-scalar coefficients in ('lin', 1.5, 0, 1, 1)"),
+    ("outside-universe", ("mul", plain("zz"), 0), "variable zz outside the system universe"),
+    ("not-a-variable", ("tw", "x1"), "variable x1 outside the system universe"),
+    ("twin", ("mul", X1.twin, 0), None),
+]
+
+CNF_PROOF = lop_resolution_refutation(3)
+A = CNF_PROOF.steps[-1][3]  # a pivot of the proof
+RES_PREFIX = CNF_PROOF.steps[:3]
+RES_FAULTS = [
+    ("empty", (), "malformed step ()"),
+    ("list-kind", (["in"], 0), "malformed step (['in'], 0)"),
+    ("arity", ("in", 0, 1), "malformed step ('in', 0, 1)"),
+    ("negative-ref", ("res", -1, 0, A), "reference to L0 not before L4"),
+    ("forward-ref", ("res", 0, 5, A), "reference to L6 not before L4"),
+    ("self-ref", ("res", 3, 0, A), "reference to L4 not before L4"),
+    ("float-ref", ("res", 1.0, 0, A), "reference to L1.0 not before L4"),
+    ("string-ref", ("res", "L1", 0, A), "reference to L'L1' not before L4"),
+    ("two-bad-refs", ("res", 7, -2, A), "reference to L8 not before L4"),
+    ("lin-forward-refs", ("lin", 1, 9, 1, 9), "reference to L10 not before L4"),
+    ("lin-kind", ("lin", 1, 0, 1, 1), "malformed step ('lin', 1, 0, 1, 1)"),
+    ("clause-range", ("in", 12), "no input clause 13: the formula has 12"),
+    ("clause-float", ("in", 1.0), "no input clause 1.0: the formula has 12"),
+    ("pivot", ("res", 0, 1, 5), "pivot 5 is not a variable"),
+]
+TRANSFORMS = {
+    "split": lambda proof: split(proof, plain("w1")),
+    "restrict_proof": lambda proof: restrict_proof(proof, Restriction({})),
+    "strip_dead": strip_dead,
+}
+
+
+@pytest.mark.parametrize("name, step, message", PC_FAULTS, ids=[c[0] for c in PC_FAULTS])
+def test_pc_walk_error_contract(name, step, message):
+    proof = PCProof(PARITY, PC_PREFIX + (step,))
+    rep = check_pc(proof)
+    assert (rep.valid, rep.first_bad_line, rep.message) == (
+        (True, None, "") if message is None else (False, 3, message))
+    for transform in TRANSFORMS.values():
+        if message is None:
+            transform(proof)
+            continue
+        with pytest.raises(ValueError) as e:
+            transform(proof)
+        assert str(e.value) == f"input proof invalid at L4: {message}"
+
+
+@pytest.mark.parametrize("name, step, message", RES_FAULTS, ids=[c[0] for c in RES_FAULTS])
+def test_resolution_walk_error_contract(name, step, message):
+    rep = check_resolution(ResolutionProof(CNF_PROOF.cnf, RES_PREFIX + (step,)))
+    assert (rep.valid, rep.first_bad_line, rep.message) == (False, 3, message)
