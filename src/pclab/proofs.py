@@ -17,22 +17,23 @@ step:
 A resolution proof is a sequence of ("in", i) steps, the i-th input
 clause, and ("res", i, j, pivot) steps, the resolvent of lines i and j.
 
-Line references are 0-based positions of earlier lines.  One walk reads
-every proof: it checks each step's shape and that each reference names
-an earlier line, and yields ``(k, step, derive(kind, step, parents))``
-for every step in order, ``parents`` being the lines the step reads.  A
-line is kept only while a later step still reads it, so a walk holds the
-live frontier, not the whole proof.  The rest of what makes a
-polynomial-calculus step valid is checked in one place, ``_walk_pc``,
-which every checker, metric and transform reads through.  The first step
-that does not derive a line ends the walk with a ``StepError`` whose
-``k`` is that step's index; its message quotes axiom, clause and line
-numbers 1-based, as the file writes them.
+Line references are 0-based positions of earlier lines.  One loop,
+``_walk``, reads every proof through its system's shape table: per step
+kind, the arity, the slots holding line references, and how slot 1
+resolves (an axiom or clause index, integer "lin" coefficients, or a
+universe variable to its codec bit).  It checks all of that inline and
+makes one call per step, ``derive(kind, at, step, parents)``, with the
+lines the step reads as ``parents``.  A line is kept only while a later
+step still reads it, so a walk holds the live frontier, not the whole
+proof.  The first step that does not derive a line ends the walk with a
+``StepError`` whose ``k`` is that step's index; its message quotes
+axiom, clause and line numbers 1-based, as the file writes them.
 
 One evaluator, ``_mask_lines``, computes each line as a ``{mask: coeff}``
 dict over the axiom system's ``codec`` (the i-th universe base at bit 2i,
 its twin at 2i+1): a product by a variable is ``|`` in {0,1} and ``^`` in
-{+1,-1}, and a degree is ``bit_count()``.  ``walk_pc`` decodes to ``Poly``.
+{+1,-1}, and a degree is ``bit_count()``.  ``walk_pc`` decodes to ``Poly``;
+of the quadratic metrics only ``quadratic_set`` decodes its products.
 """
 
 from __future__ import annotations
@@ -132,77 +133,81 @@ class ProofWriter:
 
 def _num(i) -> str:
     """An axiom, clause or line index as the file writes it (1-based)."""
-    return str(i + 1) if isinstance(i, int) else repr(i)
+    return str(i + 1) if type(i) is int else repr(i)
 
 
-def _refs(step: Step) -> tuple:
-    """The earlier lines a step names, of any type: the parents of a "lin",
-    "mul" or "res" step; nothing for any other or malformed step."""
-    if len(step) == 5 and step[0] == "lin":
-        return (step[2], step[4])
-    if len(step) == 3 and step[0] == "mul":
-        return (step[2],)
-    if len(step) == 4 and step[0] == "res":
-        return (step[1], step[2])
-    return ()
+# How a walk resolves slot 1 of a step: to a variable's codec bit, as
+# the "lin" coefficients (slots 1 and 3), as a line, or not at all for a
+# kind of the other proof system.  An axiom or clause index is checked
+# against the system's count, and its rule is the message refusing it.
+_VAR, _COEFS, _LINE, _FOREIGN = "variable", "coefficients", "line", "foreign"
+_AXIOM, _CLAUSE = "no axiom {}: the system has {}", "no input clause {}: the formula has {}"
+# Each proof system's shape table, kind: (arity, the slots holding line
+# references, how slot 1 resolves).  A kind of the other system keeps its
+# slots, so a bad reference in it is reported before the kind is.
+_PC = {"ax": (2, (), _AXIOM), "sq": (2, (), _VAR), "tw": (2, (), _VAR), "lin": (5, (2, 4), _COEFS),
+       "mul": (3, (2,), _VAR), "in": (2, (), _FOREIGN), "res": (4, (1, 2), _FOREIGN)}
+_RES = {**{kind: (arity, slots, _FOREIGN) for kind, (arity, slots, _) in _PC.items()},
+        "in": (2, (), _CLAUSE), "res": (4, (1, 2), _LINE)}
 
 
-def _walk(steps: Sequence[Step], arity: Dict[str, int], derive) -> Iterator[Tuple[int, Step, object]]:
-    """Yield (k, step, derive(kind, step, parents)) for every step,
-    ``parents`` being the lines it reads.  A step whose shape ``arity``
-    does not allow, or that references anything but an earlier line, ends
-    the walk before ``derive`` runs."""
-    # the last step reading each line, 0 if none: machine words, no object per step
+def _walk(proof, derive) -> Iterator[Tuple[int, Step, object]]:
+    """Yield (k, step, derive(kind, at, step, parents)) for every step of
+    a polynomial-calculus or resolution proof, that call being the only
+    one a step makes.  The system's shape table gives the step's shape;
+    its references must name earlier lines, whose lines are ``parents``;
+    ``at`` is slot 1 resolved: the axiom or clause index, the first "lin"
+    coefficient, or the variable's codec bit.  A step failing any of this
+    ends the walk before ``derive`` runs."""
+    if isinstance(proof, PCProof):
+        table, count, pos = _PC, len(proof.axioms.polys), proof.axioms.codec.pos
+    else:
+        table, count, pos = _RES, len(proof.cnf.clauses), None
+    steps = proof.steps
+    # the last step reading each line, 0 if none: machine words, no object per step.
+    # A bad step only keeps lines longer: the walk stops at it.
     last_use = array("q", bytes(8 * len(steps)))
     for k, step in enumerate(steps):
-        for i in _refs(step):
-            if isinstance(i, int) and 0 <= i < k:
-                last_use[i] = k
+        try:
+            for s in table[step[0]][1]:
+                last_use[step[s]] = k
+        except (TypeError, LookupError):
+            pass
     lines: List[object] = [None] * len(steps)
     for k, step in enumerate(steps):
-        rs = _refs(step)
         try:
-            for i in rs:
-                if not isinstance(i, int) or not 0 <= i < k:
-                    raise StepError(f"reference to L{_num(i)} not before L{k + 1}")
-            kind = step[0] if step else None
-            if not isinstance(kind, str) or arity.get(kind) != len(step):
+            try:
+                arity, slots, operand = table[kind := step[0]]
+            except (TypeError, LookupError):
+                arity = -1
+            if arity < 0 or len(step) != arity:
                 raise StepError(f"malformed step {step!r}")
-            line = derive(kind, step, [lines[i] for i in rs])
+            parents = ()
+            for s in slots:
+                i = step[s]
+                if type(i) is not int or not 0 <= i < k:
+                    raise StepError(f"reference to L{_num(i)} not before L{k + 1}")
+                parents += (lines[i],)
+            at = step[1]
+            if operand is _VAR:
+                if type(at) is not Var or (at := pos.get(at)) is None:
+                    raise StepError(f"variable {step[1]} outside the system universe")
+            elif operand is _COEFS:
+                if not isinstance(at, int) or not isinstance(step[3], int):
+                    raise StepError(f"non-scalar coefficients in {step!r}")
+            elif operand is _FOREIGN:
+                raise StepError(f"malformed step {step!r}")
+            elif operand is not _LINE and (type(at) is not int or not 0 <= at < count):
+                raise StepError(operand.format(_num(at), count))
+            for s in slots:
+                if last_use[step[s]] == k:
+                    lines[step[s]] = None
+            line = derive(kind, at, step, parents)
         except StepError as e:
             raise StepError(str(e), k) from None
         if last_use[k]:
             lines[k] = line
-        for i in rs:
-            if last_use[i] == k:
-                lines[i] = None
         yield k, step, line
-
-
-_PC_ARITY = {"ax": 2, "sq": 2, "tw": 2, "lin": 5, "mul": 3}
-
-
-def _walk_pc(proof: PCProof, derive) -> Iterator[Tuple[int, Step, object]]:
-    """``_walk`` with each step checked against the proof's system before
-    ``derive(kind, at, step, parents)`` sees it: its shape, its axiom index
-    ``at``, integer coefficients, or a variable of the universe at bit
-    ``at`` of the system's codec."""
-    n_ax = len(proof.axioms.polys)
-    pos = proof.axioms.codec.pos
-
-    def checked(kind: str, step: Step, parents: list):
-        at = step[1]
-        if kind == "ax":
-            if not isinstance(at, int) or not 0 <= at < n_ax:
-                raise StepError(f"no axiom {_num(at)}: the system has {n_ax}")
-        elif kind == "lin":
-            if not isinstance(at, int) or not isinstance(step[3], int):
-                raise StepError(f"non-scalar coefficients in {step!r}")
-        elif not isinstance(at, Var) or (at := pos.get(at)) is None:
-            raise StepError(f"variable {step[1]} outside the system universe")
-        return derive(kind, at, step, parents)
-
-    return _walk(proof.steps, _PC_ARITY, checked)
 
 
 def _mask_lines(proof: PCProof) -> Iterator[Tuple[int, Step, Dict[int, int]]]:
@@ -212,18 +217,21 @@ def _mask_lines(proof: PCProof) -> Iterator[Tuple[int, Step, Dict[int, int]]]:
     p = ax.field.p
     fourier = ax.basis == FOURIER
 
-    def derive(kind: str, at, step: Step, parents: list) -> Dict[int, int]:
+    def derive(kind: str, at, step: Step, parents: tuple) -> Dict[int, int]:
         if kind == "mul":
             (line,) = parents
             v = 1 << at
+            out = {}  # plain loops: a comprehension would be a second call per step
             if fourier:  # v*v = 1: XOR is one-to-one, so no two terms meet
-                return {m ^ v: c for m, c in line.items()}
-            out = {m | v: c for m, c in line.items()}
-            if len(out) == len(line):
+                for m, c in line.items():
+                    out[m ^ v] = c
                 return out
-            # v*v = v: a term with v met the same term without v; add them
-            with_v = {m: c for m, c in line.items() if m & v}
-            return lin_dict(1, with_v, 1, {m | v: c for m, c in line.items() if not m & v}, p)
+            for m, c in line.items():  # v*v = v: a term with v may meet the same term without
+                if (m := m | v) in out and not (c := (out[m] + c) % p):
+                    del out[m]
+                else:
+                    out[m] = c
+            return out
         if kind == "lin":
             return lin_dict(step[1], parents[0], step[3], parents[1], p)
         if kind == "ax":
@@ -233,7 +241,7 @@ def _mask_lines(proof: PCProof) -> Iterator[Tuple[int, Step, Dict[int, int]]]:
         base = 1 << (at & ~1)  # the twin sits one bit above its base
         return {base | base << 1: 1, 0: 1} if fourier else {base: 1, base << 1: 1, 0: p - 1}
 
-    return _walk_pc(proof, derive)
+    return _walk(proof, derive)
 
 
 def walk_pc(proof: PCProof) -> Iterator[Tuple[int, Step, Poly]]:
@@ -273,7 +281,9 @@ def check_pc(proof: PCProof) -> PCReport:
     try:
         for _, _, line in _mask_lines(proof):
             size += len(line)
-            degree = max(degree, max(map(int.bit_count, line), default=0))
+            for m in line:  # a zero line has no degree to take
+                if (d := m.bit_count()) > degree:
+                    degree = d
     except StepError as e:
         return PCReport(False, False, size, degree, len(proof.steps), e.k, str(e))
     return PCReport(True, line == {0: 1}, size, degree, len(proof.steps))
@@ -314,25 +324,19 @@ def resolve_clauses(c1: Clause, c2: Clause, pivot: Var) -> Clause:
     return frozenset(v for v in (pos | neg) if v.base != pivot)
 
 
-_RES_ARITY = {"in": 2, "res": 4}
-
-
 def walk_resolution(proof: ResolutionProof) -> Iterator[Tuple[int, Step, Clause]]:
     """Recompute every clause of a resolution proof from its step."""
     clauses = proof.cnf.clauses
 
-    def derive(kind: str, step: Step, parents: list) -> Clause:
+    def derive(kind: str, at, step: Step, parents: tuple) -> Clause:
         if kind == "in":
-            i = step[1]
-            if not isinstance(i, int) or not (0 <= i < len(clauses)):
-                raise StepError(f"no input clause {_num(i)}: the formula has {len(clauses)}")
-            return clauses[i]
+            return clauses[at]
         pivot = step[3]
         if not isinstance(pivot, Var):
             raise StepError(f"pivot {pivot!r} is not a variable")
         return resolve_clauses(parents[0], parents[1], pivot)
 
-    return _walk(proof.steps, _RES_ARITY, derive)
+    return _walk(proof, derive)
 
 
 def resolution_lines(proof: ResolutionProof) -> List[Clause]:
@@ -379,13 +383,10 @@ class QuadraticSet:
         )
 
 
-def quadratic_set(proof: PCProof) -> QuadraticSet:
-    """All products of two terms sharing a line, folded modulo v*v = 1.
-    Defined for the {+1,-1} encoding only.
-
-    A product of two mask terms is their XOR, which never folds a twin
-    into its base; only the distinct products are turned back into
-    terms."""
+def _quadratic_masks(proof: PCProof) -> Tuple[Set[int], int]:
+    """The products of two mask terms sharing a line, each their XOR,
+    which never folds a twin into its base; and the largest degree of an
+    axiom, square or twin line."""
     if proof.basis != FOURIER:
         raise BasisMismatch("quadratic machinery is specific to the {+1,-1} encoding")
     products: Set[int] = set()
@@ -396,13 +397,20 @@ def quadratic_set(proof: PCProof) -> QuadraticSet:
             d0 = max(d0, max(map(int.bit_count, masks), default=0))
         for i, m in enumerate(masks):  # self-pairs included: m ^ m = 0
             products.update(map(m.__xor__, masks[i:]))
+    return products, d0
+
+
+def quadratic_set(proof: PCProof) -> QuadraticSet:
+    """All products of two terms sharing a line, folded modulo v*v = 1.
+    Defined for the {+1,-1} encoding only."""
+    products, d0 = _quadratic_masks(proof)
     qdeg = max(map(int.bit_count, products), default=0)
-    term = proof.axioms.codec.term
-    return QuadraticSet(frozenset(map(term, products)), qdeg, d0, proof)
+    return QuadraticSet(frozenset(map(proof.axioms.codec.term, products)), qdeg, d0, proof)
 
 
 def quadratic_degree(proof: PCProof) -> int:
-    return quadratic_set(proof).qdeg
+    """``quadratic_set(proof).qdeg``, with no product turned into a term."""
+    return max(map(int.bit_count, _quadratic_masks(proof)[0]), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +455,7 @@ def touched(t: Term, n: int, ell: int) -> TouchReport:
             gadget.setdefault((v.kind, i, j), set()).add(l)
         else:
             raise ValueError(f"foreign variable {v}")
-    light: Set[int] = set()
-    for (kind, i, j), ls in gadget.items():
-        need = ell if kind == "x" else ell // 2
-        if len(ls) == need:
-            light.add(i)
+    light = {i for (kind, i, _), ls in gadget.items() if len(ls) == (ell if kind == "x" else ell // 2)}
     return TouchReport(frozenset(strong), frozenset(light))
 
 

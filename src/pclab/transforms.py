@@ -39,10 +39,11 @@ from .proofs import (
     ResolutionProof,
     Step,
     StepError,
+    _PC,
+    _VAR,
     _mask_lines,
-    _refs,
-    _walk_pc,
-    quadratic_set,
+    _quadratic_masks,
+    _walk,
     walk_resolution,
 )
 
@@ -196,7 +197,7 @@ def restrict_proof(
     ax, amap = restrict_axioms(proof.axioms, rho)
     out = ProofWriter(proof.field.p)
 
-    def derive(kind: str, at, step: Step, parents: List[Optional[int]]) -> Optional[int]:
+    def derive(kind: str, at, step: Step, parents: Tuple[Optional[int], ...]) -> Optional[int]:
         if kind == "ax":
             new = amap[at]
             return None if new is None else out.emit(("ax", new))
@@ -213,7 +214,7 @@ def restrict_proof(
             return None if parent is None else out.emit(("mul", v, parent))
         return out.lin([(encode_truth(tv, proof.basis, proof.field), parent, ())])
 
-    lmap = tuple(new for _, _, new in _valid_input(_walk_pc(proof, derive)))
+    lmap = tuple(new for _, _, new in _valid_input(_walk(proof, derive)))
     return PCProof(ax, tuple(out.steps)), lmap
 
 
@@ -333,7 +334,7 @@ def _split_pass(proof: PCProof, w: Var) -> PCProof:
     Each line P = P1*w + P0 is replaced by derivations of P1 and P0."""
     out = ProofWriter(proof.field.p)
 
-    def derive(kind: str, at, step: Step, parents: List[_Components]) -> _Components:
+    def derive(kind: str, at, step: Step, parents: Tuple[_Components, ...]) -> _Components:
         """The output lines deriving (P1, P0), None for a zero component."""
         if kind == "lin":
             a, b = step[1], step[3]
@@ -352,7 +353,7 @@ def _split_pass(proof: PCProof, w: Var) -> PCProof:
             raise ValueError(f"twin-axiom step at {format_var(w.base)} mentions the split variable")
         return None, (None if kind == "sq" else out.emit(step))
 
-    for _ in _valid_input(_walk_pc(proof, derive)):
+    for _ in _valid_input(_walk(proof, derive)):
         pass
     return PCProof(proof.axioms, tuple(out.steps))
 
@@ -384,34 +385,42 @@ def split(proof: PCProof, x: Var, prune_dead: bool = False) -> PCProof:
 def strip_dead(proof: PCProof) -> PCProof:
     """Drop lines that do not feed the final line, keeping the final line
     and renumbering references.  The whole input is checked first."""
-    for _ in _valid_input(_walk_pc(proof, lambda *_: None)):
+    for _ in _valid_input(_walk(proof, lambda *_: None)):
         pass
     if not proof.steps:
         return proof
     keep: Set[int] = {len(proof.steps) - 1}
     for k in range(len(proof.steps) - 1, -1, -1):
         if k in keep:
-            keep.update(_refs(proof.steps[k]))
+            step = proof.steps[k]
+            keep.update(step[s] for s in _PC[step[0]][1])
     new_index: Dict[int, int] = {}
     out = ProofWriter(proof.field.p)
     for k in sorted(keep):
-        step = proof.steps[k]
-        if step[0] == "lin":
-            step = ("lin", step[1], new_index[step[2]], step[3], new_index[step[4]])
-        elif step[0] == "mul":
-            step = ("mul", step[1], new_index[step[2]])
-        new_index[k] = out.emit(step)
+        step = list(proof.steps[k])
+        for s in _PC[step[0]][1]:
+            step[s] = new_index[step[s]]
+        new_index[k] = out.emit(tuple(step))
     return PCProof(proof.axioms, tuple(out.steps))
 
 
 def quadratic_containment_check(before: PCProof, after: PCProof, x: Var) -> bool:
     """True when the folded pair products of the transformed proof sit
-    inside those of the original minus every product mentioning x."""
-    base = x.base
-    qb = quadratic_set(before).products
-    qa = quadratic_set(after).products
-    allowed = {t for t in qb if all(v.base != base for v in t)}
-    return qa <= allowed
+    inside those of the original minus every product mentioning x.
+
+    Products are compared as masks over ``before``'s codec; a product of
+    ``after`` with a variable outside that universe is not contained."""
+    qb, _ = _quadratic_masks(before)
+    qa, _ = _quadratic_masks(after)
+    codec, theirs = before.axioms.codec, after.axioms.codec
+    if theirs.var_of != codec.var_of:
+        try:
+            qa = {sum(1 << codec.pos[v] for v in theirs.term(m)) for m in qa}
+        except KeyError:
+            return False
+    at = codec.pos.get(x.base)
+    xm = 0 if at is None else 3 << at  # x and its twin
+    return not any(m & xm for m in qa) and qa <= qb
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +528,7 @@ def random_pairing(n: int, ell: int, seed: int) -> ClusterMap:
                 continue
             idxs = list(range(1, ell + 1))
             rng.shuffle(idxs)
-            pairing = tuple(
-                (min(idxs[2 * p], idxs[2 * p + 1]), max(idxs[2 * p], idxs[2 * p + 1]))
-                for p in range(ell // 2)
-            )
-            pairs[(i, j)] = pairing
+            pairs[(i, j)] = tuple(tuple(sorted(idxs[2 * p:2 * p + 2])) for p in range(ell // 2))
     return ClusterMap(n, ell, pairs)
 
 
@@ -555,13 +560,8 @@ def cluster_axioms(ax: AxiomSystem, cmap: ClusterMap) -> AxiomSystem:
 def cluster_proof(proof: PCProof, cmap: ClusterMap) -> PCProof:
     ax = cluster_axioms(proof.axioms, cmap)
     out = ProofWriter(proof.field.p)
-    for _, step, _ in _valid_input(_walk_pc(proof, lambda *_: None)):
-        if step[0] in ("sq", "tw"):
-            out.emit((step[0], cmap.image(step[1])))
-        elif step[0] == "mul":
-            out.emit(("mul", cmap.image(step[1]), step[2]))
-        else:
-            out.emit(step)
+    for _, step, _ in _valid_input(_walk(proof, lambda *_: None)):
+        out.emit((step[0], cmap.image(step[1]), *step[2:]) if _PC[step[0]][2] is _VAR else step)
     return PCProof(ax, tuple(out.steps))
 
 
@@ -594,14 +594,7 @@ def cluster_retention(ell: int, term_degree: int, trials: int, seed: int) -> flo
     hits = 0
     for _ in range(trials):
         rng.shuffle(idxs)
-        ok = True
-        for p in range(ell // 2):
-            inside = (idxs[2 * p] <= m) + (idxs[2 * p + 1] <= m)
-            if inside != 1:
-                ok = False
-                break
-        if ok:
-            hits += 1
+        hits += all((idxs[2 * p] <= m) + (idxs[2 * p + 1] <= m) == 1 for p in range(ell // 2))
     return hits / trials
 
 

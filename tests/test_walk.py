@@ -1,6 +1,8 @@
 """Property tests for the proof-line walks and the metrics folded over
 them, and a unit test of the proof writer's combination rule."""
 
+import os
+import tempfile
 from collections import Counter
 
 import pytest
@@ -15,6 +17,7 @@ from pclab.formulas import (
     gen_cycle_tseitin,
     gen_lop,
     semantic_implies,
+    write_axioms,
 )
 from pclab.proofs import (
     PCProof,
@@ -24,13 +27,23 @@ from pclab.proofs import (
     check_pc,
     check_resolution,
     proof_lines,
+    quadratic_degree,
     quadratic_set,
     random_derivation,
+    read_pcproof,
     resolution_lines,
     twin_axiom_poly,
     walk_pc,
+    write_pcproof,
 )
-from pclab.transforms import Restriction, restrict_proof, split, strip_dead
+from pclab.transforms import (
+    Restriction,
+    quadratic_containment_check,
+    res_to_pcr,
+    restrict_proof,
+    split,
+    strip_dead,
+)
 
 F = DEFAULT_FIELD
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -315,6 +328,10 @@ PC_FAULTS = [  # (id, step at L4, message or None for a valid step)
     ("outside-universe", ("mul", plain("zz"), 0), "variable zz outside the system universe"),
     ("not-a-variable", ("tw", "x1"), "variable x1 outside the system universe"),
     ("twin", ("mul", X1.twin, 0), None),
+    ("int-step", 5, "malformed step 5"),
+    ("none-step", None, "malformed step None"),
+    ("bool-axiom", ("ax", True), "no axiom True: the system has 4"),
+    ("bool-ref", ("mul", X1, True), "reference to LTrue not before L4"),
 ]
 
 CNF_PROOF = lop_resolution_refutation(3)
@@ -335,6 +352,10 @@ RES_FAULTS = [
     ("clause-range", ("in", 12), "no input clause 13: the formula has 12"),
     ("clause-float", ("in", 1.0), "no input clause 1.0: the formula has 12"),
     ("pivot", ("res", 0, 1, 5), "pivot 5 is not a variable"),
+    ("int-step", 5, "malformed step 5"),
+    ("none-step", None, "malformed step None"),
+    ("bool-clause", ("in", True), "no input clause True: the formula has 12"),
+    ("bool-ref", ("res", True, 0, A), "reference to LTrue not before L4"),
 ]
 TRANSFORMS = {
     "split": lambda proof: split(proof, plain("w1")),
@@ -360,5 +381,50 @@ def test_pc_walk_error_contract(name, step, message):
 
 @pytest.mark.parametrize("name, step, message", RES_FAULTS, ids=[c[0] for c in RES_FAULTS])
 def test_resolution_walk_error_contract(name, step, message):
-    rep = check_resolution(ResolutionProof(CNF_PROOF.cnf, RES_PREFIX + (step,)))
+    proof = ResolutionProof(CNF_PROOF.cnf, RES_PREFIX + (step,))
+    rep = check_resolution(proof)
     assert (rep.valid, rep.first_bad_line, rep.message) == (False, 3, message)
+    with pytest.raises(ValueError) as e:
+        res_to_pcr(proof)
+    assert str(e.value) == f"input proof invalid at L4: {message}"
+
+
+# ---------------------------------------------------------------------------
+# the quadratic metrics on masks against their definitions on terms
+
+CYCLE = gen_cycle_tseitin(4)
+SPARE_VARS = tuple(plain(f"w{i}") for i in (1, 2, 3))
+WITH_SPARES = AxiomSystem(CYCLE.field, CYCLE.basis, CYCLE.polys, CYCLE.universe + SPARE_VARS, dict(CYCLE.groups))
+
+
+def term_containment(before, after, x):
+    """The containment's definition, on the decoded products."""
+    qb, qa = quadratic_set(before).products, quadratic_set(after).products
+    return qa <= {t for t in qb if all(v.base != x.base for v in t)}
+
+
+def read_back(proof):
+    """The proof written and read again: an equal system, another object."""
+    with tempfile.TemporaryDirectory() as d:
+        write_axioms(proof.axioms, os.path.join(d, "axioms.txt"))
+        write_pcproof(proof, os.path.join(d, "proof.pc"), "axioms.txt")
+        return read_pcproof(os.path.join(d, "proof.pc"))
+
+
+@SETTINGS
+@given(st.integers(0, 40), st.integers(0, 10**6))
+def test_mask_metrics_match_their_term_definitions(steps, seed):
+    proof = random_derivation(WITH_SPARES, steps, seed)
+    assert quadratic_degree(proof) == quadratic_set(proof).qdeg
+    blocked = {s[1].base for s in proof.steps if s[0] == "tw"}
+    w = next((v for v in SPARE_VARS if v not in blocked), SPARE_VARS[0])
+    out = split(proof, w) if w not in blocked else proof
+    back = read_back(out)
+    assert back.axioms is not proof.axioms and back.axioms.codec is not proof.axioms.codec
+    narrow = random_derivation(CYCLE, steps, seed)  # a universe without the spares
+    cases = [(proof, out, w), (out, proof, w),          # the same system
+             (proof, back, w), (back, proof, w),        # an equal system read back
+             (proof, out, plain("zz")), (out, proof, plain("zz")),  # x outside the universe
+             (narrow, proof, w), (proof, narrow, w)]    # products outside the universe
+    for before, after, x in cases:
+        assert quadratic_containment_check(before, after, x) == term_containment(before, after, x)
