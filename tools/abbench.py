@@ -1,7 +1,7 @@
 """Alternating parent/change runs of one benchmark workload.
 
     python3 tools/abbench.py PARENT CHANGE --workload fourier-transform \
-        --seed 1 --pairs 10 --seconds 40 [--json FILE]
+        --seed 1 --pairs 10 --seconds 40
 
 PARENT and CHANGE name two commits of this repository.  Each is exported
 with ``git archive`` into its own temporary directory, and
@@ -10,11 +10,11 @@ alternate within a pair, and the side that runs first alternates from
 pair to pair.
 
 For each end-to-end metric that BENCHMARK.json lists, the tool prints
-both sides' medians and quartiles and the pairs the change won.  Then
-it prints one JSON object that holds every result line, laid out like
-the ``workloads`` entries of a ``BENCH_*.json``, and ``--json`` also
-writes that object to FILE.  The exports are removed at the end, so
-nothing is written inside the repository.
+both sides' medians and quartiles and the pairs the change won.  Its
+last line is one JSON object that holds every result line, laid out
+like the ``workloads`` entries of a ``BENCH_*.json``.  Progress goes to
+stderr.  The exports are removed at the end, so nothing is written
+inside the repository.
 """
 
 import argparse
@@ -91,7 +91,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40)
-    ap.add_argument("--json", help="also write the JSON object to this file")
     args = ap.parse_args(argv)
     shas = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
             for side, ref in (("parent", args.parent), ("change", args.change))}
@@ -114,10 +113,6 @@ def main(argv=None) -> int:
            "runs_per_side": args.pairs, "parent_sha": shas["parent"], "change_sha": shas["change"],
            "summary": summary, **runs}
     print(json.dumps(doc))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
     return 0
 
 
