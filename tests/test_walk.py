@@ -1,7 +1,9 @@
 """Property tests for the proof-line walks and the metrics folded over
-them, and a unit test of the proof writer's combination rule."""
+them, the walks' error contract and per-step calls, and a unit test of
+the proof writer's combination rule."""
 
 import os
+import sys
 import tempfile
 from collections import Counter
 
@@ -33,6 +35,7 @@ from pclab.proofs import (
     read_pcproof,
     resolution_lines,
     twin_axiom_poly,
+    _walk,
     walk_pc,
     write_pcproof,
 )
@@ -377,6 +380,26 @@ def test_pc_walk_error_contract(name, step, message):
         with pytest.raises(ValueError) as e:
             transform(proof)
         assert str(e.value) == f"input proof invalid at L4: {message}"
+
+
+@pytest.mark.parametrize("proof", [random_derivation(PARITY, 40, seed=3), CNF_PROOF], ids=["pc", "resolution"])
+def test_walk_makes_one_call_per_step(proof):
+    """Besides resuming the walk, a step calls only ``derive``."""
+    if isinstance(proof, PCProof):
+        proof.axioms.codec  # built once per system, not per step
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(count)
+    try:
+        for _ in _walk(proof, lambda kind, at, step, parents: at):
+            pass
+    finally:
+        sys.setprofile(None)
+    assert calls == {"<lambda>": len(proof.steps), "_walk": len(proof.steps) + 1}
 
 
 @pytest.mark.parametrize("name, step, message", RES_FAULTS, ids=[c[0] for c in RES_FAULTS])
