@@ -134,6 +134,23 @@ def test_restrict_axioms_drops_satisfied():
     assert out.universe == (y,)
 
 
+def test_restrict_dispatches_every_system_kind():
+    cnf = gen_bop_lifted(3, 2)
+    ax = cnf_to_axioms(cnf, BOOLEAN)
+    proof = random_derivation(ax, 20, seed=0)
+    rho = build_jcta(3, 2, 1, extra_pointer_vertices=(2,))
+    for target, restrict_kind in ((cnf, restrict_cnf), (ax, restrict_axioms), (proof, restrict_proof)):
+        got, (want, _) = restrict(target, rho), restrict_kind(target, rho)
+        assert got == want
+        system = got.axioms if isinstance(got, PCProof) else got
+        expected = want.axioms if isinstance(want, PCProof) else want
+        assert system.groups == expected.groups and system.groups
+        assert system.universe == expected.universe
+        assert (system.n, system.ell) == (expected.n, expected.ell) == (3, 2)
+    with pytest.raises(TypeError, match="cannot restrict str"):
+        restrict("x1", rho)
+
+
 def test_restriction_io_roundtrip(tmp_path):
     rho = Restriction({edge(1, 2, 1): True, pointer(3, 2): False, X[1]: True})
     path = tmp_path / "rho.txt"
