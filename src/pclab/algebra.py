@@ -199,8 +199,10 @@ def lin_dict(a: int, x: Mapping, b: int, y: Mapping, p: int) -> dict:
 
 class TermCodec:
     """Terms as bit masks: the i-th base in canonical order at bit 2i, its
-    twin at 2i+1.  Only positions are stored: on a universe of thousands
-    of variables a table of masks would hold wide ints."""
+    twin at 2i+1, so within a degree graded lex is integer order.  ``mask``
+    is the one map from terms to masks and ``lead`` the one graded-lex
+    leader.  Only positions are stored: on a universe of thousands of
+    variables a table of masks would hold wide ints."""
 
     __slots__ = ("pos", "var_of")
 
@@ -208,9 +210,18 @@ class TermCodec:
         self.var_of: Tuple[Var, ...] = tuple(w for v in sorted(set(bases)) for w in (v, v.twin))
         self.pos: Dict[Var, int] = {v: i for i, v in enumerate(self.var_of)}
 
+    def mask(self, t: Term) -> int:
+        """The mask of a term; KeyError for a variable outside the codec."""
+        return sum(1 << self.pos[v] for v in t)
+
+    @staticmethod
+    def lead(masks: Iterable[int]) -> int:
+        """The graded-lex largest of some masks: most bits, then largest."""
+        return max(masks, key=lambda m: (m.bit_count(), m))
+
     def encode(self, p: "Poly") -> Dict[int, int]:
         """A polynomial as a ``{mask: coeff}`` dict."""
-        return {sum(1 << self.pos[v] for v in t): c for t, c in p.terms.items()}
+        return {self.mask(t): c for t, c in p.terms.items()}
 
     def term(self, mask: int) -> Term:
         """The term whose variables sit at the set bits of ``mask``."""

@@ -51,6 +51,7 @@ from .formulas import (
     write_dimacs,
 )
 from .proofs import (
+    ResolutionProof,
     ResReport,
     check_pc,
     check_resolution,
@@ -139,49 +140,51 @@ def _write_manifest(outdir: str, manifest: Dict[str, object]) -> None:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _emit(proof, outdir: str):
+    """Write a resolution or polynomial-calculus proof and its formula
+    into ``outdir``, then read the proof back: the re-read proof and its
+    check report."""
+    os.makedirs(outdir, exist_ok=True)
+    if isinstance(proof, ResolutionProof):
+        formula, path, read, check = "formula.cnf", "proof.res", read_resproof, check_resolution
+        write_dimacs(proof.cnf, os.path.join(outdir, formula))
+        write_resproof(proof, os.path.join(outdir, path), formula)
+    else:
+        formula, path, read, check = "axioms.txt", "proof.pc", read_pcproof, check_pc
+        write_axioms(proof.axioms, os.path.join(outdir, formula))
+        write_pcproof(proof, os.path.join(outdir, path), formula)
+    back = read(os.path.join(outdir, path))
+    return back, check(back)
+
+
 def _cmd_refute(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     manifest: Dict[str, object] = {"family": args.family, "n": args.n}
-    if args.family in ("lop", "lifted"):
-        if args.family == "lop":
-            rproof = lop_resolution_refutation(args.n)
-        else:
-            rproof = lifted_refutation(args.n, args.ell)
-            manifest["ell"] = args.ell
-        write_dimacs(rproof.cnf, os.path.join(args.out, "formula.cnf"))
-        write_resproof(rproof, os.path.join(args.out, "proof.res"), "formula.cnf")
-        report = check_resolution(read_resproof(os.path.join(args.out, "proof.res")))
+    if args.family in ("lifted", "pcr-upper"):
+        manifest["ell"] = args.ell
+    if args.family == "lop":
+        proof = lop_resolution_refutation(args.n)
+    elif args.family == "lifted":
+        proof = lifted_refutation(args.n, args.ell)
+    elif args.family == "pcr-upper":
+        proof = pcr_upper_bound(args.n, args.ell)
+    else:
+        proof = tseitin_fourier_refutation(args.n)
+    back, report = _emit(proof, args.out)
+    manifest.update(lines=report.num_lines, valid=report.valid, refutation=report.is_refutation)
+    if isinstance(proof, ResolutionProof):
         manifest.update(
-            clauses=len(rproof.cnf.clauses),
-            lines=report.num_lines,
+            clauses=len(proof.cnf.clauses),
             max_width=report.max_width,
-            valid=report.valid,
-            refutation=report.is_refutation,
-            files={
-                "formula": "formula.cnf",
-                "names": "formula.cnf.names",
-                "proof": "proof.res",
-            },
+            files={"formula": "formula.cnf", "names": "formula.cnf.names", "proof": "proof.res"},
         )
     else:
-        if args.family == "pcr-upper":
-            proof = pcr_upper_bound(args.n, args.ell)
-            manifest["ell"] = args.ell
-        else:
-            proof = tseitin_fourier_refutation(args.n)
-        write_axioms(proof.axioms, os.path.join(args.out, "axioms.txt"))
-        write_pcproof(proof, os.path.join(args.out, "proof.pc"), "axioms.txt")
-        back = read_pcproof(os.path.join(args.out, "proof.pc"))
-        report = check_pc(back)
         manifest.update(
             basis=proof.basis,
             field=proof.field.p,
             axioms=len(proof.axioms.polys),
-            lines=report.num_lines,
             size_monomials=report.size,
             degree=report.degree,
-            valid=report.valid,
-            refutation=report.is_refutation,
             files={"axioms": "axioms.txt", "proof": "proof.pc"},
         )
         if proof.basis == FOURIER and report.valid:
@@ -233,28 +236,21 @@ def _cmd_check(args) -> int:
 # transform
 
 
-def _write_pc_artifacts(proof, outdir: str) -> int:
-    os.makedirs(outdir, exist_ok=True)
-    write_axioms(proof.axioms, os.path.join(outdir, "axioms.txt"))
-    write_pcproof(proof, os.path.join(outdir, "proof.pc"), "axioms.txt")
-    return _print_report(check_pc(read_pcproof(os.path.join(outdir, "proof.pc"))))
-
-
 def _cmd_split(args) -> int:
     proof = read_pcproof(args.proof)
     out = split(proof, parse_var(args.var), prune_dead=args.prune_dead)
-    return _write_pc_artifacts(out, args.out)
+    return _print_report(_emit(out, args.out)[1])
 
 
 def _cmd_qdeg2deg(args) -> int:
-    return _write_pc_artifacts(qdeg_to_deg(read_pcproof(args.proof)), args.out)
+    return _print_report(_emit(qdeg_to_deg(read_pcproof(args.proof)), args.out)[1])
 
 
 def _cmd_restrict(args) -> int:
     proof = read_pcproof(args.proof)
     rho = read_restriction(args.restriction)
     out, _ = restrict_proof(proof, rho)
-    return _write_pc_artifacts(out, args.out)
+    return _print_report(_emit(out, args.out)[1])
 
 
 def _cmd_cluster(args) -> int:
@@ -266,7 +262,7 @@ def _cmd_cluster(args) -> int:
         if ax.n is None or ax.ell is None:
             raise ValueError("axiom system lacks (n, ell) parameters; pass --map instead")
         cmap = random_pairing(ax.n, ax.ell, args.seed)
-    status = _write_pc_artifacts(cluster_proof(proof, cmap), args.out)
+    status = _print_report(_emit(cluster_proof(proof, cmap), args.out)[1])
     if not args.map:
         write_clustermap(cmap, os.path.join(args.out, "cluster.map"))
     return status
@@ -274,7 +270,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_res2pcr(args) -> int:
     rproof = read_resproof(args.proof)
-    return _write_pc_artifacts(res_to_pcr(rproof, Field(args.field)), args.out)
+    return _print_report(_emit(res_to_pcr(rproof, Field(args.field)), args.out)[1])
 
 
 # ---------------------------------------------------------------------------

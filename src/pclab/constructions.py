@@ -22,6 +22,7 @@ from .formulas import (
     gen_cycle_tseitin,
     gen_lop,
     pointer_bits,
+    pointer_neq_clause,
 )
 from .proofs import PCProof, ProofWriter, ResolutionProof
 from .transforms import res_to_pcr
@@ -80,25 +81,19 @@ def lop_resolution_refutation(n: int) -> ResolutionProof:
 # pointer trees
 
 
-def _pointer_value(clause: Clause, j: int, bits: int) -> int:
-    v = 0
-    for a in range(1, bits + 1):
-        y = pointer(j, a)
-        if y.twin in clause:
-            v |= 1 << (a - 1)
-        elif y not in clause:
-            raise ValueError(f"clause misses pointer bit {a} of vertex {j}")
-    return v
-
-
 def _pointer_tree(b: _Builder, j: int, bits: int) -> int:
     """Resolve vertex j's pointer clauses over all code values down to the
     single vee-clause, pairing codes bit by bit."""
     cnf = b.cnf
+    # a clause's code is the one whose pointer literals it holds
+    code_of_literals = {frozenset(pointer_neq_clause(j, v, bits)): v for v in range(1 << bits)}
     rows = {}
     for idx in cnf.groups[f"BV({j})"]:
         clause = cnf.clauses[idx]
-        rows[_pointer_value(clause, j, bits)] = b.axiom(clause)
+        v = code_of_literals.get(frozenset(y for y in clause if y.kind == "y"))
+        if v is None:
+            raise ValueError(f"clause misses a pointer code of vertex {j}")
+        rows[v] = b.axiom(clause)
     if sorted(rows) != list(range(1 << bits)):
         raise ValueError(f"vertex {j} does not carry one clause per code value")
     for a in range(1, bits + 1):

@@ -187,7 +187,7 @@ class _ClosureEngine:
             g = self._reduce(queue.pop())
             if not g:
                 continue
-            lt = max(g, key=lambda m: (m.bit_count(), m))
+            lt = self.codec.lead(g)
             inv = field.inv(g.pop(lt))
             tail = {m: c * inv % p for m, c in g.items()}
             for lead in users.pop(lt, ()):
@@ -210,10 +210,8 @@ class _ClosureEngine:
                         m = m | b if boolean else m ^ b
                         prod[m] = prod.get(m, 0) + c
                     queue.append(prod)
-        pos = self.codec.pos
-        self.std_monomials = tuple(
-            t for t in _family_terms(active, len(active)) if sum(1 << pos[v] for v in t) not in self.rows
-        )
+        mask = self.codec.mask
+        self.std_monomials = tuple(t for t in _family_terms(active, len(active)) if mask(t) not in self.rows)
 
     def _reduce(self, poly: Mapping[int, int]) -> Dict[int, int]:
         """The remainder of a ``{mask: coeff}`` dict in one pass."""

@@ -184,15 +184,16 @@ def code_of(i: int) -> int:
     return i - 1
 
 
+def pointer_assignment(j: int, v: int, b: int) -> Dict[Var, bool]:
+    """The values of j's pointer bits y(j,1..b) that spell code v."""
+    return {pointer(j, a): bool((v >> (a - 1)) & 1) for a in range(1, b + 1)}
+
+
 def pointer_neq_clause(j: int, v: int, b: int) -> List[Var]:
     """Literals asserting the pointer of j differs from code v: bit a of
     v set contributes the negated bit variable, clear contributes the
     positive one."""
-    lits = []
-    for a in range(1, b + 1):
-        bit = (v >> (a - 1)) & 1
-        lits.append(pointer(j, a).twin if bit else pointer(j, a))
-    return lits
+    return [y.twin if bit else y for y, bit in pointer_assignment(j, v, b).items()]
 
 
 def gen_bop(n: int) -> CNF:
@@ -228,7 +229,8 @@ def or_lift(cnf: CNF, ell: int, lift_set: Iterable[Var], diagonal: bool = False)
     ell^k clauses, one per index choice for each negative literal.  With
     ``diagonal`` the negative literals of a clause share a single index
     (ell clauses) -- that reading of the lift is satisfiable already at
-    n=2, ell=2 and exists only for comparison.
+    n=2, ell=2 and exists only for comparison.  Each new clause is filed
+    under its source clause's group as it is appended.
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
@@ -242,11 +244,8 @@ def or_lift(cnf: CNF, ell: int, lift_set: Iterable[Var], diagonal: bool = False)
         return [edge(i, j, l) for l in range(1, ell + 1)]
 
     clauses: List[Clause] = []
-    group_of: List[Optional[str]] = []
-    label_by_clause = {}
-    for label, idxs in cnf.groups.items():
-        for i in idxs:
-            label_by_clause[i] = label
+    label_of = {i: label for label, idxs in cnf.groups.items() for i in idxs}
+    groups: Dict[str, List[int]] = {label: [] for label in cnf.groups}
     for ci, c in enumerate(cnf.clauses):
         keep = [v for v in c if v.base not in lifted]
         pos = sorted(v for v in c if not v.negated and v in lifted)
@@ -260,15 +259,13 @@ def or_lift(cnf: CNF, ell: int, lift_set: Iterable[Var], diagonal: bool = False)
                 choicess = [ch + [l] for ch in choicess for l in range(1, ell + 1)]
         for choices in choicess:
             neg_lits = [copies(v)[l - 1].twin for v, l in zip(neg, choices)]
+            if ci in label_of:
+                groups[label_of[ci]].append(len(clauses))
             clauses.append(frozenset(keep + pos_lits + neg_lits))
-            group_of.append(label_by_clause.get(ci))
-    groups: Dict[str, Tuple[int, ...]] = {}
-    if cnf.groups:
-        for label in cnf.groups:
-            groups[label] = tuple(i for i, g in enumerate(group_of) if g == label)
     universe = [v for v in cnf.universe if v not in lifted]
     for v in sorted(lifted):
         universe.extend(copies(v))
+    groups = {label: tuple(idxs) for label, idxs in groups.items()}
     return CNF(tuple(clauses), tuple(sorted(universe)), groups, n=cnf.n, ell=ell)
 
 

@@ -210,10 +210,10 @@ def _walk(proof, derive) -> Iterator[Tuple[int, Step, object]]:
         yield k, step, line
 
 
-def _mask_lines(proof: PCProof) -> Iterator[Tuple[int, Step, Dict[int, int]]]:
-    """Recompute every line as a ``{mask: coeff}`` dict over the system's
-    codec: the one evaluator of proof lines."""
-    ax = proof.axioms
+def _line_rule(ax: AxiomSystem):
+    """The one rule deriving a step's line, a ``{mask: coeff}`` dict over
+    the system's codec, from its parents' lines: ``derive(kind, at, step,
+    parents)`` with ``at`` resolved as ``_walk`` resolves it."""
     p = ax.field.p
     fourier = ax.basis == FOURIER
 
@@ -241,7 +241,13 @@ def _mask_lines(proof: PCProof) -> Iterator[Tuple[int, Step, Dict[int, int]]]:
         base = 1 << (at & ~1)  # the twin sits one bit above its base
         return {base | base << 1: 1, 0: 1} if fourier else {base: 1, base << 1: 1, 0: p - 1}
 
-    return _walk(proof, derive)
+    return derive
+
+
+def _mask_lines(proof: PCProof) -> Iterator[Tuple[int, Step, Dict[int, int]]]:
+    """Recompute every line with ``_line_rule``: the one evaluator of
+    proof lines."""
+    return _walk(proof, _line_rule(proof.axioms))
 
 
 def walk_pc(proof: PCProof) -> Iterator[Tuple[int, Step, Poly]]:
@@ -477,14 +483,18 @@ _SIZE_CAP = 4096
 def random_derivation(axioms: AxiomSystem, steps: int, seed: int) -> PCProof:
     """Seeded random application of the derivation rules; every output is
     checker-valid.  All axioms are introduced first, then ``steps``
-    random rule applications follow."""
+    random rule applications follow.  Each line is derived by the
+    checker's own rule as a ``{mask: coeff}`` dict, and a "lin" whose
+    parents hold more than ``_SIZE_CAP`` terms between them is drawn
+    again as a "mul" (or a "tw" over an empty universe)."""
     rng = random.Random(seed)
+    rule, pos = _line_rule(axioms), axioms.codec.pos
     out: List[Step] = [("ax", i) for i in range(len(axioms.polys))]
-    polys: List[Poly] = list(axioms.polys)
+    lines: List[Dict[int, int]] = [rule("ax", i, step, ()) for i, step in enumerate(out)]
     universe = list(axioms.universe)
     for _ in range(steps):
         choices = []
-        if polys:
+        if lines:
             choices += ["lin"] * 5 + (["mul"] * 4 if universe else [])
         if universe:
             choices += ["tw", "sq"]
@@ -492,29 +502,23 @@ def random_derivation(axioms: AxiomSystem, steps: int, seed: int) -> PCProof:
             break
         kind = rng.choice(choices)
         if kind == "lin":
-            i, j = rng.randrange(len(polys)), rng.randrange(len(polys))
-            if polys[i].monomial_count + polys[j].monomial_count > _SIZE_CAP:
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if len(lines[i]) + len(lines[j]) > _SIZE_CAP:
                 kind = "mul" if universe else "tw"
             else:
                 a, b = rng.randrange(axioms.field.p), rng.randrange(axioms.field.p)
-                out.append(("lin", a, i, b, j))
-                polys.append(polys[i].lin(a, polys[j], b))
-                continue
+                step, at, parents = ("lin", a, i, b, j), a, (lines[i], lines[j])
         if kind == "mul":
-            i = rng.randrange(len(polys))
+            i = rng.randrange(len(lines))
             v = rng.choice(universe)
             if rng.random() < 0.5:
                 v = v.twin
-            out.append(("mul", v, i))
-            polys.append(polys[i].mul_var(v))
-        elif kind == "tw":
+            step, at, parents = ("mul", v, i), pos[v], (lines[i],)
+        elif kind != "lin":
             v = rng.choice(universe)
-            out.append(("tw", v))
-            polys.append(twin_axiom_poly(v, axioms.field, axioms.basis))
-        else:
-            v = rng.choice(universe)
-            out.append(("sq", v))
-            polys.append(Poly.zero(axioms.field, axioms.basis))
+            step, at, parents = (kind, v), pos[v], ()
+        out.append(step)
+        lines.append(rule(kind, at, step, parents))
     return PCProof(axioms, tuple(out))
 
 

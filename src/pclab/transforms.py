@@ -12,7 +12,7 @@ identically zero and was dropped).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .algebra import (
@@ -29,10 +29,9 @@ from .algebra import (
     format_var,
     make_term,
     parse_var,
-    pointer,
     term_mul,
 )
-from .formulas import CNF, AxiomSystem, Clause, cnf_to_axioms, code_of, pointer_bits
+from .formulas import CNF, AxiomSystem, Clause, cnf_to_axioms, code_of, pointer_assignment, pointer_bits
 from .proofs import (
     PCProof,
     ProofWriter,
@@ -135,22 +134,26 @@ def _restrict_clause(c: Clause, rho: Restriction) -> Optional[Clause]:
     return frozenset(kept)
 
 
+def _restrict_system(system, items: str, rho: Restriction, restrict_item):
+    """``system`` with each of its ``items`` (clauses or polys) restricted
+    by ``restrict_item``, which returns None for a satisfied one; kept
+    items and groups are renumbered and rho's variables leave the
+    universe.  Also the map from old item index to new index or None."""
+    kept: list = []
+    index: List[Optional[int]] = []
+    for item in getattr(system, items):
+        item = restrict_item(item)
+        index.append(None if item is None else len(kept))
+        if item is not None:
+            kept.append(item)
+    groups = {label: tuple(index[i] for i in idxs if index[i] is not None)
+              for label, idxs in system.groups.items()}
+    universe = tuple(v for v in system.universe if v not in rho)
+    return replace(system, **{items: tuple(kept)}, groups=groups, universe=universe), tuple(index)
+
+
 def restrict_cnf(cnf: CNF, rho: Restriction) -> Tuple[CNF, Tuple[Optional[int], ...]]:
-    clauses: List[Clause] = []
-    cmap: List[Optional[int]] = []
-    for c in cnf.clauses:
-        rc = _restrict_clause(c, rho)
-        if rc is None:
-            cmap.append(None)
-        else:
-            cmap.append(len(clauses))
-            clauses.append(rc)
-    groups = {
-        label: tuple(cmap[i] for i in idxs if cmap[i] is not None)
-        for label, idxs in cnf.groups.items()
-    }
-    universe = tuple(v for v in cnf.universe if v not in rho)
-    return CNF(tuple(clauses), universe, groups, n=cnf.n, ell=cnf.ell), tuple(cmap)
+    return _restrict_system(cnf, "clauses", rho, lambda c: _restrict_clause(c, rho))
 
 
 def restrict_axioms(
@@ -158,22 +161,11 @@ def restrict_axioms(
 ) -> Tuple[AxiomSystem, Tuple[Optional[int], ...]]:
     """Restricted system with satisfied (identically zero) axioms dropped;
     the map sends old axiom index to new index or None."""
-    polys: List[Poly] = []
-    amap: List[Optional[int]] = []
-    for p in ax.polys:
-        rp = restrict_poly(p, rho)
-        if rp.is_zero:
-            amap.append(None)
-        else:
-            amap.append(len(polys))
-            polys.append(rp)
-    groups = {
-        label: tuple(amap[i] for i in idxs if amap[i] is not None)
-        for label, idxs in ax.groups.items()
-    }
-    universe = tuple(v for v in ax.universe if v not in rho)
-    system = AxiomSystem(ax.field, ax.basis, tuple(polys), universe, groups, n=ax.n, ell=ax.ell)
-    return system, tuple(amap)
+    def nonzero(q: Poly) -> Optional[Poly]:
+        q = restrict_poly(q, rho)
+        return None if q.is_zero else q
+
+    return _restrict_system(ax, "polys", rho, nonzero)
 
 
 def _valid_input(walk):
@@ -269,12 +261,10 @@ def build_jcta(
         if not (1 <= l <= ell):
             raise ValueError(f"gadget index {l} for vertex {k} outside 1..{ell}")
         assignment[edge(j, k, l)] = True
-    b = pointer_bits(n)
     for k in extra_pointer_vertices:
         if not (1 <= k <= n):
             raise ValueError(f"vertex {k} outside 1..{n}")
-        for a in range(1, b + 1):
-            assignment[pointer(k, a)] = bool((code_of(j) >> (a - 1)) & 1)
+        assignment.update(pointer_assignment(k, code_of(j), pointer_bits(n)))
     return Restriction(assignment)
 
 
@@ -315,9 +305,7 @@ def isolate_vertex_restriction(
     target = pointer_target if pointer_target is not None else min(others)
     if target == j or not (1 <= target <= n):
         raise ValueError(f"pointer target {target} invalid for vertex {j}")
-    b = pointer_bits(n)
-    for a in range(1, b + 1):
-        assignment[pointer(j, a)] = bool((code_of(target) >> (a - 1)) & 1)
+    assignment.update(pointer_assignment(j, code_of(target), pointer_bits(n)))
     return Restriction(assignment)
 
 
@@ -415,7 +403,7 @@ def quadratic_containment_check(before: PCProof, after: PCProof, x: Var) -> bool
     codec, theirs = before.axioms.codec, after.axioms.codec
     if theirs.var_of != codec.var_of:
         try:
-            qa = {sum(1 << codec.pos[v] for v in theirs.term(m)) for m in qa}
+            qa = {codec.mask(theirs.term(m)) for m in qa}
         except KeyError:
             return False
     at = codec.pos.get(x.base)
@@ -441,7 +429,7 @@ def qdeg_to_deg(proof: PCProof) -> PCProof:
     if proof.basis != FOURIER:
         raise BasisMismatch("the degree conversion is specific to the {+1,-1} encoding")
     out = ProofWriter(proof.field.p)
-    term = proof.axioms.codec.term
+    codec = proof.axioms.codec
     idx: List[int] = []
     tsel: List[Optional[Term]] = []  # the chosen term, not its wide mask; None for a zero line
     for _, step, line in _valid_input(_mask_lines(proof)):
@@ -451,7 +439,7 @@ def qdeg_to_deg(proof: PCProof) -> PCProof:
             idx.append(idx[i])
             tsel.append(term_mul(tsel[i], (v,), FOURIER) if line else None)
             continue
-        t = term(max(line, key=lambda m: (m.bit_count(), m))) if line else None  # grlex leading term
+        t = codec.term(codec.lead(line)) if line else None
         if kind != "lin":
             cur = out.emit(step)
             for v in t or ():
