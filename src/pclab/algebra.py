@@ -44,8 +44,13 @@ class ScaleLimitExceeded(ValueError):
 # field
 
 
+_PRIME_PROOF_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; the witness set covers well past 2^64
+    """Miller-Rabin with the twelve primes 2..37 as witnesses: exact below
+    _PRIME_PROOF_BOUND (Sorenson & Webster, Math. Comp. 2017), while a
+    composite from there on can pass."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -75,6 +80,9 @@ class Field:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
+        if self.p >= _PRIME_PROOF_BOUND:
+            raise ValueError(f"field order {self.p} is not below {_PRIME_PROOF_BOUND}, "
+                             "the bound under which primality is proven")
         if self.p == 2 or not _is_prime(self.p):
             raise ValueError(f"field order must be an odd prime, got {self.p}")
 

@@ -158,7 +158,6 @@ def _emit(proof, outdir: str):
 
 
 def _cmd_refute(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     manifest: Dict[str, object] = {"family": args.family, "n": args.n}
     if args.family in ("lifted", "pcr-upper"):
         manifest["ell"] = args.ell
@@ -352,8 +351,9 @@ def _cmd_experiment(args) -> int:
     ns = parse_range(args.n)
     ells = parse_range(args.ell) if args.family == "pcr-upper" else [None]
     tasks = [(args.family, n, ell, args.timings) for ell in ells for n in ns]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks))  # a pool may start every worker at once
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_experiment_row, tasks))
     else:
         rows = [_experiment_row(t) for t in tasks]

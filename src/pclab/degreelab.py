@@ -179,7 +179,7 @@ class _ClosureEngine:
         self.codec = TermCodec(universe)
         p = field.p
         boolean = basis == BOOLEAN
-        bits = [1 << self.codec.pos[v] for v in universe]
+        bits = [self.codec.mask((v,)) for v in universe]
         self.rows: Dict[int, Dict[int, int]] = {}
         users: Dict[int, Set[int]] = defaultdict(set)  # mask -> leads whose tail may hold it
         queue = [self.codec.encode(q) for q in polys]

@@ -538,13 +538,21 @@ def write_dimacs(cnf: CNF, path) -> None:
 
 def read_dimacs(path) -> CNF:
     names: Dict[int, Var] = {}
+    index_of: Dict[Var, int] = {}
     with LineReader(f"{path}.names") as lines:
         for line in lines:
             head, eq, expr = line.partition("=")
             toks = head.split()
             if not eq or len(toks) != 2 or toks[0] != "var":
                 raise ValueError(f"bad line {line!r}")
-            names[int(toks[1])] = parse_var(expr)
+            i, v = int(toks[1]), parse_var(expr)
+            if i < 1:
+                raise ValueError(f"variable index {i} is not positive")
+            if i in names:
+                raise ValueError(f"variable index {i} is named twice")
+            if v.base in index_of:
+                raise ValueError(f"{format_var(v.base)} is named by indices {index_of[v.base]} and {i}")
+            names[i], index_of[v.base] = v, i
     clauses: List[Clause] = []
     meta: Dict[str, object] = {}
     counts = None

@@ -245,8 +245,7 @@ def _line_rule(ax: AxiomSystem):
 
 
 def _mask_lines(proof: PCProof) -> Iterator[Tuple[int, Step, Dict[int, int]]]:
-    """Recompute every line with ``_line_rule``: the one evaluator of
-    proof lines."""
+    """Recompute every line with ``_line_rule``: the one evaluator."""
     return _walk(proof, _line_rule(proof.axioms))
 
 
@@ -483,10 +482,8 @@ _SIZE_CAP = 4096
 def random_derivation(axioms: AxiomSystem, steps: int, seed: int) -> PCProof:
     """Seeded random application of the derivation rules; every output is
     checker-valid.  All axioms are introduced first, then ``steps``
-    random rule applications follow.  Each line is derived by the
-    checker's own rule as a ``{mask: coeff}`` dict, and a "lin" whose
-    parents hold more than ``_SIZE_CAP`` terms between them is drawn
-    again as a "mul" (or a "tw" over an empty universe)."""
+    random rule applications follow, each line derived by ``_line_rule``;
+    a "lin" whose parents exceed ``_SIZE_CAP`` terms becomes a "mul"."""
     rng = random.Random(seed)
     rule, pos = _line_rule(axioms), axioms.codec.pos
     out: List[Step] = [("ax", i) for i in range(len(axioms.polys))]

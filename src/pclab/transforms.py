@@ -637,10 +637,6 @@ def read_clustermap(path) -> ClusterMap:
 # resolution simulation
 
 
-def _clause_monomial(c: Clause) -> Term:
-    return make_term(v.twin for v in c)
-
-
 def res_to_pcr(rproof: ResolutionProof, field=None) -> PCProof:
     """Simulate a resolution proof in the Boolean polynomial system.
 
@@ -661,7 +657,7 @@ def res_to_pcr(rproof: ResolutionProof, field=None) -> PCProof:
             continue
         _, i, j, pivot = step
         pivot = pivot.base
-        target = _clause_monomial(clause)
+        target = make_term(v.twin for v in clause)  # the clause's one-monomial translation
         # each parent's monomial is multiplied up to the target; the parent
         # with the positive pivot literal comes first and carries the twin factor
         pos, neg = (i, j) if pivot in lines[i] else (j, i)

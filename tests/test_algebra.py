@@ -4,6 +4,7 @@ import random
 import re
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from pclab.algebra import (
@@ -49,6 +50,20 @@ class TestField:
             Field(2)
         Field(3)
         Field(101)
+
+    def test_accepts_exactly_the_odd_primes_below_the_proof_bound(self):
+        bound = 318665857834031151167461
+        strong_pseudoprimes = (2047, 3215031751, 3825123056546413051, bound, 3317044064679887385961981)
+        for n in (*range(10**4), *strong_pseudoprimes, 2**31 - 1, 2**61 - 1):
+            try:
+                Field(n)
+                accepted = True
+            except ValueError as e:
+                accepted = False
+                assert (str(bound) in str(e)) == (n >= bound)
+            assert accepted == (sympy.isprime(n) and n != 2 and n < bound), n
+        assert not sympy.isprime(bound)
+        assert 3317044064679887385961981 == 1287836182261 * 2575672364521
 
     def test_axioms_random(self):
         rng = random.Random(11)

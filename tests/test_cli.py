@@ -436,6 +436,29 @@ class TestExperiment:
             "--jobs", 2)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_jobs_start_no_more_workers_than_rows(self, tmp_path, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("pclab.cli.ProcessPoolExecutor", SerialPool)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run("experiment", "--family", "tseitin", "--n", "3..4", "--out", a)
+        assert run("experiment", "--family", "tseitin", "--n", "3..4", "--out", b, "--jobs", 64) == 0
+        assert workers == [2]
+        assert a.read_bytes() == b.read_bytes()
+
     def test_multi_ell_fit_note(self, tmp_path):
         out = tmp_path / "p.csv"
         run("experiment", "--family", "pcr-upper", "--n", "3..4", "--ell", "1..2",
@@ -477,6 +500,12 @@ class TestEnvDefaults:
         out = tmp_path / "t.txt"
         assert run("gen", "tseitin-cycle", "--n", 4, "--out", out) == 0
         assert read_axioms(out).field.p == 101
+
+    def test_field_past_the_primality_bound_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "lop.txt"
+        assert run("gen", "lop", "--n", 3, "--axioms", "--field", 3317044064679887385961981, "--out", out) == 2
+        assert "318665857834031151167461" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_env_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PCLAB_FIELD", "many")

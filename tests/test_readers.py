@@ -105,6 +105,21 @@ class TestRefusals:
         assert code == 2
         assert _refused(cnf, "no 'p cnf' line matches the 6 names and 12 clauses").match(err)
 
+    @pytest.mark.parametrize("names, reason, line", [
+        # a 0 ends a clause line, so it can name no variable: "1 0 0" would read as {x1, x2}
+        ("var 0 = x1\nvar 1 = x2\n", "variable index 0 is not positive", 1),
+        ("var 1 = x1\nvar 1 = x2\n", "variable index 1 is named twice", 2),
+        ("var 1 = x1\nvar 2 = x1\n", "x1 is named by indices 1 and 2", 2),
+    ])
+    def test_dimacs_names_sidecar_faults(self, tmp_path, names, reason, line):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 1\n1 0 0\n")
+        (tmp_path / "f.cnf.names").write_text(names)
+        (tmp_path / "r.res").write_text("resproof v1 cnf=f.cnf\nL1 IN 1\n")
+        code, err = _cli("check", tmp_path / "r.res")
+        assert code == 2
+        assert _refused(f"{cnf}.names", reason, line).match(err)
+
     def test_blank_lines_count_toward_the_line_number(self, tmp_path):
         path = tmp_path / "rho.txt"
         path.write_text("# a comment\nrestriction v1\n\nset x(1,2) = maybe\n")

@@ -10,7 +10,18 @@ alternate within a pair, and the side that runs first alternates from
 pair to pair.
 
 For each end-to-end metric that BENCHMARK.json lists, the tool prints
-both sides' medians and quartiles and the pairs the change won.  Its
+both sides' medians and quartiles, the pairs the change won, and a
+verdict read against the metric's ``bound``:
+
+- ``gain``: the change won at least 9 of 10 pairs, and its median is
+  better than the parent's by more than the parent's quartile spread;
+- ``worse``: the change's median is worse than the parent's by more
+  than the bound;
+- ``unresolved``: the parent's quartile spread, relative to its median,
+  exceeds the bound, and not every change run beats every parent run;
+- ``no regression``: every other case.
+
+Its
 last line is one JSON object that holds every result line, laid out
 like the ``workloads`` entries of a ``BENCH_*.json``.  Progress goes to
 stderr.  The exports are removed at the end, so nothing is written
@@ -60,9 +71,25 @@ def metric(run: dict, name: str):
     return result.get("metrics", {}).get(name, {}).get("value")
 
 
+def verdict(parent: list, change: list, won: int, pairs: int, lower: bool, bound: float) -> str:
+    """One metric's verdict, by the rules in the module docstring."""
+    median = statistics.median(parent)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    better = median - statistics.median(change) if lower else statistics.median(change) - median
+    if 10 * won >= 9 * pairs and better > q3 - q1:
+        return "gain"
+    if -better > bound * abs(median):
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > bound * abs(median) and not beats_all:
+        return "unresolved"
+    return "no regression"
+
+
 def summarise(runs: dict, metrics: list) -> dict:
     """Per metric: each side's median and quartiles (exclusive method), the
-    change's median over the parent's, and the pairs the change won."""
+    change's median over the parent's, the pairs the change won, and the
+    verdict."""
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -79,6 +106,7 @@ def summarise(runs: dict, metrics: list) -> dict:
         pairs = [(metric(p, name), metric(c, name)) for p, c in zip(runs["parent"], runs["change"])]
         won = sum(1 for p, c in pairs if p is not None and c is not None and (c < p if lower else c > p))
         row["change_wins"] = f"{won}/{len(pairs)}"
+        row["verdict"] = verdict(values["parent"], values["change"], won, len(pairs), lower, m["bound"])
         out[name] = row
     return out
 
