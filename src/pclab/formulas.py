@@ -245,7 +245,7 @@ def or_lift(cnf: CNF, ell: int, lift_set: Iterable[Var], diagonal: bool = False)
 
     clauses: List[Clause] = []
     label_of = {i: label for label, idxs in cnf.groups.items() for i in idxs}
-    groups: Dict[str, List[int]] = {label: [] for label in cnf.groups}
+    filed: Dict[str, List[int]] = {label: [] for label in cnf.groups}
     for ci, c in enumerate(cnf.clauses):
         keep = [v for v in c if v.base not in lifted]
         pos = sorted(v for v in c if not v.negated and v in lifted)
@@ -260,12 +260,12 @@ def or_lift(cnf: CNF, ell: int, lift_set: Iterable[Var], diagonal: bool = False)
         for choices in choicess:
             neg_lits = [copies(v)[l - 1].twin for v, l in zip(neg, choices)]
             if ci in label_of:
-                groups[label_of[ci]].append(len(clauses))
+                filed[label_of[ci]].append(len(clauses))
             clauses.append(frozenset(keep + pos_lits + neg_lits))
     universe = [v for v in cnf.universe if v not in lifted]
     for v in sorted(lifted):
         universe.extend(copies(v))
-    groups = {label: tuple(idxs) for label, idxs in groups.items()}
+    groups = {label: tuple(idxs) for label, idxs in filed.items()}
     return CNF(tuple(clauses), tuple(sorted(universe)), groups, n=cnf.n, ell=ell)
 
 
