@@ -433,6 +433,7 @@ def encode_truth(value: bool, basis: str, field: Field) -> int:
 #   variable:    x(i,j,l) | x(i,j) | y(j,a) | z(i,j,l) | name, "~" = twin
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def format_var(v: Var) -> str:
     neg = "~" if v.negated else ""
     if v.kind == "v":

@@ -17,7 +17,10 @@ step:
 A resolution proof is a sequence of ("in", i) steps, the i-th input
 clause, and ("res", i, j, pivot) steps, the resolvent of lines i and j.
 
-Line references are 0-based positions of earlier lines.  One loop,
+Line references are 0-based positions of earlier lines.  ``_GRAMMAR`` is
+the one description of the step kinds: each kind's file token and what
+each slot after the kind holds.  The shape tables, the two readers and
+the one step writer are built from it.  One loop,
 ``_walk``, reads every proof through its system's shape table: per step
 kind, the arity, the slots holding line references, and how slot 1
 resolves (an axiom or clause index, integer "lin" coefficients, or a
@@ -44,7 +47,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (
     BOOLEAN,
@@ -136,19 +139,32 @@ def _num(i) -> str:
     return str(i + 1) if type(i) is int else repr(i)
 
 
+# The one description of the proof steps, kind: (file token, a code for
+# each slot after the kind).  The codes: i an axiom or clause index, v a
+# variable, c a "lin" coefficient, L a line reference.
+_GRAMMAR = {"ax": ("AX", "i"), "sq": ("SQ", "v"), "tw": ("TW", "v"), "lin": ("LIN", "cLcL"),
+            "mul": ("MUL", "vL"), "in": ("IN", "i"), "res": ("RES", "LLv")}
 # How a walk resolves slot 1 of a step: to a variable's codec bit, as
 # the "lin" coefficients (slots 1 and 3), as a line, or not at all for a
 # kind of the other proof system.  An axiom or clause index is checked
 # against the system's count, and its rule is the message refusing it.
 _VAR, _COEFS, _LINE, _FOREIGN = "variable", "coefficients", "line", "foreign"
 _AXIOM, _CLAUSE = "no axiom {}: the system has {}", "no input clause {}: the formula has {}"
-# Each proof system's shape table, kind: (arity, the slots holding line
-# references, how slot 1 resolves).  A kind of the other system keeps its
-# slots, so a bad reference in it is reported before the kind is.
-_PC = {"ax": (2, (), _AXIOM), "sq": (2, (), _VAR), "tw": (2, (), _VAR), "lin": (5, (2, 4), _COEFS),
-       "mul": (3, (2,), _VAR), "in": (2, (), _FOREIGN), "res": (4, (1, 2), _FOREIGN)}
-_RES = {**{kind: (arity, slots, _FOREIGN) for kind, (arity, slots, _) in _PC.items()},
-        "in": (2, (), _CLAUSE), "res": (4, (1, 2), _LINE)}
+
+
+def _shapes(kinds: Sequence[str], index: str) -> Dict[str, tuple]:
+    """The shape table of the proof system made of ``kinds``, whose index
+    slots ``index`` checks: kind: (arity, the slots holding line
+    references, how slot 1 resolves).  A kind of the other system keeps
+    its slots, so a bad reference in it is reported before the kind is."""
+    operand = {"i": index, "v": _VAR, "c": _COEFS, "L": _LINE}
+    return {kind: (1 + len(code), tuple(s for s, c in enumerate(code, 1) if c == "L"),
+                   operand[code[0]] if kind in kinds else _FOREIGN)
+            for kind, (_, code) in _GRAMMAR.items()}
+
+
+_PC = _shapes(("ax", "sq", "tw", "lin", "mul"), _AXIOM)
+_RES = _shapes(("in", "res"), _CLAUSE)
 
 
 def _walk(proof, derive) -> Iterator[Tuple[int, Step, object]]:
@@ -483,11 +499,21 @@ def random_derivation(axioms: AxiomSystem, steps: int, seed: int) -> PCProof:
     """Seeded random application of the derivation rules; every output is
     checker-valid.  All axioms are introduced first, then ``steps``
     random rule applications follow, each line derived by ``_line_rule``;
-    a "lin" whose parents exceed ``_SIZE_CAP`` terms becomes a "mul"."""
+    a "lin" whose parents exceed ``_SIZE_CAP`` terms becomes a "mul".  An
+    axiom's line is encoded when a step first reads it."""
     rng = random.Random(seed)
-    rule, pos = _line_rule(axioms), axioms.codec.pos
-    out: List[Step] = [("ax", i) for i in range(len(axioms.polys))]
-    lines: List[Dict[int, int]] = [rule("ax", i, step, ()) for i, step in enumerate(out)]
+    rule, pos, polys = _line_rule(axioms), axioms.codec.pos, axioms.polys
+    out: List[Step] = [("ax", i) for i in range(len(polys))]
+    lines: List[Optional[Dict[int, int]]] = [None] * len(out)
+
+    def line(i: int) -> Dict[int, int]:
+        if lines[i] is None:
+            lines[i] = rule("ax", i, out[i], ())
+        return lines[i]
+
+    def size(i: int) -> int:
+        return polys[i].monomial_count if lines[i] is None else len(lines[i])
+
     universe = list(axioms.universe)
     for _ in range(steps):
         choices = []
@@ -500,17 +526,17 @@ def random_derivation(axioms: AxiomSystem, steps: int, seed: int) -> PCProof:
         kind = rng.choice(choices)
         if kind == "lin":
             i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
-            if len(lines[i]) + len(lines[j]) > _SIZE_CAP:
+            if size(i) + size(j) > _SIZE_CAP:
                 kind = "mul" if universe else "tw"
             else:
                 a, b = rng.randrange(axioms.field.p), rng.randrange(axioms.field.p)
-                step, at, parents = ("lin", a, i, b, j), a, (lines[i], lines[j])
+                step, at, parents = ("lin", a, i, b, j), a, (line(i), line(j))
         if kind == "mul":
             i = rng.randrange(len(lines))
             v = rng.choice(universe)
             if rng.random() < 0.5:
                 v = v.twin
-            step, at, parents = ("mul", v, i), pos[v], (lines[i],)
+            step, at, parents = ("mul", v, i), pos[v], (line(i),)
         elif kind != "lin":
             v = rng.choice(universe)
             step, at, parents = (kind, v), pos[v], ()
@@ -523,32 +549,39 @@ def random_derivation(axioms: AxiomSystem, steps: int, seed: int) -> PCProof:
 # file formats
 
 
+def _per_slot(fs: Sequence[Callable]) -> Callable[[Sequence], tuple]:
+    """The function of a sequence ``t`` giving ``(fs[0](t[1]), fs[1](t[2]),
+    ...)``.  Each slot gets a direct call: every step of a file is read or
+    written through one of these, and a loop or ``map`` over the slots
+    costs more per step than the conversions themselves."""
+    a, b, c, d, e = (*fs, None, None, None, None)[:5]
+    return [lambda t: (a(t[1]),),
+            lambda t: (a(t[1]), b(t[2])),
+            lambda t: (a(t[1]), b(t[2]), c(t[3])),
+            lambda t: (a(t[1]), b(t[2]), c(t[3]), d(t[4])),
+            lambda t: (a(t[1]), b(t[2]), c(t[3]), d(t[4]), e(t[5]))][len(fs) - 1]
+
+
+# How the writer prints each slot code: a format and the value it takes.
+# Indices and labels are 1-based in the file.
+_PRINT = {"i": ("%s", (1).__add__), "v": ("%s", format_var), "c": ("%s", str), "L": ("L%s", (1).__add__)}
+
+
+def _write_steps(path, header: str, steps: Sequence[Step]) -> None:
+    """The header line, then each step as ``L<k> <token> <slots>``."""
+    rows = {kind: (" ".join([tok, *(_PRINT[c][0] for c in code)]), _per_slot([_PRINT[c][1] for c in code]))
+            for kind, (tok, code) in _GRAMMAR.items()}
+    with open(str(path), "w") as fh:
+        fh.write(f"{header}\n")
+        for k, step in enumerate(steps, 1):
+            text, slots = rows[step[0]]
+            fh.write(f"L{k} {text % slots(step)}\n")
+
+
 def write_pcproof(proof: PCProof, path, axioms_path: str) -> None:
     """Line-oriented text format; labels and axiom indices are 1-based
     in the file."""
-    with open(str(path), "w") as fh:
-        fh.write(
-            f"pcproof v1 basis={proof.basis} field={proof.field.p} axioms={axioms_path}\n"
-        )
-        for k, step in enumerate(proof.steps):
-            fh.write(f"L{k + 1} {format_step(step)}\n")
-
-
-def format_step(step: Step) -> str:
-    kind = step[0]
-    if kind == "ax":
-        return f"AX {step[1] + 1}"
-    if kind == "sq":
-        return f"SQ {format_var(step[1])}"
-    if kind == "tw":
-        return f"TW {format_var(step[1])}"
-    if kind == "lin":
-        _, a, i, b, j = step
-        return f"LIN {a} L{i + 1} {b} L{j + 1}"
-    if kind == "mul":
-        _, v, i = step
-        return f"MUL {format_var(v)} L{i + 1}"
-    raise ValueError(f"unknown step kind {kind!r}")
+    _write_steps(path, f"pcproof v1 basis={proof.basis} field={proof.field.p} axioms={axioms_path}", proof.steps)
 
 
 def _parse_label(tok: str) -> int:
@@ -559,41 +592,23 @@ def _parse_label(tok: str) -> int:
     return int(tok[1:]) - 1
 
 
-def parse_step(toks: Sequence[str], field: Field) -> Step:
-    """A polynomial-calculus step from the tokens after its label."""
-    kind = toks[0] if toks else ""
-    if kind == "AX" and len(toks) == 2:
-        return ("ax", int(toks[1]) - 1)
-    if kind == "SQ" and len(toks) == 2:
-        return ("sq", parse_var(toks[1]))
-    if kind == "TW" and len(toks) == 2:
-        return ("tw", parse_var(toks[1]))
-    if kind == "LIN" and len(toks) == 5:
-        a = int(toks[1]) % field.p
-        b = int(toks[3]) % field.p
-        return ("lin", a, _parse_label(toks[2]), b, _parse_label(toks[4]))
-    if kind == "MUL" and len(toks) == 3:
-        return ("mul", parse_var(toks[1]), _parse_label(toks[2]))
-    raise ValueError(f"malformed step {' '.join(toks)!r}")
-
-
-def _parse_res_step(toks: Sequence[str]) -> Step:
-    kind = toks[0] if toks else ""
-    if kind == "IN" and len(toks) == 2:
-        return ("in", int(toks[1]) - 1)
-    if kind == "RES" and len(toks) == 4:
-        return ("res", _parse_label(toks[1]), _parse_label(toks[2]), parse_var(toks[3]))
-    raise ValueError(f"malformed step {' '.join(toks)!r}")
-
-
-def _read_steps(lines: LineReader, parse) -> Tuple[Step, ...]:
-    """The steps of the lines ``L<k> <tokens>``, k = 1, 2, ..., each ``parse(tokens)``."""
+def _read_steps(lines: LineReader, table: Dict[str, tuple], p: Optional[int]) -> Tuple[Step, ...]:
+    """The steps of the lines ``L<k> <token> <slots>``, k = 1, 2, ..., of
+    the kinds ``table`` does not mark foreign; "lin" coefficients are
+    reduced mod ``p``."""
+    parse = {"i": lambda t: int(t) - 1, "v": parse_var, "c": lambda t: int(t) % p, "L": _parse_label}
+    # a row reads the file token, as t[1], into the step's kind
+    rows = {tok: (2 + len(code), _per_slot([{tok: kind}.get, *(parse[c] for c in code)]))
+            for kind, (tok, code) in _GRAMMAR.items() if table[kind][2] is not _FOREIGN}
     steps: List[Step] = []
-    for line in lines:
-        label, *toks = line.split()
-        if label != f"L{len(steps) + 1}":
-            raise ValueError(f"expected label L{len(steps) + 1}, got {label!r}")
-        steps.append(parse(toks))
+    for k, line in enumerate(lines, 1):
+        toks = line.split()
+        if toks[0] != f"L{k}":
+            raise ValueError(f"expected label L{k}, got {toks[0]!r}")
+        n, step = rows.get(toks[1], (0, None)) if len(toks) > 1 else (0, None)
+        if len(toks) != n:
+            raise ValueError(f"malformed step {' '.join(toks[1:])!r}")
+        steps.append(step(toks))
     return tuple(steps)
 
 
@@ -610,18 +625,11 @@ def read_pcproof(path, axioms: Optional[AxiomSystem] = None) -> PCProof:
             axioms = read_axioms(_beside(path, head["axioms"]))
         if axioms.basis != head["basis"] or axioms.field.p != int(head["field"]):
             raise ValueError("proof header disagrees with the axiom system")
-        return PCProof(axioms, _read_steps(lines, lambda toks: parse_step(toks, axioms.field)))
+        return PCProof(axioms, _read_steps(lines, _PC, axioms.field.p))
 
 
 def write_resproof(proof: ResolutionProof, path, cnf_path: str) -> None:
-    with open(str(path), "w") as fh:
-        fh.write(f"resproof v1 cnf={cnf_path}\n")
-        for k, step in enumerate(proof.steps):
-            if step[0] == "in":
-                fh.write(f"L{k + 1} IN {step[1] + 1}\n")
-            else:
-                _, i, j, pivot = step
-                fh.write(f"L{k + 1} RES L{i + 1} L{j + 1} {format_var(pivot)}\n")
+    _write_steps(path, f"resproof v1 cnf={cnf_path}", proof.steps)
 
 
 def read_resproof(path, cnf: Optional[CNF] = None) -> ResolutionProof:
@@ -629,4 +637,4 @@ def read_resproof(path, cnf: Optional[CNF] = None) -> ResolutionProof:
         head = lines.header("proof", "resproof v1", () if cnf is not None else ("cnf",), allowed=("cnf",))
         if cnf is None:
             cnf = read_dimacs(_beside(path, head["cnf"]))
-        return ResolutionProof(cnf, _read_steps(lines, _parse_res_step))
+        return ResolutionProof(cnf, _read_steps(lines, _RES, None))

@@ -53,3 +53,55 @@ def test_summary_row():
 def test_too_few_runs_give_no_verdict():
     row = abbench.summarise(_runs(WALL, [100], [90]), [WALL])["wall_ref"]
     assert row == {"runs": {"parent": 1, "change": 1}}
+
+
+def _fail(runs, side, k, exit=0, no_result=False, **fields):
+    """Make run k of one side fail: a nonzero ``exit``, no result line, or
+    result ``fields`` such as ``correct`` and ``failed``."""
+    run = runs[side][k]
+    run["exit"] = exit
+    run["result"] = None if no_result else {**run["result"], **fields}
+
+
+def _counted(parent, change):
+    runs = _runs(WALL, parent, change)
+    for side in runs:
+        for run in runs[side]:
+            run["result"].update(correct=True, attempted=10, failed=0)
+    return runs
+
+
+@pytest.mark.parametrize("side, how, failed_runs, failed_share", [
+    ("change", {"exit": 1}, 1, 0.0),
+    ("change", {"no_result": True}, 1, 0.0),
+    ("change", {"correct": False, "failed": 2}, 1, 0.02),
+    ("parent", {"correct": False, "failed": 2}, 1, 0.02),
+])
+def test_failed_runs_are_counted(side, how, failed_runs, failed_share):
+    runs = _counted(TIGHT, TIGHT)
+    _fail(runs, side, 3, **how)
+    row = abbench.failures(runs)[side]
+    assert row["failed_runs"] == failed_runs and row["failed_share"] == pytest.approx(failed_share)
+    other = abbench.failures(runs)["parent" if side == "change" else "change"]
+    assert other == {"runs": 10, "failed_runs": 0, "attempted": 100, "failed": 0, "failed_share": 0.0}
+
+
+def test_more_failures_in_the_change_fail_every_metric():
+    # a faster change that fails operations is not a gain
+    runs = _counted(TIGHT, [v - 10 for v in TIGHT])
+    _fail(runs, "change", 0, correct=False, failed=1)
+    assert abbench.summarise(runs, [WALL])["wall_ref"]["verdict"] == "failed"
+
+
+def test_as_many_failures_as_the_parent_keep_the_verdict():
+    runs = _counted(TIGHT, [v - 10 for v in TIGHT])
+    _fail(runs, "parent", 0, correct=False, failed=1)
+    _fail(runs, "change", 5, correct=False, failed=1)
+    assert abbench.summarise(runs, [WALL])["wall_ref"]["verdict"] == "gain"
+
+
+def test_a_change_with_no_results_fails():
+    runs = _counted(TIGHT, TIGHT)
+    for k in range(10):
+        _fail(runs, "change", k, exit=1, no_result=True)
+    assert abbench.summarise(runs, [WALL])["wall_ref"] == {"runs": {"parent": 10, "change": 0}, "verdict": "failed"}

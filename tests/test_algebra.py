@@ -399,6 +399,15 @@ class TestGrammar:
         assert parse_var("a") is parse_var("a")
         assert parse_var.cache_info().maxsize is not None
 
+    def test_variable_cache(self):
+        # every variable kind, each base and its twin, through the cache twice
+        bases = ["x(1,2)", "x(3,1,2)", "y(4,0)", "z(1,2,1)", "alpha"]
+        for tok in bases + ["~" + t for t in bases]:
+            for _ in range(2):
+                assert format_var(parse_var(tok)) == tok
+        assert format_var(edge(1, 2, 1)) is format_var(edge(1, 2, 1))
+        assert format_var.cache_info().maxsize is not None
+
     def test_poly_round_trip(self):
         rng = random.Random(9)
         vs = [edge(1, 2, 1), edge(2, 1, 1).twin, pointer(1, 0), plain("a")]

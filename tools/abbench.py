@@ -21,6 +21,12 @@ verdict read against the metric's ``bound``:
   exceeds the bound, and not every change run beats every parent run;
 - ``no regression``: every other case.
 
+Every verdict is ``failed`` instead when the change has more failed runs
+than the parent, or a larger share of failed operations.  A failed run
+exited nonzero, printed no result line, or printed one with ``correct:
+false``; the share of failed operations is taken over the runs that
+reported their operations.  The tool prints both counts for each side.
+
 Its
 last line is one JSON object that holds every result line, laid out
 like the ``workloads`` entries of a ``BENCH_*.json``.  Progress goes to
@@ -86,10 +92,27 @@ def verdict(parent: list, change: list, won: int, pairs: int, lower: bool, bound
     return "no regression"
 
 
+def failures(runs: dict) -> dict:
+    """Per side: its runs, the failed ones among them, and the operations
+    attempted and failed over the runs that reported them."""
+    out = {}
+    for side, rs in runs.items():
+        results = [r["result"] for r in rs if r["result"] is not None]
+        attempted = sum(r.get("attempted", 0) for r in results)
+        failed = sum(r.get("failed", 0) for r in results)
+        bad = sum(1 for r in rs if r["exit"] != 0 or r["result"] is None or r["result"].get("correct") is False)
+        out[side] = {"runs": len(rs), "failed_runs": bad, "attempted": attempted, "failed": failed,
+                     "failed_share": failed / attempted if attempted else 0.0}
+    return out
+
+
 def summarise(runs: dict, metrics: list) -> dict:
     """Per metric: each side's median and quartiles (exclusive method), the
     change's median over the parent's, the pairs the change won, and the
-    verdict."""
+    verdict: ``failed`` for every metric when the change fails more runs or
+    a larger share of operations than the parent."""
+    f = failures(runs)
+    failed = any(f["change"][key] > f["parent"][key] for key in ("failed_runs", "failed_share"))
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -97,6 +120,8 @@ def summarise(runs: dict, metrics: list) -> dict:
                   for side in ("parent", "change")}
         if min(len(v) for v in values.values()) < 2:
             out[name] = {"runs": {side: len(v) for side, v in values.items()}}
+            if failed:
+                out[name]["verdict"] = "failed"
             continue
         row = {}
         for side, v in values.items():
@@ -106,7 +131,8 @@ def summarise(runs: dict, metrics: list) -> dict:
         pairs = [(metric(p, name), metric(c, name)) for p, c in zip(runs["parent"], runs["change"])]
         won = sum(1 for p, c in pairs if p is not None and c is not None and (c < p if lower else c > p))
         row["change_wins"] = f"{won}/{len(pairs)}"
-        row["verdict"] = verdict(values["parent"], values["change"], won, len(pairs), lower, m["bound"])
+        row["verdict"] = "failed" if failed else verdict(values["parent"], values["change"], won, len(pairs),
+                                                         lower, m["bound"])
         out[name] = row
     return out
 
@@ -134,12 +160,15 @@ def main(argv=None) -> int:
                 runs[side].append(run)
                 values = {m["name"]: metric(run, m["name"]) for m in metrics}
                 print(f"# pair {pair} {side}: exit {run['exit']} {json.dumps(values)}", file=sys.stderr, flush=True)
-    summary = summarise(runs, metrics)
+    summary, operations = summarise(runs, metrics), failures(runs)
+    for side, row in operations.items():
+        print(f"{args.workload} {side} runs: {row['failed_runs']} of {row['runs']} failed; "
+              f"{row['failed']} of {row['attempted']} operations failed ({row['failed_share']:.4f})")
     for name, row in summary.items():
         print(f"{args.workload} {name}: {json.dumps(row)}")
     doc = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
            "runs_per_side": args.pairs, "parent_sha": shas["parent"], "change_sha": shas["change"],
-           "summary": summary, **runs}
+           "operations": operations, "summary": summary, **runs}
     print(json.dumps(doc))
     return 0
 
