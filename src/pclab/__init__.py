@@ -1,237 +1,25 @@
 """Polynomial-calculus laboratory: ordering-principle formula families,
 proof checking and transformation over {0,1} and {+1,-1} encodings, and
-residue-operator machinery over prime fields."""
+residue-operator machinery over prime fields.
 
-from .algebra import (
-    BASES,
-    BOOLEAN,
-    FOURIER,
-    DEFAULT_FIELD,
-    DEFAULT_PRIME,
-    BasisMismatch,
-    Field,
-    Poly,
-    ScaleLimitExceeded,
-    Var,
-    cluster_var,
-    edge,
-    format_poly,
-    format_var,
-    make_term,
-    parse_poly,
-    parse_var,
-    plain,
-    pointer,
-)
-from .constructions import (
-    bop_to_lop_derivation,
-    fit_through_origin,
-    lifted_refutation,
-    loglog_fit,
-    lop_resolution_refutation,
-    pcr_upper_bound,
-    tseitin_fourier_refutation,
-)
-from .degreelab import (
-    SPAN_POINTS_LIMIT,
-    HeavySelection,
-    LemmaReport,
-    ResidueOracle,
-    RoundReport,
-    SpanBasis,
-    bop_context,
-    heavy_split_round,
-    heavy_term_selection,
-    span_basis,
-    verify_all,
-    verify_residue_operator,
-    verify_residue_product,
-    verify_residue_properties,
-    verify_residue_support,
-    verify_touch_extension,
-    verify_touch_superset,
-)
-from .formulas import (
-    CNF,
-    AxiomSystem,
-    clause_of,
-    clause_to_poly,
-    cnf_to_axioms,
-    code_of,
-    gen_bop,
-    gen_bop_lifted,
-    gen_cycle_tseitin,
-    gen_lop,
-    or_lift,
-    pointer_bits,
-    read_axioms,
-    read_dimacs,
-    sat_oracle,
-    semantic_implies,
-    write_axioms,
-    write_dimacs,
-)
-from .proofs import (
-    PCProof,
-    PCReport,
-    ProofWriter,
-    QuadraticSet,
-    ResolutionProof,
-    ResReport,
-    StepError,
-    TouchReport,
-    check_pc,
-    check_resolution,
-    proof_lines,
-    quadratic_degree,
-    quadratic_set,
-    random_derivation,
-    read_pcproof,
-    read_resproof,
-    resolution_lines,
-    resolve_clauses,
-    special_degree,
-    touched,
-    twin_axiom_poly,
-    walk_pc,
-    walk_resolution,
-    write_pcproof,
-    write_resproof,
-)
-from .transforms import (
-    ClusterMap,
-    Restriction,
-    build_jcta,
-    cluster,
-    cluster_proof,
-    cluster_retention,
-    isolate_vertex_restriction,
-    qdeg_to_deg,
-    quadratic_containment_check,
-    random_pairing,
-    read_clustermap,
-    read_restriction,
-    res_to_pcr,
-    restrict,
-    restrict_axioms,
-    restrict_cnf,
-    restrict_poly,
-    restrict_proof,
-    split,
-    strip_dead,
-    write_clustermap,
-    write_restriction,
-)
+Each module's ``__all__`` is its public API; this package re-exports
+them all."""
 
-__all__ = [
-    "BASES",
-    "BOOLEAN",
-    "FOURIER",
-    "DEFAULT_FIELD",
-    "DEFAULT_PRIME",
-    "SPAN_POINTS_LIMIT",
-    "AxiomSystem",
-    "BasisMismatch",
-    "CNF",
-    "ClusterMap",
-    "Field",
-    "HeavySelection",
-    "LemmaReport",
-    "PCProof",
-    "PCReport",
-    "Poly",
-    "ProofWriter",
-    "QuadraticSet",
-    "ResReport",
-    "ResidueOracle",
-    "ResolutionProof",
-    "Restriction",
-    "RoundReport",
-    "ScaleLimitExceeded",
-    "SpanBasis",
-    "StepError",
-    "TouchReport",
-    "Var",
-    "bop_context",
-    "bop_to_lop_derivation",
-    "build_jcta",
-    "check_pc",
-    "check_resolution",
-    "clause_of",
-    "clause_to_poly",
-    "cluster",
-    "cluster_proof",
-    "cluster_retention",
-    "cluster_var",
-    "cnf_to_axioms",
-    "code_of",
-    "edge",
-    "fit_through_origin",
-    "format_poly",
-    "format_var",
-    "gen_bop",
-    "gen_bop_lifted",
-    "gen_cycle_tseitin",
-    "gen_lop",
-    "heavy_split_round",
-    "heavy_term_selection",
-    "isolate_vertex_restriction",
-    "lifted_refutation",
-    "loglog_fit",
-    "lop_resolution_refutation",
-    "make_term",
-    "or_lift",
-    "parse_poly",
-    "parse_var",
-    "pcr_upper_bound",
-    "plain",
-    "pointer",
-    "pointer_bits",
-    "proof_lines",
-    "qdeg_to_deg",
-    "quadratic_containment_check",
-    "quadratic_degree",
-    "quadratic_set",
-    "random_derivation",
-    "random_pairing",
-    "read_axioms",
-    "read_clustermap",
-    "read_dimacs",
-    "read_pcproof",
-    "read_resproof",
-    "read_restriction",
-    "res_to_pcr",
-    "resolution_lines",
-    "resolve_clauses",
-    "restrict",
-    "restrict_axioms",
-    "restrict_cnf",
-    "restrict_poly",
-    "restrict_proof",
-    "sat_oracle",
-    "semantic_implies",
-    "span_basis",
-    "special_degree",
-    "split",
-    "strip_dead",
-    "touched",
-    "tseitin_fourier_refutation",
-    "twin_axiom_poly",
-    "verify_all",
-    "verify_residue_operator",
-    "verify_residue_product",
-    "verify_residue_properties",
-    "verify_residue_support",
-    "verify_touch_extension",
-    "verify_touch_superset",
-    "walk_pc",
-    "walk_resolution",
-    "write_axioms",
-    "write_clustermap",
-    "write_dimacs",
-    "write_pcproof",
-    "write_resproof",
-    "write_restriction",
-]
+from . import algebra, constructions, degreelab, formulas, proofs, transforms
+from .algebra import *
+from .formulas import *
+from .proofs import *
+from .transforms import *
+from .constructions import *
+from .degreelab import *
+
+__all__ = (
+    algebra.__all__
+    + formulas.__all__
+    + proofs.__all__
+    + transforms.__all__
+    + constructions.__all__
+    + degreelab.__all__
+)
 
 __version__ = "0.1.0"

@@ -19,6 +19,27 @@ operations are pure.
 
 from __future__ import annotations
 
+__all__ = [
+    "BASES",
+    "BOOLEAN",
+    "FOURIER",
+    "DEFAULT_FIELD",
+    "BasisMismatch",
+    "Field",
+    "Poly",
+    "ScaleLimitExceeded",
+    "Var",
+    "cluster_var",
+    "edge",
+    "format_poly",
+    "format_var",
+    "make_term",
+    "parse_poly",
+    "parse_var",
+    "plain",
+    "pointer",
+]
+
 import functools
 from bisect import bisect_left
 from collections import namedtuple

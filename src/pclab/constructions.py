@@ -9,6 +9,16 @@ appears.  The lifted variant runs the same scheme once per gadget copy.
 
 from __future__ import annotations
 
+__all__ = [
+    "bop_to_lop_derivation",
+    "fit_through_origin",
+    "lifted_refutation",
+    "loglog_fit",
+    "lop_resolution_refutation",
+    "pcr_upper_bound",
+    "tseitin_fourier_refutation",
+]
+
 from typing import Sequence, Tuple
 
 import numpy as np

@@ -13,6 +13,25 @@ vertex set the term touches, yielding the operator whose properties the
 
 from __future__ import annotations
 
+__all__ = [
+    "HeavySelection",
+    "LemmaReport",
+    "ResidueOracle",
+    "RoundReport",
+    "SpanBasis",
+    "bop_context",
+    "heavy_split_round",
+    "heavy_term_selection",
+    "span_basis",
+    "verify_all",
+    "verify_residue_operator",
+    "verify_residue_product",
+    "verify_residue_properties",
+    "verify_residue_support",
+    "verify_touch_extension",
+    "verify_touch_superset",
+]
+
 import itertools
 import random
 import time
@@ -410,10 +429,6 @@ class ResidueOracle:
             self._spans[key] = got
         return got
 
-    def residue(self, poly: Poly, vertices: Iterable[int]) -> Poly:
-        """Remainder of the whole polynomial under one fixed key."""
-        return self.span_for(vertices).reduce(poly)
-
     def tau(self, t: Term) -> FrozenSet[int]:
         """The touch key ``touched(t, n, ell).tau`` of a term, computed
         once per term; an invalid term raises every time."""
@@ -537,11 +552,11 @@ def verify_touch_extension(
             if not _in_regime(tau_t, n):
                 continue
             pt = Poly.from_term(o.context.field, BOOLEAN, t)
-            base = o.residue(pt, tau_t)
+            base = o.span_for(tau_t).reduce(pt)
             for w in o.context.universe:
                 tau_wt = o.tau(term_mul(t, (w,), BOOLEAN))
                 if _in_regime(tau_wt, n):
-                    yield () if o.residue(pt, tau_wt) == base else (f"t={_fmt_term(t)} w={format_var(w)}",)
+                    yield () if o.span_for(tau_wt).reduce(pt) == base else (f"t={_fmt_term(t)} w={format_var(w)}",)
 
     return _lemma("touch-extension", n, ell, oracle, cases)
 
@@ -558,13 +573,13 @@ def verify_touch_superset(
             if not _in_regime(tau, n):
                 continue
             pt = Poly.from_term(o.context.field, BOOLEAN, t)
-            base = o.residue(pt, tau)
+            base = o.span_for(tau).reduce(pt)
             rest = [j for j in range(1, n + 1) if j not in tau]
             for k in range(len(rest) + 1):
                 for extra in itertools.combinations(rest, k):
                     key = tau | set(extra)
                     if _in_regime(key, n):
-                        yield () if o.residue(pt, key) == base else (f"t={_fmt_term(t)} I={sorted(key)}",)
+                        yield () if o.span_for(key).reduce(pt) == base else (f"t={_fmt_term(t)} I={sorted(key)}",)
 
     return _lemma("touch-superset", n, ell, oracle, cases)
 

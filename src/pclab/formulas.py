@@ -16,6 +16,27 @@ where vertex i is encoded as i-1.
 
 from __future__ import annotations
 
+__all__ = [
+    "CNF",
+    "AxiomSystem",
+    "clause_of",
+    "clause_to_poly",
+    "cnf_to_axioms",
+    "code_of",
+    "gen_bop",
+    "gen_bop_lifted",
+    "gen_cycle_tseitin",
+    "gen_lop",
+    "or_lift",
+    "pointer_bits",
+    "read_axioms",
+    "read_dimacs",
+    "sat_oracle",
+    "semantic_implies",
+    "write_axioms",
+    "write_dimacs",
+]
+
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property

@@ -41,6 +41,30 @@ of the quadratic metrics only ``quadratic_set`` decodes its products.
 
 from __future__ import annotations
 
+__all__ = [
+    "PCProof",
+    "PCReport",
+    "ProofWriter",
+    "QuadraticSet",
+    "ResolutionProof",
+    "ResReport",
+    "StepError",
+    "TouchReport",
+    "check_pc",
+    "check_resolution",
+    "proof_lines",
+    "quadratic_degree",
+    "quadratic_set",
+    "random_derivation",
+    "read_pcproof",
+    "read_resproof",
+    "resolution_lines",
+    "special_degree",
+    "touched",
+    "write_pcproof",
+    "write_resproof",
+]
+
 import os
 import random
 from array import array
@@ -480,12 +504,13 @@ def touched(t: Term, n: int, ell: int) -> TouchReport:
     return TouchReport(frozenset(strong), frozenset(light))
 
 
-def special_degree(proof: PCProof, n: Optional[int] = None, ell: Optional[int] = None) -> int:
-    n = n if n is not None else proof.axioms.n
-    ell = ell if ell is not None else proof.axioms.ell
+def special_degree(proof: PCProof) -> int:
+    """The most vertices a term of any line touches, each twin read as
+    its base, as the heavy-term analysis reads them."""
+    n, ell = proof.axioms.n, proof.axioms.ell
     if n is None or ell is None:
         raise ValueError("touch context (n, ell) unknown")
-    terms = (t for _, _, p in walk_pc(proof) for t in p.terms)
+    terms = (tuple(v.base for v in t) for _, _, p in walk_pc(proof) for t in p.terms)
     return max((len(touched(t, n, ell).tau) for t in terms), default=0)
 
 
@@ -501,6 +526,8 @@ def random_derivation(axioms: AxiomSystem, steps: int, seed: int) -> PCProof:
     random rule applications follow, each line derived by ``_line_rule``;
     a "lin" whose parents exceed ``_SIZE_CAP`` terms becomes a "mul".  An
     axiom's line is encoded when a step first reads it."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
     rule, pos, polys = _line_rule(axioms), axioms.codec.pos, axioms.polys
     out: List[Step] = [("ax", i) for i in range(len(polys))]

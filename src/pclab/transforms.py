@@ -11,6 +11,28 @@ identically zero and was dropped).
 
 from __future__ import annotations
 
+__all__ = [
+    "ClusterMap",
+    "Restriction",
+    "build_jcta",
+    "cluster",
+    "cluster_proof",
+    "cluster_retention",
+    "isolate_vertex_restriction",
+    "qdeg_to_deg",
+    "quadratic_containment_check",
+    "random_pairing",
+    "read_clustermap",
+    "read_restriction",
+    "res_to_pcr",
+    "restrict",
+    "restrict_proof",
+    "split",
+    "strip_dead",
+    "write_clustermap",
+    "write_restriction",
+]
+
 import random
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
@@ -273,7 +295,6 @@ def isolate_vertex_restriction(
     ell: int,
     j: int,
     l_choice: Optional[Mapping[int, int]] = None,
-    pointer_target: Optional[int] = None,
 ) -> Restriction:
     """Assignment used before splitting at vertex j's variables.
 
@@ -284,6 +305,8 @@ def isolate_vertex_restriction(
     targets.  Needs ell >= 2 so the surviving pointer clause of j is
     satisfied by a true copy.
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     if ell < 2:
         raise ValueError(f"need ell >= 2 to free the chosen copies, got {ell}")
     if not (1 <= j <= n):
@@ -302,10 +325,7 @@ def isolate_vertex_restriction(
     for k in others:
         for l in range(1, ell + 1):
             assignment[edge(j, k, l)] = False
-    target = pointer_target if pointer_target is not None else min(others)
-    if target == j or not (1 <= target <= n):
-        raise ValueError(f"pointer target {target} invalid for vertex {j}")
-    assignment.update(pointer_assignment(j, code_of(target), pointer_bits(n)))
+    assignment.update(pointer_assignment(j, code_of(min(others)), pointer_bits(n)))
     return Restriction(assignment)
 
 
@@ -574,6 +594,8 @@ def cluster_retention(ell: int, term_degree: int, trials: int, seed: int) -> flo
     i.e. every pair has exactly one copy inside the term."""
     if ell % 2 or ell < 2:
         raise ValueError(f"pairing needs an even number of copies, got ell={ell}")
+    if term_degree < 0:
+        raise ValueError(f"term_degree must be >= 0, got {term_degree}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     m = term_degree

@@ -1,6 +1,7 @@
 """The verdicts of tools/abbench.py on synthetic runs."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -105,3 +106,31 @@ def test_a_change_with_no_results_fails():
     for k in range(10):
         _fail(runs, "change", k, exit=1, no_result=True)
     assert abbench.summarise(runs, [WALL])["wall_ref"] == {"runs": {"parent": 10, "change": 0}, "verdict": "failed"}
+
+
+@pytest.mark.parametrize("change, status", [
+    ([v + 1 for v in TIGHT], 0),  # no regression
+    ([v - 10 for v in TIGHT], 0),  # gain
+    ([v + 30 for v in TIGHT], 1),  # worse
+    (None, 1),  # every change run fails
+])
+def test_exit_status(monkeypatch, capsys, change, status):
+    values = {"parent": iter(TIGHT), "change": iter(change or TIGHT)}
+
+    def export(sha, into):
+        os.makedirs(into)
+        with open(os.path.join(into, "BENCHMARK.json"), "w") as fh:
+            json.dump({"end_to_end": [WALL]}, fh)
+        return into
+
+    def run_once(checkout, args):
+        side = os.path.basename(checkout)
+        if side == "change" and change is None:
+            return {"exit": 1, "result": None}
+        return {"exit": 0, "result": {"metrics": {"wall_ref": {"value": next(values[side])}}}}
+
+    monkeypatch.setattr(abbench, "git", lambda *args: b"0" * 40 + b"\n")
+    monkeypatch.setattr(abbench, "export", export)
+    monkeypatch.setattr(abbench, "run_once", run_once)
+    assert abbench.main(["PARENT", "CHANGE", "--workload", "w"]) == status
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["runs_per_side"] == 10

@@ -14,10 +14,12 @@ from pclab.algebra import (
     plain,
     pointer,
 )
+from pclab.constructions import pcr_upper_bound
 from pclab.formulas import (
     AxiomSystem,
     cnf_to_axioms,
     gen_bop_lifted,
+    gen_cycle_tseitin,
     gen_lop,
     sat_oracle,
     write_axioms,
@@ -312,6 +314,13 @@ class TestTouched:
         with pytest.raises(ValueError):
             special_degree(PCProof(ax, (("ax", 0),)))
 
+    def test_special_degree_reads_twins_as_bases(self):
+        # both proofs hold twin lines, which touched() alone refuses
+        assert special_degree(pcr_upper_bound(3, 1)) == 3
+        assert special_degree(pcr_upper_bound(4, 2)) == 4
+        ax = cnf_to_axioms(gen_bop_lifted(3, 2), FOURIER)
+        assert special_degree(random_derivation(ax, 30, seed=0)) == 3
+
 
 class TestRandomDerivation:
     def test_deterministic(self):
@@ -325,6 +334,10 @@ class TestRandomDerivation:
         ax = cnf_to_axioms(gen_lop(2), BOOLEAN)
         proof = random_derivation(ax, 0, seed=1)
         assert proof.steps == tuple(("ax", i) for i in range(len(ax.polys)))
+
+    def test_negative_steps_refused(self):
+        with pytest.raises(ValueError, match="steps must be >= 0, got -5"):
+            random_derivation(gen_cycle_tseitin(4), -5, 0)
 
     def test_always_valid(self):
         for basis in (BOOLEAN, FOURIER):

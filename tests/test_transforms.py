@@ -279,6 +279,11 @@ def test_isolate_vertex_needs_two_copies():
         isolate_vertex_restriction(3, 1, 2)
 
 
+def test_isolate_vertex_needs_two_vertices():
+    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+        isolate_vertex_restriction(1, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -665,6 +670,11 @@ def test_cluster_retention_refuses_bad_input():
     for trials in (0, -2):  # 0 trials once divided by zero
         with pytest.raises(ValueError, match="at least one trial"):
             cluster_retention(2, 1, trials, seed=1)
+
+
+def test_cluster_retention_refuses_negative_degree():
+    with pytest.raises(ValueError, match="term_degree must be >= 0, got -1"):
+        cluster_retention(2, -1, 5, 0)
 
 
 def test_cluster_retention_decays_with_ell():

@@ -27,11 +27,13 @@ exited nonzero, printed no result line, or printed one with ``correct:
 false``; the share of failed operations is taken over the runs that
 reported their operations.  The tool prints both counts for each side.
 
-Its
-last line is one JSON object that holds every result line, laid out
+Its last line is one JSON object that holds every result line, laid out
 like the ``workloads`` entries of a ``BENCH_*.json``.  Progress goes to
 stderr.  The exports are removed at the end, so nothing is written
 inside the repository.
+
+The exit status is 1 when any metric reads ``worse`` or ``failed``, and
+0 otherwise, so a script can gate on it.
 """
 
 import argparse
@@ -170,7 +172,7 @@ def main(argv=None) -> int:
            "runs_per_side": args.pairs, "parent_sha": shas["parent"], "change_sha": shas["change"],
            "operations": operations, "summary": summary, **runs}
     print(json.dumps(doc))
-    return 0
+    return int(any(row.get("verdict") in ("worse", "failed") for row in summary.values()))
 
 
 if __name__ == "__main__":
