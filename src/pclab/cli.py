@@ -87,16 +87,15 @@ def _env_int(name: str, fallback: int) -> int:
 def parse_range(text: str) -> List[int]:
     """Accepts "4", "4..12", and comma-joined mixtures of both."""
     out: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"empty range {part!r}")
-            out.extend(range(lo, hi + 1))
-        elif part:
-            out.append(int(part))
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        lo, dots, hi = part.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if dots else lo)
+        except ValueError:
+            raise ValueError(f"bad part {part!r} in range {text!r}") from None
+        if hi < lo:
+            raise ValueError(f"empty range {part!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"no values in range {text!r}")
     return out

@@ -5,8 +5,8 @@ The span of a polynomial family is the smallest linear space that
 contains it and is closed under multiplication by variables -- all a
 derivation can reach with no degree cap.  ``span_basis`` computes
 canonical remainders modulo a span by two independent routes (point
-evaluation, and a linear closure kept as an echelon basis of bit-mask
-rows); ``ResidueOracle`` reduces each term modulo the span keyed by the
+evaluation, and a Groebner basis built by Buchberger's algorithm);
+``ResidueOracle`` reduces each term modulo the span keyed by the
 vertex set the term touches, yielding the operator whose properties the
 ``verify_*`` runners check case by case.
 """
@@ -32,12 +32,14 @@ __all__ = [
     "verify_touch_superset",
 ]
 
+import heapq
 import itertools
+import math
 import random
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +57,6 @@ from .algebra import (
     format_poly,
     format_var,
     grlex_key,
-    lin_dict,
     make_term,
     pointer,
     term_mul,
@@ -66,7 +67,8 @@ from .transforms import isolate_vertex_restriction, restrict_proof, split
 
 SPAN_VAR_LIMIT = 16
 SPAN_POINTS_LIMIT = 1024
-CLOSURE_VAR_LIMIT = 12
+CLOSURE_STEP_LIMIT = 3_000_000
+CLOSURE_STD_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -176,78 +178,105 @@ class _PointsEngine:
 
 
 class _ClosureEngine:
-    """Remainders via direct closure: an echelon basis of the span, grown
-    until every row times every universe variable reduces to zero.
-
-    Terms are bit masks of one ``TermCodec`` of the universe, so within a
-    degree graded lex is integer order.  ``rows`` maps a leading mask to
-    its row's tail (the leading coefficient is 1) and stays fully reduced:
-    a new row is subtracted from every tail that holds its lead, so no
-    tail holds a leading mask and a remainder is one pass over the terms.
-    A row's products are queued when it arrives; later row operations
-    keep them in the span.  In {0,1}, ``v*v = v``: a product is ``m | b``,
-    terms that meet are added, and ``v`` times a row whose every term
-    holds ``v`` is that row, so it is skipped.  In {+1,-1}, ``v*v = 1``,
-    the product ``m ^ b`` merges no terms and every product is taken.
+    """Remainders via a Groebner basis, built by Buchberger's algorithm on
+    the masks of one ``TermCodec`` of the active variables, where graded
+    lex is (degree, mask) order.  A term times a term is ``m | b`` in
+    {0,1}, where ``v*v = v``, and ``m ^ b`` in {+1,-1}, where ``v*v = 1``.
+    Pairs are taken smallest lcm first.  Leads with no common variable make
+    no pair (Buchberger's product criterion); of a new lead's pairs, Gebauer
+    and Moeller's criteria M and F keep one per lcm and none whose lcm
+    another's divides; the pairs with the field equations are ``v*g`` for
+    each ``v`` in g's lead.  ``groebner`` maps each lead to its monic,
+    tail-reduced polynomial, and the leads cut out the standard monomials.
     """
 
-    def __init__(self, polys: Sequence[Poly], active: Sequence[Var], universe: Sequence[Var],
-                 field: Field, basis: str):
-        self.field = field
-        self.basis = basis
-        self.codec = TermCodec(universe)
-        p = field.p
-        boolean = basis == BOOLEAN
-        bits = [self.codec.mask((v,)) for v in universe]
-        self.rows: Dict[int, Dict[int, int]] = {}
-        users: Dict[int, Set[int]] = defaultdict(set)  # mask -> leads whose tail may hold it
-        queue = [self.codec.encode(q) for q in polys]
-        while queue:
-            g = self._reduce(queue.pop())
+    def __init__(self, polys: Sequence[Poly], active: Sequence[Var], field: Field, basis: str):
+        self.field, self.basis, self.codec = field, basis, TermCodec(active)
+        self._or = basis == BOOLEAN
+        self._left = CLOSURE_STEP_LIMIT
+        self.groebner: Dict[int, Dict[int, int]] = {}
+        bits = [self.codec.mask((v,)) for v in active]
+        # a pair is (lcm degree, lcm, order, parts): the sum of c*u*g over its
+        # parts (g, u, c); the inputs come first
+        heap = [(0, 0, i, ((self.codec.encode(q), 0, 1),)) for i, q in enumerate(polys)]
+        order = itertools.count(len(heap))
+        while heap:
+            f: Dict[int, int] = {}
+            for g, u, c in heapq.heappop(heap)[3]:
+                for m, cm in g.items():
+                    m = m | u if self._or else m ^ u
+                    f[m] = f.get(m, 0) + c * cm
+            g = self._reduce(f)
             if not g:
                 continue
             lt = self.codec.lead(g)
-            inv = field.inv(g.pop(lt))
-            tail = {m: c * inv % p for m, c in g.items()}
-            for lead in users.pop(lt, ()):
-                c = self.rows[lead].pop(lt, 0)
-                if c:
-                    self.rows[lead] = lin_dict(1, self.rows[lead], -c, tail, p)
-                    for m in tail:
-                        users[m].add(lead)
-            self.rows[lt] = tail
-            for m in tail:
-                users[m].add(lt)
-            row = {lt: 1, **tail}
-            fixed = lt if boolean else 0
-            for m in tail:
-                fixed &= m
-            for b in bits:
-                if not b & fixed:
-                    prod: Dict[int, int] = {}
-                    for m, c in row.items():
-                        m = m | b if boolean else m ^ b
-                        prod[m] = prod.get(m, 0) + c
-                    queue.append(prod)
-        mask = self.codec.mask
-        self.std_monomials = tuple(t for t in _family_terms(active, len(active)) if mask(t) not in self.rows)
+            inv = field.inv(g[lt])
+            g = {m: c * inv % field.p for m, c in g.items()}
+            # sorted, the lcms that divide others come first
+            new = sorted(((l | lt).bit_count(), l | lt, l) for l in self.groebner if l & lt)
+            lcms: List[int] = []
+            for _, lcm, lead in new:
+                if not any(m & lcm == m for m in lcms):
+                    lcms.append(lcm)
+                    parts = ((g, lcm ^ lt, 1), (self.groebner[lead], lcm ^ lead, -1))
+                    heapq.heappush(heap, (lcm.bit_count(), lcm, next(order), parts))
+            self._left -= len(new) * len(lcms)
+            for v in bits:
+                if v & lt:
+                    heapq.heappush(heap, (lt.bit_count() + 1, lt, next(order), ((g, v, 1),)))
+            self.groebner = {m: h for m, h in self.groebner.items() if lt & m != lt}
+            self.groebner[lt] = g
+        self.groebner = {m: {m: 1, **self._reduce({s: c for s, c in g.items() if s != m})}
+                         for m, g in self.groebner.items()}
+        self._left = math.inf  # remainders after the build are not counted
+        # the order ideal, one degree at a time: the one-variable multiples
+        # of the last degree that are no lead and whose every divisor is in
+        std, level = [], [0] if 0 not in self.groebner else []
+        while level:
+            std += level
+            if len(std) > CLOSURE_STD_LIMIT:
+                raise ScaleLimitExceeded(f"more than {CLOSURE_STD_LIMIT} standard monomials exceed the closure limit")
+            have = set(level)
+            nxt = sorted({m | b for m in level for b in bits if not m & b})
+            level = [c for c in nxt if c not in self.groebner and all(c ^ b in have for b in bits if c & b)]
+        self.std_monomials = tuple(map(self.codec.term, std))
 
-    def _reduce(self, poly: Mapping[int, int]) -> Dict[int, int]:
-        """The remainder of a ``{mask: coeff}`` dict in one pass."""
-        p = self.field.p
+    def _reduce(self, f: Dict[int, int]) -> Dict[int, int]:
+        """The remainder of a ``{mask: coeff}`` dict, which it consumes:
+        each term, largest first, is kept or replaced by the smaller terms
+        of a lead's multiple.  It costs a step, plus one per lead tested
+        and one per term of the multiple."""
         out: Dict[int, int] = {}
-        for m, c in poly.items():
-            tail = self.rows.get(m)
-            if tail is None:
-                out[m] = out.get(m, 0) + c
-            else:
-                for s, cs in tail.items():
-                    out[s] = out.get(s, 0) - c * cs
-        return {m: c % p for m, c in out.items() if c % p}
+        heap = [(-m.bit_count(), -m) for m in f]
+        heapq.heapify(heap)
+        while heap:
+            m = -heapq.heappop(heap)[1]
+            c = f.pop(m) % self.field.p
+            if not c:
+                continue
+            lead = next((l for l in self.groebner if l & m == l), None)
+            g = self.groebner.get(lead, {})
+            self._left -= 1 + len(self.groebner) + len(g)
+            if self._left < 0:
+                raise ScaleLimitExceeded(f"the Groebner basis exceeds the closure limit of {CLOSURE_STEP_LIMIT} steps")
+            if not g:
+                out[m] = c
+            for s, cs in g.items():
+                if s != lead:
+                    s = s | (m ^ lead) if self._or else s ^ (m ^ lead)
+                    if s not in f:
+                        heapq.heappush(heap, (-s.bit_count(), -s))
+                    f[s] = f.get(s, 0) - c * cs
+        return out
 
     def nf_poly(self, poly: Poly) -> Poly:
-        out = self._reduce(self.codec.encode(poly))
-        return Poly(self.field, self.basis, {self.codec.term(m): c for m, c in out.items()})
+        # the terms grouped by their free variables, which multiply in
+        groups: Dict[Term, Dict[int, int]] = {}
+        pos = self.codec.pos
+        for t, c in poly.terms.items():
+            groups.setdefault(tuple(v for v in t if v not in pos), {})[self.codec.mask(v for v in t if v in pos)] = c
+        return Poly(self.field, self.basis, {make_term(self.codec.term(m) + free): c
+                                            for free, f in groups.items() for m, c in self._reduce(f).items()})
 
 
 class SpanBasis:
@@ -262,13 +291,10 @@ class SpanBasis:
         self.field = field
         self.basis = basis
         self.universe = universe
-        self.method = method
         self.active = tuple(sorted({v for p in polys for v in p.variables()}))
         self._uset = set(universe)
-        if method == "points":
-            self._engine = _PointsEngine(polys, self.active, field, basis)
-        else:
-            self._engine = _ClosureEngine(polys, self.active, universe, field, basis)
+        engine = _PointsEngine if method == "points" else _ClosureEngine
+        self._engine = engine(polys, self.active, field, basis)
 
     @property
     def std_monomials(self) -> Tuple[Term, ...]:
@@ -297,16 +323,8 @@ class SpanBasis:
         std = set(self.std_monomials)
         if () not in std:
             return ((),)
-        border: Set[Term] = set()
-        for s in std:
-            have = set(s)
-            for v in self.active:
-                if v in have:
-                    continue
-                m = make_term(s + (v,))
-                if m not in std:
-                    border.add(m)
-        mins = [m for m in border if all(tuple(u for u in m if u != v) in std for v in m)]
+        border = {make_term(s + (v,)) for s in std for v in self.active if v not in s} - std
+        mins = [m for m in border if all(m[:i] + m[i + 1:] in std for i in range(len(m)))]
         return tuple(sorted(mins, key=grlex_key))
 
 
@@ -325,13 +343,14 @@ def span_basis(
     enumerates and the matrices it eliminates, so it refuses more than
     ``SPAN_VAR_LIMIT`` (16) such variables or more than
     ``SPAN_POINTS_LIMIT`` (1024) common zeros.  ``method="closure"``
-    keeps a fully reduced echelon basis of bit-mask rows and multiplies
-    every row by every universe variable, so the universe drives its cost
-    and it refuses one of more than ``CLOSURE_VAR_LIMIT`` (12), the size
-    of the ``bop_context(3, 1)`` universe.  In {0,1} it skips the product
-    of a row by a variable in every one of its terms, which is the row
-    itself; in {+1,-1}, where ``v*v = 1``, it skips nothing.  A refusal
-    raises ``ScaleLimitExceeded``.  The two routes share no code -- they agree
+    builds a Groebner basis over the same variables, a cost no variable
+    count bounds, so it counts steps (a term visited, a lead tested, a
+    term subtracted, a pair compared) and refuses more than
+    ``CLOSURE_STEP_LIMIT``, twice what the largest in-regime key of
+    ``bop_context(4, 1)`` takes, or an order ideal of more than
+    ``CLOSURE_STD_LIMIT`` (4096) standard monomials to walk.  Either
+    refusal comes within about a second and raises
+    ``ScaleLimitExceeded``.  The two routes share no code -- they agree
     everywhere and are cross-checked in the tests, where sympy Groebner
     bases check both.  Twin variables must be expanded away before calling.
     """
@@ -347,24 +366,19 @@ def span_basis(
             raise BasisMismatch("mixed bases in span input")
     if field is None or basis is None:
         raise ValueError("field and basis are required when no polynomials are given")
-    seen: Set[Var] = set()
-    for p in polys:
-        for v in p.variables():
+    seen = sorted({v for p in polys for v in p.variables()})
+    uni = seen if universe is None else sorted(set(universe))
+    for what, variables in (("input", seen), ("universe", uni)):
+        for v in variables:
             if v.negated:
-                raise ValueError(f"span input must be twin-free, got {format_var(v)}")
-            seen.add(v)
-    uni = sorted(seen) if universe is None else sorted(set(universe))
-    for v in uni:
-        if v.negated:
-            raise ValueError(f"span universe must be twin-free, got {format_var(v)}")
-    missing = seen - set(uni)
+                raise ValueError(f"span {what} must be twin-free, got {format_var(v)}")
+    missing = set(seen) - set(uni)
     if missing:
         raise ValueError(f"universe misses {sorted(format_var(v) for v in missing)}")
     if method not in ("points", "closure"):
         raise ValueError(f"unknown method {method!r}")
-    limit, size = (SPAN_VAR_LIMIT, len(seen)) if method == "points" else (CLOSURE_VAR_LIMIT, len(uni))
-    if size > limit:
-        raise ScaleLimitExceeded(f"{size} variables exceed the {method} limit of {limit}")
+    if method == "points" and len(seen) > SPAN_VAR_LIMIT:
+        raise ScaleLimitExceeded(f"{len(seen)} variables exceed the points limit of {SPAN_VAR_LIMIT}")
     return SpanBasis(polys, tuple(uni), method, field, basis)
 
 
@@ -417,16 +431,9 @@ class ResidueOracle:
             bad = sorted(j for j in key if not 1 <= j <= self.n)
             if bad:
                 raise ValueError(f"vertices {bad} outside 1..{self.n}")
-            idxs = list(self.context.groups["T"])
-            for j in sorted(key):
-                idxs.extend(self.context.groups[f"BV({j})"])
-            got = span_basis(
-                [self.context.polys[i] for i in idxs],
-                universe=self.context.universe,
-                basis=self.context.basis,
-                field=self.context.field,
-            )
-            self._spans[key] = got
+            groups = ["T"] + [f"BV({j})" for j in sorted(key)]
+            family = [self.context.polys[i] for g in groups for i in self.context.groups[g]]
+            got = self._spans[key] = span_basis(family, self.context.universe, self.context.basis, self.context.field)
         return got
 
     def tau(self, t: Term) -> FrozenSet[int]:
@@ -610,11 +617,7 @@ def _random_pool_poly(
 
 
 def verify_residue_product(
-    n: int = 3,
-    ell: int = 1,
-    samples: int = 500,
-    seed: int = 0,
-    oracle: Optional[ResidueOracle] = None,
+    n: int = 3, ell: int = 1, samples: int = 500, seed: int = 0, oracle: Optional[ResidueOracle] = None
 ) -> LemmaReport:
     """Reduce-multiply-reduce agrees with multiply-reduce on random
     polynomials drawn from the variable pool of vertices 1 and 2.  For
@@ -658,11 +661,7 @@ def verify_residue_operator(
 
 
 def verify_residue_properties(
-    n: int = 3,
-    ell: int = 1,
-    pairs: int = 200,
-    seed: int = 0,
-    max_degree: int = 2,
+    n: int = 3, ell: int = 1, pairs: int = 200, seed: int = 0, max_degree: int = 2,
     oracle: Optional[ResidueOracle] = None,
 ) -> Tuple[LemmaReport, ...]:
     """The four defining properties of the reduction operator, each as

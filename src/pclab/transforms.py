@@ -278,8 +278,9 @@ def build_jcta(
     for i in others:
         for l in range(1, ell + 1):
             assignment[edge(i, j, l)] = False
-    for k in others:
-        l = lk[k]
+    for k, l in sorted(lk.items()):
+        if k not in others:
+            raise ValueError(f"lk_choice names vertex {k}, not one of the vertices of 1..{n} other than {j}")
         if not (1 <= l <= ell):
             raise ValueError(f"gadget index {l} for vertex {k} outside 1..{ell}")
         assignment[edge(j, k, l)] = True
@@ -313,14 +314,15 @@ def isolate_vertex_restriction(
         raise ValueError(f"vertex {j} outside 1..{n}")
     others = [i for i in range(1, n + 1) if i != j]
     li = {i: 1 for i in others}
-    if l_choice:
-        li.update(l_choice)
+    li.update(l_choice or {})
     assignment: Dict[Var, bool] = {}
-    for i in others:
-        if not (1 <= li[i] <= ell):
-            raise ValueError(f"gadget index {li[i]} for vertex {i} outside 1..{ell}")
+    for i, chosen in sorted(li.items()):
+        if i not in others:
+            raise ValueError(f"l_choice names vertex {i}, not one of the vertices of 1..{n} other than {j}")
+        if not (1 <= chosen <= ell):
+            raise ValueError(f"gadget index {chosen} for vertex {i} outside 1..{ell}")
         for l in range(1, ell + 1):
-            if l != li[i]:
+            if l != chosen:
                 assignment[edge(i, j, l)] = True
     for k in others:
         for l in range(1, ell + 1):

@@ -134,3 +134,36 @@ def test_exit_status(monkeypatch, capsys, change, status):
     monkeypatch.setattr(abbench, "run_once", run_once)
     assert abbench.main(["PARENT", "CHANGE", "--workload", "w"]) == status
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["runs_per_side"] == 10
+
+
+def test_several_workloads(monkeypatch, capsys):
+    """Each pair runs every workload on both sides, the first side
+    alternating by pair; one summary and one JSON line per workload, and
+    one worse workload sets the exit status."""
+    calls = []
+
+    def export(sha, into):
+        os.makedirs(into)
+        with open(os.path.join(into, "BENCHMARK.json"), "w") as fh:
+            json.dump({"end_to_end": [WALL]}, fh)
+        return into
+
+    def run_once(checkout, args):
+        side = os.path.basename(checkout)
+        k = sum(1 for c in calls if c[:2] == (args.workload, side))
+        calls.append((args.workload, side))
+        value = TIGHT[k] + 30 if (args.workload, side) == ("slow", "change") else TIGHT[k]
+        return {"exit": 0, "result": {"metrics": {"wall_ref": {"value": value}}}}
+
+    monkeypatch.setattr(abbench, "git", lambda *args: b"0" * 40 + b"\n")
+    monkeypatch.setattr(abbench, "export", export)
+    monkeypatch.setattr(abbench, "run_once", run_once)
+    assert abbench.main(["PARENT", "CHANGE", "--workload", "same", "--workload", "slow", "--pairs", "4"]) == 1
+    assert calls[:8] == [("same", "parent"), ("same", "change"), ("slow", "parent"), ("slow", "change"),
+                         ("same", "change"), ("same", "parent"), ("slow", "change"), ("slow", "parent")]
+    out = capsys.readouterr().out.splitlines()
+    verdicts = {line.split()[0]: json.loads(line.split(": ", 1)[1])["verdict"] for line in out if " wall_ref: " in line}
+    assert verdicts == {"same": "no regression", "slow": "worse"}
+    docs = [json.loads(line) for line in out[-2:]]
+    assert [d["workload"] for d in docs] == ["same", "slow"]
+    assert all(len(d["parent"]) == len(d["change"]) == 4 for d in docs)

@@ -1,4 +1,4 @@
-"""Alternating parent/change runs of one benchmark workload.
+"""Alternating parent/change runs of benchmark workloads.
 
     python3 tools/abbench.py PARENT CHANGE --workload fourier-transform \
         --seed 1 --pairs 10 --seconds 40
@@ -7,11 +7,12 @@ PARENT and CHANGE name two commits of this repository.  Each is exported
 with ``git archive`` into its own temporary directory, and
 ``bench/run.py --trace 0`` runs there, one run at a time.  The two sides
 alternate within a pair, and the side that runs first alternates from
-pair to pair.
+pair to pair.  ``--workload`` may be given more than once: each pair
+then runs every workload in turn, each one on both sides.
 
-For each end-to-end metric that BENCHMARK.json lists, the tool prints
-both sides' medians and quartiles, the pairs the change won, and a
-verdict read against the metric's ``bound``:
+For each workload and each end-to-end metric that BENCHMARK.json lists,
+the tool prints both sides' medians and quartiles, the pairs the change
+won, and a verdict read against the metric's ``bound``:
 
 - ``gain``: the change won at least 9 of 10 pairs, and its median is
   better than the parent's by more than the parent's quartile spread;
@@ -27,13 +28,13 @@ exited nonzero, printed no result line, or printed one with ``correct:
 false``; the share of failed operations is taken over the runs that
 reported their operations.  The tool prints both counts for each side.
 
-Its last line is one JSON object that holds every result line, laid out
-like the ``workloads`` entries of a ``BENCH_*.json``.  Progress goes to
-stderr.  The exports are removed at the end, so nothing is written
+Its last lines are one JSON object per workload, in the order given,
+that holds every result line, laid out like the ``workloads`` entries of
+a ``BENCH_*.json``.  Progress goes to stderr.  The exports are removed at the end, so nothing is written
 inside the repository.
 
-The exit status is 1 when any metric reads ``worse`` or ``failed``, and
-0 otherwise, so a script can gate on it.
+The exit status is 1 when any metric of any workload reads ``worse`` or
+``failed``, and 0 otherwise, so a script can gate on it.
 """
 
 import argparse
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40)
@@ -154,25 +155,33 @@ def main(argv=None) -> int:
         checkouts = {side: export(sha, os.path.join(tmp, side)) for side, sha in shas.items()}
         with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as fh:
             metrics = json.load(fh)["end_to_end"]
-        runs = {"parent": [], "change": []}
+        runs = {w: {"parent": [], "change": []} for w in args.workload}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                run = {"pair": pair, **run_once(checkouts[side], args)}
-                runs[side].append(run)
-                values = {m["name"]: metric(run, m["name"]) for m in metrics}
-                print(f"# pair {pair} {side}: exit {run['exit']} {json.dumps(values)}", file=sys.stderr, flush=True)
-    summary, operations = summarise(runs, metrics), failures(runs)
-    for side, row in operations.items():
-        print(f"{args.workload} {side} runs: {row['failed_runs']} of {row['runs']} failed; "
-              f"{row['failed']} of {row['attempted']} operations failed ({row['failed_share']:.4f})")
-    for name, row in summary.items():
-        print(f"{args.workload} {name}: {json.dumps(row)}")
-    doc = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-           "runs_per_side": args.pairs, "parent_sha": shas["parent"], "change_sha": shas["change"],
-           "operations": operations, "summary": summary, **runs}
-    print(json.dumps(doc))
-    return int(any(row.get("verdict") in ("worse", "failed") for row in summary.values()))
+            for w in args.workload:
+                one = argparse.Namespace(**{**vars(args), "workload": w})
+                tag = f"{w} " if len(args.workload) > 1 else ""
+                for side in order:
+                    run = {"pair": pair, **run_once(checkouts[side], one)}
+                    runs[w][side].append(run)
+                    values = {m["name"]: metric(run, m["name"]) for m in metrics}
+                    print(f"# {tag}pair {pair} {side}: exit {run['exit']} {json.dumps(values)}",
+                          file=sys.stderr, flush=True)
+    docs, bad = [], False
+    for w in args.workload:
+        summary, operations = summarise(runs[w], metrics), failures(runs[w])
+        for side, row in operations.items():
+            print(f"{w} {side} runs: {row['failed_runs']} of {row['runs']} failed; "
+                  f"{row['failed']} of {row['attempted']} operations failed ({row['failed_share']:.4f})")
+        for name, row in summary.items():
+            print(f"{w} {name}: {json.dumps(row)}")
+        docs.append({"workload": w, "seed": args.seed, "seconds": args.seconds,
+                     "runs_per_side": args.pairs, "parent_sha": shas["parent"], "change_sha": shas["change"],
+                     "operations": operations, "summary": summary, **runs[w]})
+        bad = bad or any(row.get("verdict") in ("worse", "failed") for row in summary.values())
+    for doc in docs:
+        print(json.dumps(doc))
+    return int(bad)
 
 
 if __name__ == "__main__":
