@@ -230,7 +230,7 @@ class _ClosureEngine:
                          for m, g in self.groebner.items()}
         self._left = math.inf  # remainders after the build are not counted
         # the order ideal, one degree at a time: the one-variable multiples
-        # of the last degree that are no lead and whose every divisor is in
+        # of the last degree that are no lead and whose divisors there all are
         std, level = [], [0] if 0 not in self.groebner else []
         while level:
             std += level
@@ -244,8 +244,8 @@ class _ClosureEngine:
     def _reduce(self, f: Dict[int, int]) -> Dict[int, int]:
         """The remainder of a ``{mask: coeff}`` dict, which it consumes:
         each term, largest first, is kept or replaced by the smaller terms
-        of a lead's multiple.  It costs a step, plus one per lead tested
-        and one per term of the multiple."""
+        of a lead's multiple.  It costs a step, plus one per lead and one
+        per term of the multiple."""
         out: Dict[int, int] = {}
         heap = [(-m.bit_count(), -m) for m in f]
         heapq.heapify(heap)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -486,6 +487,16 @@ class TestParseRange:
             parse_range(",")
         with pytest.raises(ValueError):
             parse_range("a..b")
+
+    @pytest.mark.parametrize("text, part", [("4..", "4.."), ("3..a", "3..a"), ("1,x,3", "x"), ("..4", "..4"),
+                                            ("2..3..4", "2..3..4")])
+    def test_names_the_bad_part_and_the_text(self, text, part):
+        with pytest.raises(ValueError, match=re.escape(f"bad part {part!r} in range {text!r}")):
+            parse_range(text)
+
+    def test_experiment_exits_2_on_a_bad_range(self, tmp_path, capsys):
+        assert run("experiment", "--family", "lop", "--n", "4..", "--out", tmp_path / "x.csv") == 2
+        assert "error: bad part '4..' in range '4..'" in capsys.readouterr().err
 
 
 class TestEnvDefaults:

@@ -4,8 +4,10 @@ import random
 import time
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+import pclab.degreelab as degreelab
 from pclab.algebra import (
     BOOLEAN,
     DEFAULT_FIELD,
@@ -23,6 +25,8 @@ from pclab.algebra import (
     pointer,
 )
 from pclab.degreelab import (
+    CLOSURE_STD_LIMIT,
+    CLOSURE_STEP_LIMIT,
     SPAN_POINTS_LIMIT,
     HeavySelection,
     LemmaReport,
@@ -43,6 +47,7 @@ from pclab.degreelab import (
 )
 from pclab.formulas import cnf_to_axioms, gen_bop_lifted, semantic_implies
 from pclab.proofs import AxiomSystem, check_pc, proof_lines, random_derivation, touched
+from test_span_oracle import GroebnerReducer
 
 F = DEFAULT_FIELD
 
@@ -181,9 +186,10 @@ def test_closure_route_on_rows_sharing_a_variable(basis):
 
 
 @pytest.mark.parametrize("basis", [BOOLEAN, FOURIER])
-def test_closure_rows_stay_fully_reduced(basis):
-    """The one-pass remainder needs every row reduced against every other:
-    no tail holds a leading mask, and each lead tops its own row."""
+def test_closure_basis_is_monic_and_reduced(basis):
+    """A remainder is a full reduction by divisibility: each basis
+    polynomial is monic and led by its key, and no term of a remainder,
+    or of a basis polynomial past its lead, is divisible by a lead."""
     x, y, z = plain("x"), plain("y"), plain("z")
     # x*y - x holds t = x and t*y: in {0,1}, y times it is x*y - x*y = 0,
     # so x stays standard; dropping one of the two terms that meet would
@@ -197,10 +203,17 @@ def test_closure_rows_stay_fully_reduced(basis):
     for fam in fams:
         universe = sorted({v for q in fam for v in q.variables()} | {x, y, z})
         b = span_basis(fam, universe=universe, basis=basis, field=F, method="closure")
-        rows = b._engine.rows
-        for lead, tail in rows.items():
-            assert not tail.keys() & rows.keys()
-            assert all((m.bit_count(), m) < (lead.bit_count(), lead) for m in tail)
+        codec, gb = b._engine.codec, b._engine.groebner
+
+        def divisible(m):
+            return any(lead & m == lead for lead in gb)
+
+        for lead, g in gb.items():
+            assert g[lead] == 1 and codec.lead(g) == lead
+            assert not any(divisible(m) for m in g if m != lead)
+        for t in _family_terms(universe, len(universe)):
+            for s in b.reduce(Poly.from_term(F, basis, t)).terms:
+                assert not divisible(codec.mask(v for v in s if v in codec.pos)), (t, s)
         a = span_basis(fam, universe=universe, basis=basis, field=F, method="points")
         assert a.std_monomials == b.std_monomials
     if basis == BOOLEAN:
@@ -223,6 +236,52 @@ def test_closure_matches_points_on_every_touch_key():
             assert closure.std_monomials == points.std_monomials, key
             for q in terms:
                 assert closure.reduce(q) == points.reduce(q), (key, q)
+
+
+def test_closure_matches_points_on_larger_touch_keys(monkeypatch):
+    """Past the old 12-variable universe cap: every in-regime key of
+    (3, 2), and keys {1}, {1,2}, {1,2,3} of (4, 1), whose 18 active
+    variables need the points cap raised.  Both engines give the same
+    standard monomials and the same remainders of seeded terms."""
+    monkeypatch.setattr(degreelab, "SPAN_VAR_LIMIT", 18)
+    cases = [(3, 2, [k for r in range(3) for k in itertools.combinations((1, 2, 3), r)]),
+             (4, 1, [(1,), (1, 2), (1, 2, 3)])]
+    for n, ell, keys in cases:
+        ctx = bop_context(n, ell)
+        rng = random.Random(n)
+        queries = [Poly.from_term(F, BOOLEAN, make_term(rng.sample(ctx.universe, rng.randint(0, 6))))
+                   for _ in range(30)]
+        for key in keys:
+            assert _in_regime(frozenset(key), n)
+            family = [ctx.polys[i] for g in ("T",) + tuple(f"BV({j})" for j in key) for i in ctx.groups[g]]
+            points = span_basis(family, universe=ctx.universe)
+            closure = span_basis(family, universe=ctx.universe, method="closure")
+            assert closure.std_monomials == points.std_monomials, (n, ell, key)
+            for q in queries:
+                assert closure.reduce(q) == points.reduce(q), (n, ell, key, q)
+
+
+def test_closure_matches_sympy_on_a_3_2_key():
+    """An independent oracle at a size the old closure engine refused:
+    key {1,2} of (3, 2), 16 active variables.  The standard monomials are
+    exactly the squarefree monomials that no leading term of sympy's
+    basis divides, and seeded remainders agree."""
+    ctx = bop_context(3, 2)
+    family = [ctx.polys[i] for g in ("T", "BV(1)", "BV(2)") for i in ctx.groups[g]]
+    sp = span_basis(family, universe=ctx.universe, method="closure")
+    assert len(sp.active) == 16
+    ref = GroebnerReducer(family, sp.active, BOOLEAN)
+    # bit i of a mask stands for ref.gens[i]; a square divides no
+    # squarefree monomial
+    monoms = [sympy.Poly(g, *ref.syms).monoms(order="grlex")[0] for g in ref.groebner.exprs]
+    leads = [sum(1 << i for i, e in enumerate(exps) if e) for exps in monoms if max(exps) == 1]
+    want = {m for m in range(1 << len(ref.gens)) if all(lead & m != lead for lead in leads)}
+    got = {sum(1 << ref.gens.index(v) for v in t) for t in sp.std_monomials}
+    assert got == want and len(got) == 117
+    rng = random.Random(5)
+    for _ in range(25):
+        q = Poly.from_term(F, BOOLEAN, make_term(rng.sample(sp.active, rng.randint(0, 7))))
+        assert sp.reduce(q) == ref.reduce(q), q
 
 
 def _mixed_vars():
@@ -284,14 +343,27 @@ def test_span_argument_checks():
 
 
 def test_span_scale_limits():
-    vs = [plain(f"v{i:02d}") for i in range(17)]
+    vs = [plain(f"v{i:02d}") for i in range(40)]
     with pytest.raises(ScaleLimitExceeded):
-        span_basis([Poly.variable(F, BOOLEAN, v) for v in vs], universe=vs)
-    with pytest.raises(ScaleLimitExceeded):
-        span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:13], method="closure")
-    # at the limits both engines still build
+        span_basis([Poly.variable(F, BOOLEAN, v) for v in vs[:17]], universe=vs[:17])
+    # at the limit the points engine still builds; the closure engine
+    # counts no variables
     span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:16])
-    span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:12], method="closure")
+    assert span_basis([Poly.variable(F, BOOLEAN, v) for v in vs], method="closure").std_monomials == ((),)
+    # one monomial over k variables leaves 2^k - 1 standard monomials
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimitExceeded, match=f"more than {CLOSURE_STD_LIMIT} standard monomials"):
+        span_basis([Poly.from_term(F, BOOLEAN, make_term(vs[:13]))], method="closure")
+    assert time.perf_counter() - start < 1.0
+    sp = span_basis([Poly.from_term(F, BOOLEAN, make_term(vs[:12]))], method="closure")
+    assert len(sp.std_monomials) == CLOSURE_STD_LIMIT - 1
+    # a key of (5, 1), past every in-regime key of (4, 1), exceeds the steps
+    ctx = bop_context(5, 1)
+    family = [ctx.polys[i] for g in ("T", "BV(1)", "BV(2)", "BV(3)") for i in ctx.groups[g]]
+    start = time.perf_counter()
+    with pytest.raises(ScaleLimitExceeded, match=f"closure limit of {CLOSURE_STEP_LIMIT} steps"):
+        span_basis(family, method="closure")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_span_points_limit():

@@ -284,6 +284,19 @@ def test_isolate_vertex_needs_two_vertices():
         isolate_vertex_restriction(1, 2, 1)
 
 
+@pytest.mark.parametrize("choice, vertex", [({7: 1}, 7), ({2: 1}, 2), ({0: 1, 1: 2}, 0), ({1: 2, 7: 1, 2: 5}, 2)])
+def test_choice_keys_must_be_other_vertices(choice, vertex):
+    # a key outside 1..n, or j itself, is refused by name, not ignored
+    with pytest.raises(ValueError, match=f"l_choice names vertex {vertex}, not one of the vertices of 1..3 other than 2"):
+        isolate_vertex_restriction(3, 2, 2, l_choice=choice)
+    lk = {1: 1, 3: 1, **choice}
+    with pytest.raises(ValueError, match=f"lk_choice names vertex {vertex}, not one of the vertices of 1..3 other than 2"):
+        build_jcta(3, 2, 2, lk_choice=lk)
+    # the choices of the other vertices alone still build
+    assert len(isolate_vertex_restriction(3, 2, 2, l_choice={1: 2, 3: 1})) == 8
+    assert len(build_jcta(3, 2, 2, lk_choice={1: 2, 3: 1})) == 6
+
+
 # ---------------------------------------------------------------------------
 # split
 
