@@ -16,6 +16,7 @@ from pclab.algebra import (
 )
 from pclab.constructions import pcr_upper_bound
 from pclab.formulas import (
+    CNF,
     AxiomSystem,
     cnf_to_axioms,
     gen_bop_lifted,
@@ -36,7 +37,7 @@ from pclab.proofs import (
     random_derivation,
     read_pcproof,
     read_resproof,
-    resolve_clauses,
+    resolution_lines,
     special_degree,
     touched,
     twin_axiom_poly,
@@ -156,16 +157,21 @@ class TestCheckPC:
         assert sat_oracle(AxiomSystem(F, FOURIER, tuple(used), ax.universe)) is None
 
 
+def two_clause_proof(second):
+    """{a, b} and ``second`` resolved on a."""
+    x, y = plain("a"), plain("b")
+    cnf = CNF((frozenset({x, y}), second(x, y)), (x, y))
+    return ResolutionProof(cnf, (("in", 0), ("in", 1), ("res", 0, 1, x)))
+
+
 class TestResolution:
     def test_resolve_example(self):
-        x, y = plain("a"), plain("b")
-        c = resolve_clauses(frozenset({x, y}), frozenset({x.twin, y}), x)
-        assert c == frozenset({y})
+        proof = two_clause_proof(lambda x, y: frozenset({x.twin, y}))
+        assert resolution_lines(proof)[-1] == frozenset({plain("b")})
 
     def test_non_complementary_pivot(self):
-        x, y = plain("a"), plain("b")
-        with pytest.raises(Exception):
-            resolve_clauses(frozenset({x, y}), frozenset({x, y.twin}), x)
+        rep = check_resolution(two_clause_proof(lambda x, y: frozenset({x, y.twin})))
+        assert (rep.valid, rep.first_bad_line, rep.message) == (False, 2, "pivot a is not complementary in the parents")
 
     def test_lop2_refutation(self):
         cnf = gen_lop(2)

@@ -10,10 +10,11 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pclab.algebra import BOOLEAN, FOURIER, DEFAULT_FIELD, Poly, format_poly, grlex_key, plain, term_mul
-from pclab.constructions import lop_resolution_refutation, tseitin_fourier_refutation
+from pclab.algebra import BOOLEAN, FOURIER, DEFAULT_FIELD, Poly, edge, format_poly, grlex_key, plain, term_mul
+from pclab.constructions import lifted_refutation, lop_resolution_refutation, tseitin_fourier_refutation
 from pclab.formulas import (
     AxiomSystem,
+    clause_to_poly,
     cnf_to_axioms,
     gen_bop_lifted,
     gen_cycle_tseitin,
@@ -285,16 +286,42 @@ def test_check_pc_never_raises_on_mutated_steps(basis):
     check()
 
 
+def frozenset_lines(proof):
+    """Every clause of a valid resolution proof by the rule on frozensets
+    of literals: the reference for the walk on masks."""
+    lines = []
+    for step in proof.steps:
+        if step[0] == "in":
+            lines.append(proof.cnf.clauses[step[1]])
+            continue
+        _, i, j, pivot = step
+        pivot = pivot.base
+        assert pivot in lines[i] and pivot.twin in lines[j] or pivot in lines[j] and pivot.twin in lines[i]
+        lines.append(frozenset(v for v in lines[i] | lines[j] if v.base != pivot))
+    return lines
+
+
+LOP3, LIFTED = lop_resolution_refutation(3), lifted_refutation(2, 2)
+
+
 @SETTINGS
-@given(st.integers(0, 60), MUTANTS)
-def test_check_resolution_never_raises_on_mutated_steps(k, step):
-    proof = lop_resolution_refutation(3)
+@given(st.sampled_from([LOP3, LIFTED]), st.integers(0, 60), MUTANTS)
+@example(LOP3, 0, LOP3.steps[0])
+@example(LIFTED, 0, LIFTED.steps[0])
+@example(LIFTED, len(LIFTED.steps) - 1, LIFTED.steps[-1][:3] + (LIFTED.steps[-1][3].twin,))
+@example(LIFTED, len(LIFTED.steps) - 1, ("in", 0))
+def test_check_resolution_never_raises_on_mutated_steps(proof, k, step):
     k %= len(proof.steps)
-    steps = proof.steps[:k] + (step,) + proof.steps[k + 1:]
-    rep = check_resolution(ResolutionProof(proof.cnf, steps))
+    proof = ResolutionProof(proof.cnf, proof.steps[:k] + (step,) + proof.steps[k + 1:])
+    rep = check_resolution(proof)
     assert rep.valid or rep.first_bad_line >= k
     if rep.valid:
-        assert len(resolution_lines(ResolutionProof(proof.cnf, steps))) == len(steps)
+        lines = frozenset_lines(proof)
+        assert resolution_lines(proof) == lines
+        assert (rep.is_refutation, rep.max_width) == (not lines[-1], max(map(len, lines)))
+        pc = res_to_pcr(proof)
+        assert check_pc(pc).valid
+        assert proof_lines(pc)[-1] == clause_to_poly(lines[-1], BOOLEAN)
 
 
 def test_writer_lin_keeps_live_parts():
@@ -339,7 +366,7 @@ PC_FAULTS = [  # (id, step at L4, message or None for a valid step)
 
 CNF_PROOF = lop_resolution_refutation(3)
 A = CNF_PROOF.steps[-1][3]  # a pivot of the proof
-RES_PREFIX = CNF_PROOF.steps[:3]
+RES_PREFIX = (("in", 0), ("in", 1), ("in", 10))  # x(2,1) x(3,1), x(1,2) x(3,2), ~x(1,3) ~x(3,1)
 RES_FAULTS = [
     ("empty", (), "malformed step ()"),
     ("list-kind", (["in"], 0), "malformed step (['in'], 0)"),
@@ -355,6 +382,10 @@ RES_FAULTS = [
     ("clause-range", ("in", 12), "no input clause 13: the formula has 12"),
     ("clause-float", ("in", 1.0), "no input clause 1.0: the formula has 12"),
     ("pivot", ("res", 0, 1, 5), "pivot 5 is not a variable"),
+    ("pivot-missing", ("res", 0, 1, A), f"pivot {A} is not complementary in the parents"),
+    ("pivot-same-sign", ("res", 0, 0, A), f"pivot {A} is not complementary in the parents"),
+    ("pivot-outside", ("res", 0, 2, plain("zz")), "pivot zz is not complementary in the parents"),
+    ("pivot-twin", ("res", 2, 0, edge(3, 1).twin), None),  # resolves on x(3,1)
     ("int-step", 5, "malformed step 5"),
     ("none-step", None, "malformed step None"),
     ("bool-clause", ("in", True), "no input clause True: the formula has 12"),
@@ -406,6 +437,10 @@ def test_walk_makes_one_call_per_step(proof):
 def test_resolution_walk_error_contract(name, step, message):
     proof = ResolutionProof(CNF_PROOF.cnf, RES_PREFIX + (step,))
     rep = check_resolution(proof)
+    if message is None:
+        assert rep.valid and resolution_lines(proof)[3] == {A, edge(1, 3).twin}
+        assert check_pc(res_to_pcr(proof)).valid
+        return
     assert (rep.valid, rep.first_bad_line, rep.message) == (False, 3, message)
     with pytest.raises(ValueError) as e:
         res_to_pcr(proof)
