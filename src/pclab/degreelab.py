@@ -39,7 +39,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -494,9 +494,10 @@ def _fmt_term(t: Term) -> str:
     return "*".join(format_var(v) for v in t) if t else "1"
 
 
-def _family_terms(universe: Sequence[Var], max_degree: int) -> List[Term]:
+def _family_terms(universe: Sequence[Var], max_degree: int) -> Iterator[Term]:
     """Every term over a universe of distinct variables up to
-    ``max_degree``, in graded-lex order.
+    ``max_degree``, in graded-lex order, one degree block at a time: a
+    scale limit met by an early term fires before a large block is built.
 
     Within one degree, graded lex orders terms by their variables read
     from the largest down, lexicographically.  ``combinations`` of the
@@ -508,12 +509,7 @@ def _family_terms(universe: Sequence[Var], max_degree: int) -> List[Term]:
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     desc = sorted(universe, reverse=True)
-    out: List[Term] = []
-    for d in range(max_degree + 1):
-        block = [c[::-1] for c in itertools.combinations(desc, d)]
-        block.reverse()
-        out.extend(block)
-    return out
+    return (c[::-1] for d in range(max_degree + 1) for c in reversed(list(itertools.combinations(desc, d))))
 
 
 def _default_oracle(n: int, ell: int, oracle: Optional[ResidueOracle]) -> ResidueOracle:

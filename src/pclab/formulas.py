@@ -122,6 +122,11 @@ class CNF:
     def width(self) -> int:
         return max((len(c) for c in self.clauses), default=0)
 
+    @cached_property
+    def codec(self) -> TermCodec:
+        """Masks over every variable a proof step may name."""
+        return TermCodec(v for v in self.universe if not v.negated)
+
 
 @dataclass(frozen=True)
 class AxiomSystem:
@@ -154,10 +159,7 @@ class AxiomSystem:
     def __len__(self) -> int:
         return len(self.polys)
 
-    @cached_property
-    def codec(self) -> TermCodec:
-        """Masks over every variable a proof step may name."""
-        return TermCodec(v for v in self.universe if not v.negated)
+    codec = CNF.codec  # one definition: both systems name variables of a universe
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ proof.  The first step that does not derive a line ends the walk with a
 ``StepError`` whose ``k`` is that step's index; its message quotes
 axiom, clause and line numbers 1-based, as the file writes them.
 
-One evaluator, ``_mask_lines``, computes each line as a ``{mask: coeff}``
-dict over the axiom system's ``codec`` (the i-th universe base at bit 2i,
-its twin at 2i+1): a product by a variable is ``|`` in {0,1} and ``^`` in
-{+1,-1}, and a degree is ``bit_count()``.  ``walk_pc`` decodes to ``Poly``;
-of the quadratic metrics only ``quadratic_set`` decodes its products.
+Both walks derive masks over their system's ``codec``, the i-th universe
+base at bit 2i and its twin at 2i+1; a width or degree is ``bit_count()``.
+A resolution line is a clause mask, one bit per literal (``_clause_rule``).
+``_mask_lines``, the one evaluator of polynomial-calculus lines, derives
+``{mask: coeff}`` dicts: a product by a variable is ``|`` in {0,1} and
+``^`` in {+1,-1}.  ``walk_pc`` decodes to ``Poly``, ``resolution_lines`` to
+frozensets; of the quadratic metrics only ``quadratic_set`` decodes.
 """
 
 from __future__ import annotations
@@ -357,47 +359,45 @@ class ResReport:
     message: str = ""
 
 
-def resolve_clauses(c1: Clause, c2: Clause, pivot: Var) -> Clause:
-    """Resolvent of two clauses on a pivot variable (given as its base)."""
-    pivot = pivot.base
-    if pivot in c1 and pivot.twin in c2:
-        pos, neg = c1, c2
-    elif pivot in c2 and pivot.twin in c1:
-        pos, neg = c2, c1
-    else:
-        raise StepError(f"pivot {format_var(pivot)} is not complementary in the parents")
-    return frozenset(v for v in (pos | neg) if v.base != pivot)
+def _clause_rule(cnf: CNF):
+    """The resolution rule on clause masks over ``cnf.codec``, as ``_walk``'s
+    ``derive``; a pivot given as a twin resolves as its base."""
+    clauses, mask, pos = cnf.clauses, cnf.codec.mask, cnf.codec.pos
 
-
-def walk_resolution(proof: ResolutionProof) -> Iterator[Tuple[int, Step, Clause]]:
-    """Recompute every clause of a resolution proof from its step."""
-    clauses = proof.cnf.clauses
-
-    def derive(kind: str, at, step: Step, parents: tuple) -> Clause:
+    def derive(kind: str, at, step: Step, parents: tuple) -> int:
         if kind == "in":
-            return clauses[at]
+            return mask(clauses[at])
         pivot = step[3]
         if not isinstance(pivot, Var):
             raise StepError(f"pivot {pivot!r} is not a variable")
-        return resolve_clauses(parents[0], parents[1], pivot)
+        a, b = parents
+        i = pos.get(pivot, -2) & ~1  # the base's bit, its twin's one above; < 0 outside the universe
+        if i < 0 or not (a >> i & b >> i + 1 | b >> i & a >> i + 1) & 1:  # base in one, twin in the other
+            raise StepError(f"pivot {format_var(pivot.base)} is not complementary in the parents")
+        return (a | b) & ~(3 << i)
 
-    return _walk(proof, derive)
+    return derive
+
+
+def walk_resolution(proof: ResolutionProof) -> Iterator[Tuple[int, Step, int]]:
+    """Recompute every clause of a resolution proof from its step: yields
+    (k, step, the clause's mask over ``proof.cnf.codec``)."""
+    return _walk(proof, _clause_rule(proof.cnf))
 
 
 def resolution_lines(proof: ResolutionProof) -> List[Clause]:
     """Materialize every clause; raises StepError on a malformed step."""
-    return [c for _, _, c in walk_resolution(proof)]
+    return [frozenset(proof.cnf.codec.term(m)) for _, _, m in walk_resolution(proof)]
 
 
 def check_resolution(proof: ResolutionProof) -> ResReport:
-    width = 0
-    final: Optional[Clause] = None
+    width, final = 0, None
     try:
         for _, _, final in walk_resolution(proof):
-            width = max(width, len(final))
+            width = max(width, final.bit_count())
     except StepError as e:
         return ResReport(False, False, len(proof.steps), width, e.k, str(e))
-    return ResReport(True, final is not None and not final, len(proof.steps), width)
+    return ResReport(True, final == 0, len(proof.steps), width)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from .algebra import (
     edge,
     encode_truth,
     format_var,
-    make_term,
     parse_var,
     term_mul,
 )
@@ -62,10 +61,10 @@ from .proofs import (
     StepError,
     _PC,
     _VAR,
+    _clause_rule,
     _mask_lines,
     _quadratic_masks,
     _walk,
-    walk_resolution,
 )
 
 # ---------------------------------------------------------------------------
@@ -669,23 +668,26 @@ def res_to_pcr(rproof: ResolutionProof, field=None) -> PCProof:
     monomial), adds them, and cancels the pivot pair against the twin
     axiom multiplied by the resolvent monomial.
     """
-    kwargs = {} if field is None else {"field": field}
-    axioms = cnf_to_axioms(rproof.cnf, BOOLEAN, **kwargs)
+    axioms = cnf_to_axioms(rproof.cnf, BOOLEAN, **({} if field is None else {"field": field}))
     out = ProofWriter(axioms.field.p)
-    lines: List[Clause] = []
-    where: List[int] = []
-    for _, step, clause in _valid_input(walk_resolution(rproof)):
-        lines.append(clause)
-        if step[0] == "in":
-            where.append(out.emit(("ax", step[1])))
-            continue
-        _, i, j, pivot = step
-        pivot = pivot.base
-        target = make_term(v.twin for v in clause)  # the clause's one-monomial translation
-        # each parent's monomial is multiplied up to the target; the parent
-        # with the positive pivot literal comes first and carries the twin factor
-        pos, neg = (i, j) if pivot in lines[i] else (j, i)
-        le = out.lin([(1, where[q], [v for v in target if v.twin not in lines[q]]) for q in (pos, neg)])
-        tw = out.emit(("tw", pivot))
-        where.append(out.lin([(1, le, ()), (axioms.field.p - 1, tw, target)]))
+    rule, codec = _clause_rule(rproof.cnf), rproof.cnf.codec
+    evens = (1 << len(codec.var_of)) // 3  # the base bits
+
+    def twins(m: int) -> Term:  # the monomial of a clause mask: each literal's twin, in term order
+        return codec.term((m & evens) << 1 | m >> 1 & evens)
+
+    def derive(kind: str, at, step: Step, parents: tuple) -> Tuple[int, int]:
+        # a line is the clause's mask and the line of its translation
+        if kind == "in":
+            return rule(kind, at, step, ()), out.emit(("ax", at))
+        clause = rule(kind, at, step, (parents[0][0], parents[1][0]))
+        # the parent with the positive pivot literal comes first and carries the twin factor
+        i = codec.pos[step[3]] & ~1
+        ordered = parents if parents[0][0] >> i & 1 else parents[::-1]
+        le = out.lin([(1, q, twins(clause & ~m)) for m, q in ordered])
+        tw = out.emit(("tw", codec.var_of[i]))
+        return clause, out.lin([(1, le, ()), (axioms.field.p - 1, tw, twins(clause))])
+
+    for _ in _valid_input(_walk(rproof, derive)):
+        pass
     return PCProof(axioms, tuple(out.steps))

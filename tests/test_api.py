@@ -22,7 +22,6 @@ DROPPED = {
     "SPAN_POINTS_LIMIT": "degreelab",
     "walk_pc": "proofs",
     "walk_resolution": "proofs",
-    "resolve_clauses": "proofs",
     "twin_axiom_poly": "proofs",
     "restrict_poly": "transforms",
     "restrict_cnf": "transforms",

@@ -302,7 +302,20 @@ def test_family_terms_matches_sorted_combinations(universe, data):
     want = []
     for d in range(max_degree + 1):
         want.extend(sorted((make_term(c) for c in itertools.combinations(universe, d)), key=grlex_key))
-    assert _family_terms(universe, max_degree) == want
+    assert list(_family_terms(universe, max_degree)) == want
+
+
+def test_family_terms_lists_one_degree_at_a_time(monkeypatch):
+    asked, combinations = [], itertools.combinations
+
+    def recorded(pool, d):
+        asked.append(d)
+        return combinations(pool, d)
+
+    monkeypatch.setattr(degreelab.itertools, "combinations", recorded)
+    terms = iter(_family_terms(bop_context(3, 1).universe, 4))
+    assert next(terms) == () and asked == [0]
+    assert next(terms) and asked == [0, 1]
 
 
 def test_span_escalier_and_basis_poly_invariants():
@@ -450,7 +463,7 @@ def test_span_for_is_cached_and_sized(oracle):
 def test_tau_is_the_touch_key_interned():
     ctx = bop_context(3, 1)
     orc = ResidueOracle(ctx)
-    terms = _family_terms(ctx.universe, len(ctx.universe))
+    terms = list(_family_terms(ctx.universe, len(ctx.universe)))
     assert len(terms) == 4096
     keys = {}
     for t in terms:
