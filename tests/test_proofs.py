@@ -158,19 +158,20 @@ class TestCheckPC:
 
 
 def two_clause_proof(second):
-    """{a, b} and ``second`` resolved on a."""
+    """The clauses {a, b} and ``second`` resolved on a."""
     x, y = plain("a"), plain("b")
-    cnf = CNF((frozenset({x, y}), second(x, y)), (x, y))
+    cnf = CNF((frozenset({x, y}), frozenset(second)), (x, y))
     return ResolutionProof(cnf, (("in", 0), ("in", 1), ("res", 0, 1, x)))
 
 
 class TestResolution:
     def test_resolve_example(self):
-        proof = two_clause_proof(lambda x, y: frozenset({x.twin, y}))
-        assert resolution_lines(proof)[-1] == frozenset({plain("b")})
+        x, y = plain("a"), plain("b")
+        assert resolution_lines(two_clause_proof({x.twin, y}))[-1] == frozenset({y})
 
     def test_non_complementary_pivot(self):
-        rep = check_resolution(two_clause_proof(lambda x, y: frozenset({x, y.twin})))
+        x, y = plain("a"), plain("b")
+        rep = check_resolution(two_clause_proof({x, y.twin}))
         assert (rep.valid, rep.first_bad_line, rep.message) == (False, 2, "pivot a is not complementary in the parents")
 
     def test_lop2_refutation(self):
