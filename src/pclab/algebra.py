@@ -229,19 +229,24 @@ def lin_dict(a: int, x: Mapping, b: int, y: Mapping, p: int) -> dict:
 class TermCodec:
     """Terms as bit masks: the i-th base in canonical order at bit 2i, its
     twin at 2i+1, so within a degree graded lex is integer order.  ``mask``
-    is the one map from terms to masks and ``lead`` the one graded-lex
-    leader.  Only positions are stored: on a universe of thousands of
-    variables a table of masks would hold wide ints."""
+    is the one map from terms to masks, ``lead`` the one graded-lex leader
+    and ``fold`` the one reading of twins as bases.  Positions and the base
+    bits are stored, not a table of masks, which would hold wide ints."""
 
-    __slots__ = ("pos", "var_of")
+    __slots__ = ("pos", "var_of", "even")
 
     def __init__(self, bases: Iterable[Var]):
         self.var_of: Tuple[Var, ...] = tuple(w for v in sorted(set(bases)) for w in (v, v.twin))
         self.pos: Dict[Var, int] = {v: i for i, v in enumerate(self.var_of)}
+        self.even = (1 << len(self.var_of)) // 3  # bits 0, 2, 4, ...: (4^k - 1) / 3
 
     def mask(self, t: Term) -> int:
         """The mask of a term; KeyError for a variable outside the codec."""
         return sum(1 << self.pos[v] for v in t)
+
+    def fold(self, mask: int) -> int:
+        """The mask of a term's bases: each twin bit moved onto its base."""
+        return (mask | mask >> 1) & self.even
 
     @staticmethod
     def lead(masks: Iterable[int]) -> int:

@@ -62,7 +62,7 @@ from .algebra import (
     term_mul,
 )
 from .formulas import AxiomSystem, Cube, cnf_to_axioms, gen_bop_lifted, pointer_bits
-from .proofs import PCProof, TouchReport, quadratic_set, touched
+from .proofs import PCProof, TouchReport, _quadratic_masks, touched
 from .transforms import isolate_vertex_restriction, restrict_proof, split
 
 SPAN_VAR_LIMIT = 16
@@ -751,12 +751,9 @@ def _heavy_terms(proof: PCProof, threshold: int) -> Dict[Term, TouchReport]:
     n, ell = proof.axioms.n, proof.axioms.ell
     if n is None or ell is None:
         raise ValueError("heavy analysis needs the (n, ell) family context")
-    reports: Dict[Term, TouchReport] = {}
-    for t in quadratic_set(proof).products:
-        base = make_term(v.base for v in t)
-        if base not in reports:
-            reports[base] = touched(base, n, ell)
-    return {t: rep for t, rep in reports.items() if len(rep.tau) >= threshold}
+    codec = proof.axioms.codec
+    bases = map(codec.term, set(map(codec.fold, _quadratic_masks(proof)[0])))
+    return {t: rep for t in bases if len((rep := touched(t, n, ell)).tau) >= threshold}
 
 
 def heavy_term_selection(proof: PCProof, threshold: int) -> HeavySelection:

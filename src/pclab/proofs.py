@@ -430,18 +430,21 @@ class QuadraticSet:
 
 def _quadratic_masks(proof: PCProof) -> Tuple[Set[int], int]:
     """The products of two mask terms sharing a line, each their XOR,
-    which never folds a twin into its base; and the largest degree of an
-    axiom, square or twin line."""
+    which never folds a twin into its base, 0 for a self-pair; and the
+    largest degree of an axiom, square or twin line."""
     if proof.basis != FOURIER:
         raise BasisMismatch("quadratic machinery is specific to the {+1,-1} encoding")
     products: Set[int] = set()
     d0 = 0
     for _, step, line in _mask_lines(proof):
-        masks = list(line)
         if step[0] in ("ax", "sq", "tw"):
-            d0 = max(d0, max(map(int.bit_count, masks), default=0))
-        for i, m in enumerate(masks):  # self-pairs included: m ^ m = 0
-            products.update(map(m.__xor__, masks[i:]))
+            d0 = max(d0, max(map(int.bit_count, line), default=0))
+        if line:
+            products.add(0)
+        masks = list(line)
+        while masks:
+            m = masks.pop()
+            products.update(map(m.__xor__, masks))
     return products, d0
 
 
@@ -454,8 +457,17 @@ def quadratic_set(proof: PCProof) -> QuadraticSet:
 
 
 def quadratic_degree(proof: PCProof) -> int:
-    """``quadratic_set(proof).qdeg``, with no product turned into a term."""
-    return max(map(int.bit_count, _quadratic_masks(proof)[0]), default=0)
+    """``quadratic_set(proof).qdeg``, with no set of products built."""
+    if proof.basis != FOURIER:
+        raise BasisMismatch("quadratic machinery is specific to the {+1,-1} encoding")
+    best = 0
+    for _, _, line in _mask_lines(proof):
+        masks = list(line)
+        while masks:
+            m = masks.pop()
+            for x in masks:
+                best = max(best, (m ^ x).bit_count())
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +522,9 @@ def special_degree(proof: PCProof) -> int:
     n, ell = proof.axioms.n, proof.axioms.ell
     if n is None or ell is None:
         raise ValueError("touch context (n, ell) unknown")
-    terms = (tuple(v.base for v in t) for _, _, p in walk_pc(proof) for t in p.terms)
-    return max((len(touched(t, n, ell).tau) for t in terms), default=0)
+    codec = proof.axioms.codec
+    bases = {codec.fold(m) for _, _, line in _mask_lines(proof) for m in line}
+    return max((len(touched(codec.term(m), n, ell).tau) for m in bases), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from pclab.algebra import (
     BasisMismatch,
     Field,
     Poly,
+    TermCodec,
     Var,
     cluster_var,
     edge,
@@ -211,6 +212,15 @@ class TestTerms:
         assert term_mul((a, b), (b, c), BOOLEAN) == (a, b, c)
         assert term_mul((a, b), (b, c), FOURIER) == (a, c)
         assert term_mul((a,), (a,), FOURIER) == ()
+
+    @pytest.mark.parametrize("k", [1, 3, 40])  # 40 bases: masks wider than 64 bits
+    def test_codec_fold_reads_twins_as_bases(self, k):
+        bases = [plain(f"v{i}") for i in range(k)]
+        codec = TermCodec(bases)
+        rng = random.Random(k)
+        for _ in range(200):
+            t = make_term(rng.sample(codec.var_of, rng.randint(0, 2 * k)))
+            assert codec.fold(codec.mask(t)) == codec.mask(make_term(v.base for v in t))
 
 
 class TestGrlex:

@@ -46,7 +46,7 @@ from pclab.degreelab import (
     verify_touch_superset,
 )
 from pclab.formulas import cnf_to_axioms, gen_bop_lifted, semantic_implies
-from pclab.proofs import AxiomSystem, check_pc, proof_lines, random_derivation, touched
+from pclab.proofs import AxiomSystem, check_pc, proof_lines, quadratic_set, random_derivation, touched
 from test_span_oracle import GroebnerReducer
 
 F = DEFAULT_FIELD
@@ -766,6 +766,37 @@ def test_heavy_split_round_reduces_heavy_products(lifted_axioms):
     # the split variables are gone from the produced proof
     survivors = {v.base for p in proof_lines(out) for t in p.terms for v in t}
     assert not (set(rep.split_at) & survivors)
+
+
+def heavy_terms_by_term(proof, threshold):
+    """The heavy analysis on decoded terms: each product of
+    ``quadratic_set``, its twins replaced by their bases, touched once."""
+    n, ell = proof.axioms.n, proof.axioms.ell
+    reports = {}
+    for t in quadratic_set(proof).products:
+        base = make_term(v.base for v in t)
+        if base not in reports:
+            reports[base] = touched(base, n, ell)
+    return {t: rep for t, rep in reports.items() if len(rep.tau) >= threshold}
+
+
+def test_heavy_analysis_matches_the_term_oracle(lifted_axioms, monkeypatch):
+    # every derivation of the fourier-transform bop pool; the round's
+    # report counts heavy products both before and after the split
+    proofs = [random_derivation(lifted_axioms, 30, seed) for seed in range(60)]
+
+    def outcomes():
+        out = []
+        for proof in proofs:
+            sel = heavy_term_selection(proof, 2)
+            cur, rep = heavy_split_round(proof, 2)
+            out.append((sel, rep, cur.steps))
+        return out
+
+    on_masks = outcomes()
+    monkeypatch.setattr(degreelab, "_heavy_terms", heavy_terms_by_term)
+    assert outcomes() == on_masks
+    assert all(rep.after < rep.before for _, rep, _ in on_masks)
 
 
 def test_heavy_split_round_skips_twin_blocked_vars(lifted_axioms):

@@ -14,7 +14,7 @@ from pclab.algebra import (
     plain,
     pointer,
 )
-from pclab.constructions import pcr_upper_bound
+from pclab.constructions import pcr_upper_bound, tseitin_fourier_refutation
 from pclab.formulas import (
     CNF,
     AxiomSystem,
@@ -261,6 +261,30 @@ class TestQuadratic:
         ax = plain_system(BOOLEAN, [Poly(F, BOOLEAN, {(plain("a"),): 1})])
         with pytest.raises(BasisMismatch):
             quadratic_set(PCProof(ax, (("ax", 0),)))
+        with pytest.raises(BasisMismatch):
+            quadratic_degree(PCProof(ax, (("ax", 0),)))
+
+    @pytest.mark.parametrize(
+        "steps, products, qdeg, d0",
+        [
+            ((), set(), 0, 0),  # no line, no product
+            ((("ax", 0), ("mul", plain("b"), 0)), {()}, 0, 1),  # one term per line
+            ((("sq", plain("a")), ("sq", plain("b"))), set(), 0, 0),  # only zero lines: no product 0
+            ((("ax", 1),), {(), (plain("a"), plain("a").twin)}, 2, 1),  # x and ~x on one line
+            ((("tw", plain("b")), ("ax", 0)), {(), (plain("b"), plain("b").twin)}, 2, 2),
+        ],
+    )
+    def test_edge_cases(self, steps, products, qdeg, d0):
+        x = plain("a")
+        ax = plain_system(FOURIER, [Poly(F, FOURIER, {(x,): 1}), Poly(F, FOURIER, {(x,): 1, (x.twin,): 2})])
+        proof = PCProof(ax, steps)
+        qs = quadratic_set(proof)
+        assert (qs.products, qs.qdeg, qs.d0) == (products, qdeg, d0)
+        assert quadratic_degree(proof) == qdeg
+
+    def test_degree_without_the_set_on_a_long_proof(self):
+        proof = tseitin_fourier_refutation(60)
+        assert quadratic_degree(proof) == quadratic_set(proof).qdeg == 2
 
     def test_products_consistent_with_pairs(self):
         from pclab.algebra import term_mul
