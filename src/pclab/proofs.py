@@ -70,9 +70,7 @@ __all__ = [
 import os
 import random
 from array import array
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
-from itertools import combinations_with_replacement
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (
@@ -85,7 +83,6 @@ from .algebra import (
     Term,
     Var,
     format_var,
-    grlex_key,
     lin_dict,
     parse_var,
 )
@@ -406,26 +403,13 @@ def check_resolution(proof: ResolutionProof) -> ResReport:
 
 @dataclass(frozen=True)
 class QuadraticSet:
-    """The folded products of every unordered pair (self-pairs included)
-    of terms sharing a line of ``proof``.
-
-    ``pairs`` holds those pairs, each ordered by grlex.  No metric needs
-    them, so the set is built by a second walk of ``proof`` when first
-    read and kept from then on.
-    """
+    """``quadratic_set``'s products, their largest degree ``qdeg``, and ``d0``,
+    the largest degree of an axiom, square or twin line.  The metrics read masks
+    instead: the containment check, the heavy analysis and ``quadratic_degree``."""
 
     products: FrozenSet[Term]
     qdeg: int
     d0: int
-    proof: PCProof = dc_field(repr=False, compare=False)
-
-    @cached_property
-    def pairs(self) -> FrozenSet[Tuple[Term, Term]]:
-        return frozenset(
-            pair
-            for _, _, p in walk_pc(self.proof)
-            for pair in combinations_with_replacement(sorted(p.terms, key=grlex_key), 2)
-        )
 
 
 def _quadratic_masks(proof: PCProof) -> Tuple[Set[int], int]:
@@ -449,11 +433,11 @@ def _quadratic_masks(proof: PCProof) -> Tuple[Set[int], int]:
 
 
 def quadratic_set(proof: PCProof) -> QuadraticSet:
-    """All products of two terms sharing a line, folded modulo v*v = 1.
-    Defined for the {+1,-1} encoding only."""
+    """The decoded form of ``_quadratic_masks``: every product of two terms
+    sharing a line, folded modulo v*v = 1.  {+1,-1} encoding only."""
     products, d0 = _quadratic_masks(proof)
     qdeg = max(map(int.bit_count, products), default=0)
-    return QuadraticSet(frozenset(map(proof.axioms.codec.term, products)), qdeg, d0, proof)
+    return QuadraticSet(frozenset(map(proof.axioms.codec.term, products)), qdeg, d0)
 
 
 def quadratic_degree(proof: PCProof) -> int:

@@ -671,10 +671,10 @@ def res_to_pcr(rproof: ResolutionProof, field=None) -> PCProof:
     axioms = cnf_to_axioms(rproof.cnf, BOOLEAN, **({} if field is None else {"field": field}))
     out = ProofWriter(axioms.field.p)
     rule, codec = _clause_rule(rproof.cnf), rproof.cnf.codec
-    evens = (1 << len(codec.var_of)) // 3  # the base bits
+    even = codec.even  # the base bits
 
     def twins(m: int) -> Term:  # the monomial of a clause mask: each literal's twin, in term order
-        return codec.term((m & evens) << 1 | m >> 1 & evens)
+        return codec.term((m & even) << 1 | m >> 1 & even)
 
     def derive(kind: str, at, step: Step, parents: tuple) -> Tuple[int, int]:
         # a line is the clause's mask and the line of its translation

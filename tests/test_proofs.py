@@ -1,5 +1,7 @@
+import gc
 import random
-from dataclasses import FrozenInstanceError
+import weakref
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -10,9 +12,11 @@ from pclab.algebra import (
     BasisMismatch,
     Poly,
     edge,
+    grlex_key,
     make_term,
     plain,
     pointer,
+    term_mul,
 )
 from pclab.constructions import pcr_upper_bound, tseitin_fourier_refutation
 from pclab.formulas import (
@@ -28,6 +32,7 @@ from pclab.formulas import (
 )
 from pclab.proofs import (
     PCProof,
+    QuadraticSet,
     ResolutionProof,
     check_pc,
     check_resolution,
@@ -216,14 +221,22 @@ class TestResolution:
         assert not rep.valid and rep.first_bad_line == 2
 
 
+def line_pairs(proof):
+    """Every unordered pair (self-pairs included) of terms sharing a line, each ordered by grlex."""
+    return {tuple(sorted((s, t), key=grlex_key)) for p in proof_lines(proof) for s in p.terms for t in p.terms}
+
+
 class TestQuadratic:
     def test_two_term_line(self):
         x, y = plain("a"), plain("b")
         ax = plain_system(FOURIER, [Poly(F, FOURIER, {(x,): 1, (y,): 1})])
-        qs = quadratic_set(PCProof(ax, (("ax", 0),)))
+        proof = PCProof(ax, (("ax", 0),))
+        qs = quadratic_set(proof)
         assert qs.products == frozenset({(), make_term([x, y])})
         assert qs.qdeg == 2
-        assert len(qs.pairs) == 3  # (x,x), (x,y), (y,y)
+        pairs = line_pairs(proof)
+        assert len(pairs) == 3  # (x,x), (x,y), (y,y)
+        assert qs.products == {term_mul(a, b, FOURIER) for a, b in pairs}
 
     def test_quartic_cross_terms(self):
         x1, x2, x3, x4 = (plain(f"p{i}") for i in (1, 2, 3, 4))
@@ -244,11 +257,19 @@ class TestQuadratic:
     def test_immutable(self):
         ax = plain_system(FOURIER, [Poly(F, FOURIER, {(plain("a"),): 1, (plain("b"),): 1})])
         qs = quadratic_set(PCProof(ax, (("ax", 0),)))
-        for name in ("products", "qdeg", "d0", "pairs", "pairs"):  # pairs before and after its first read
+        assert [f.name for f in fields(QuadraticSet)] == ["products", "qdeg", "d0"]
+        for name in ("products", "qdeg", "d0"):
             with pytest.raises(FrozenInstanceError):
                 setattr(qs, name, None)
             getattr(qs, name)
-        assert len(qs.pairs) == 3
+        assert not hasattr(qs, "pairs") and not hasattr(qs, "proof")
+        # a plain value: it does not keep its proof alive
+        proof = random_derivation(cnf_to_axioms(gen_lop(3), FOURIER), 25, seed=3)
+        ref = weakref.ref(proof)
+        qs = quadratic_set(proof)
+        del proof
+        gc.collect()
+        assert ref() is None and qs.products
 
     def test_single_term_line(self):
         x = plain("a")
@@ -287,12 +308,10 @@ class TestQuadratic:
         assert quadratic_degree(proof) == quadratic_set(proof).qdeg == 2
 
     def test_products_consistent_with_pairs(self):
-        from pclab.algebra import term_mul
-
         ax = cnf_to_axioms(gen_lop(3), FOURIER)
         proof = random_derivation(ax, 25, seed=3)
         qs = quadratic_set(proof)
-        assert qs.products == frozenset(term_mul(a, b, FOURIER) for a, b in qs.pairs)
+        assert qs.products == frozenset(term_mul(a, b, FOURIER) for a, b in line_pairs(proof))
 
 
 class TestTouched:

@@ -153,7 +153,6 @@ def test_quadratic_set_matches_brute_force(proof):
         return
     pairs = {tuple(sorted((s, t), key=grlex_key)) for p in lines for s in p.terms for t in p.terms}
     qs = quadratic_set(proof)
-    assert qs.pairs == pairs
     assert qs.products == {term_mul(s, t, FOURIER) for s, t in pairs}
 
 
