@@ -62,7 +62,7 @@ from .algebra import (
     term_mul,
 )
 from .formulas import AxiomSystem, Cube, cnf_to_axioms, gen_bop_lifted, pointer_bits
-from .proofs import PCProof, TouchReport, _quadratic_masks, touched
+from .proofs import PCProof, TouchReport, _quadratic_masks, _touch_rule, touched
 from .transforms import isolate_vertex_restriction, restrict_proof, split
 
 SPAN_VAR_LIMIT = 16
@@ -412,13 +412,11 @@ class ResidueOracle:
         for j in range(1, context.n + 1):
             if f"BV({j})" not in context.groups:
                 raise ValueError(f"context needs the pointer group 'BV({j})'")
-        for p in context.polys:
-            for v in p.variables():
-                if v.negated:
-                    raise ValueError("context must be twin-free; translate with twins=False")
+        if any(v.negated for p in context.polys for v in p.variables()):
+            raise ValueError("context must be twin-free; translate with twins=False")
         self.context = context
-        self.n = context.n
-        self.ell = context.ell
+        self.n, self.ell = context.n, context.ell
+        self._touch = _touch_rule(context.codec, self.n, self.ell)
         self._spans: Dict[FrozenSet[int], SpanBasis] = {}
         self._rterm: Dict[Term, Poly] = {}
         self._tau: Dict[Term, FrozenSet[int]] = {}
@@ -437,11 +435,15 @@ class ResidueOracle:
         return got
 
     def tau(self, t: Term) -> FrozenSet[int]:
-        """The touch key ``touched(t, n, ell).tau`` of a term, computed
-        once per term; an invalid term raises every time."""
+        """The touch key of a term, by the touch rule on its mask over
+        ``context.codec``, or by ``touched`` for a term the codec cannot
+        encode; computed once per term, and raised every time if invalid."""
         got = self._tau.get(t)
         if got is None:
-            key = touched(t, self.n, self.ell).tau
+            try:
+                key = self._touch(self.context.codec.mask(t)).tau
+            except KeyError:  # a variable outside the codec
+                key = touched(t, self.n, self.ell).tau
             got = self._tau[t] = self._keys.setdefault(key, key)
         return got
 
@@ -551,14 +553,12 @@ def verify_touch_extension(
 
     def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
         for t in _family_terms(o.context.universe, max_degree):
-            tau_t = o.tau(t)
-            if not _in_regime(tau_t, n):
+            if not _in_regime(o.tau(t), n):
                 continue
             pt = Poly.from_term(o.context.field, BOOLEAN, t)
-            base = o.span_for(tau_t).reduce(pt)
+            base = o.R_term(t)
             for w in o.context.universe:
-                tau_wt = o.tau(term_mul(t, (w,), BOOLEAN))
-                if _in_regime(tau_wt, n):
+                if _in_regime(tau_wt := o.tau(term_mul(t, (w,), BOOLEAN)), n):
                     yield () if o.span_for(tau_wt).reduce(pt) == base else (f"t={_fmt_term(t)} w={format_var(w)}",)
 
     return _lemma("touch-extension", n, ell, oracle, cases)
@@ -572,16 +572,14 @@ def verify_touch_superset(
 
     def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
         for t in _family_terms(o.context.universe, max_degree):
-            tau = o.tau(t)
-            if not _in_regime(tau, n):
+            if not _in_regime(tau := o.tau(t), n):
                 continue
             pt = Poly.from_term(o.context.field, BOOLEAN, t)
-            base = o.span_for(tau).reduce(pt)
+            base = o.R_term(t)
             rest = [j for j in range(1, n + 1) if j not in tau]
             for k in range(len(rest) + 1):
                 for extra in itertools.combinations(rest, k):
-                    key = tau | set(extra)
-                    if _in_regime(key, n):
+                    if _in_regime(key := tau | set(extra), n):
                         yield () if o.span_for(key).reduce(pt) == base else (f"t={_fmt_term(t)} I={sorted(key)}",)
 
     return _lemma("touch-superset", n, ell, oracle, cases)
@@ -746,14 +744,12 @@ class RoundReport:
 
 
 def _heavy_terms(proof: PCProof, threshold: int) -> Dict[Term, TouchReport]:
-    """Each quadratic product, twins replaced by bases, that touches at
-    least ``threshold`` vertices, with its touch report."""
-    n, ell = proof.axioms.n, proof.axioms.ell
-    if n is None or ell is None:
-        raise ValueError("heavy analysis needs the (n, ell) family context")
+    """Each quadratic product, twins replaced by bases, that touches at least
+    ``threshold`` vertices, with its touch report; only these are decoded."""
     codec = proof.axioms.codec
-    bases = map(codec.term, set(map(codec.fold, _quadratic_masks(proof)[0])))
-    return {t: rep for t in bases if len((rep := touched(t, n, ell)).tau) >= threshold}
+    touch = _touch_rule(codec, proof.axioms.n, proof.axioms.ell)
+    bases = set(map(codec.fold, _quadratic_masks(proof)[0]))
+    return {codec.term(m): rep for m in bases if len((rep := touch(m)).tau) >= threshold}
 
 
 def heavy_term_selection(proof: PCProof, threshold: int) -> HeavySelection:
@@ -765,18 +761,15 @@ def heavy_term_selection(proof: PCProof, threshold: int) -> HeavySelection:
     so the touch analysis sees a positive term."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    n = proof.axioms.n
+    n, ell = proof.axioms.n, proof.axioms.ell
     heavy = _heavy_terms(proof, threshold)
     if not heavy:
         raise ValueError(f"no quadratic product touches >= {threshold} vertices")
     counts = Counter(j for rep in heavy.values() for j in rep.strong)
     vertex = min(counts, key=lambda j: (-counts[j], j))
-    copies: Dict[int, Counter] = {}
-    for t in heavy:
-        for v in t:
-            if v.kind == "x" and v.index[1] == vertex:
-                copies.setdefault(v.index[0], Counter())[v.index[2]] += 1
-    l_choice = {i: min(copies[i], key=lambda l: (-copies[i][l], l)) if i in copies else 1
+    # (i, l) per copy x(i,vertex,l) in a heavy product: the touch rule keeps l in 1..ell
+    copies = Counter(v.index[::2] for t in heavy for v in t if v.kind == "x" and v.index[1] == vertex)
+    l_choice = {i: min(range(1, ell + 1), key=lambda l: (-copies[i, l], l))
                 for i in range(1, n + 1) if i != vertex}
     split_vars = [pointer(vertex, a) for a in range(1, pointer_bits(n) + 1)]
     split_vars += [edge(i, vertex, l) for i, l in l_choice.items()]
@@ -807,11 +800,5 @@ def heavy_split_round(proof: PCProof, threshold: int) -> Tuple[PCProof, RoundRep
             continue
         cur = split(cur, v, prune_dead=True)
         split_at.append(v)
-    report = RoundReport(
-        sel.vertex,
-        len(sel.heavy),
-        len(_heavy_terms(cur, threshold)),
-        tuple(split_at),
-        tuple(skipped),
-    )
-    return cur, report
+    return cur, RoundReport(sel.vertex, len(sel.heavy), len(_heavy_terms(cur, threshold)),
+                            tuple(split_at), tuple(skipped))

@@ -38,7 +38,7 @@ A resolution line is a clause mask, one bit per literal (``_clause_rule``).
 ``_mask_lines``, the one evaluator of polynomial-calculus lines, derives
 ``{mask: coeff}`` dicts: a product by a variable is ``|`` in {0,1} and
 ``^`` in {+1,-1}.  ``walk_pc`` decodes to ``Poly``, ``resolution_lines`` to
-frozensets; of the quadratic metrics only ``quadratic_set`` decodes.
+frozensets and ``quadratic_set`` to terms; the other metrics stay on masks.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .algebra import (
     LineReader,
     Poly,
     Term,
+    TermCodec,
     Var,
     format_var,
     lin_dict,
@@ -468,47 +469,59 @@ class TouchReport:
         return self.strong | self.light
 
 
-def touched(t: Term, n: int, ell: int) -> TouchReport:
-    """Vertices a term speaks about: j is strongly touched by any gadget
-    variable pointing at j or any pointer bit of j; i is lightly touched
-    when the term holds every gadget copy of some edge out of i.
-
-    Clustered gadget variables count with multiplicity two, so a full
-    set of ell/2 pair variables lights the tail vertex just as the full
-    ell original copies would.
-    """
-    strong: Set[int] = set()
-    gadget: Dict[Tuple[str, int, int], Set[int]] = {}
-    for v in t:
+def _touch_rule(codec: TermCodec, n: Optional[int], ell: Optional[int]) -> Callable[[int], TouchReport]:
+    """The one touch rule, as ``touch(mask)`` over ``codec``.  j is strongly
+    touched by a pointer bit of j or a gadget or cluster variable aimed at j;
+    i is lightly touched by a full gadget out of i: ``ell`` copies x(i,j,l) or
+    ``ell // 2`` pair variables z(i,j,l), as clustered variables count twice.
+    A twin, foreign or out-of-family variable is refused only in a touched
+    mask, by its lowest such bit: the first offending variable in term order."""
+    if n is None or ell is None:
+        raise ValueError("touch context (n, ell) unknown")
+    need = {"x": ell, "z": ell // 2}
+    strong: Dict[int, int] = {}  # per vertex, the bits touching it strongly
+    copies: Dict[Tuple[str, int, int], int] = {}  # per edge gadget, its copies' bits
+    refused: Dict[int, tuple] = {}  # per bit, its message's format and fields
+    for b, v in enumerate(codec.var_of):
+        kind, ix = v.kind, v.index
         if v.negated:
-            raise ValueError(f"touch analysis is over positive terms, got {v}")
-        if v.kind == "y":
-            j, _ = v.index
-            if not (1 <= j <= n):
-                raise ValueError(f"vertex {j} outside 1..{n}")
-            strong.add(j)
-        elif v.kind in ("x", "z"):
-            i, j, l = v.index
-            need = ell if v.kind == "x" else ell // 2
-            if not (1 <= i <= n and 1 <= j <= n and 1 <= l <= need):
-                raise ValueError(f"variable {v} outside the (n={n}, ell={ell}) family")
-            strong.add(j)
-            gadget.setdefault((v.kind, i, j), set()).add(l)
+            refused[1 << b] = "touch analysis is over positive terms, got {}", v
+        elif kind == "y" and 1 <= ix[0] <= n:
+            strong[ix[0]] = strong.get(ix[0], 0) | 1 << b
+        elif kind == "y":
+            refused[1 << b] = "vertex {} outside 1..{}", ix[0], n
+        elif kind not in need:
+            refused[1 << b] = "foreign variable {}", v
+        elif 1 <= ix[0] <= n and 1 <= ix[1] <= n and 1 <= ix[2] <= need[kind]:
+            strong[ix[1]] = strong.get(ix[1], 0) | 1 << b
+            copies[kind, ix[0], ix[1]] = copies.get((kind, ix[0], ix[1]), 0) | 1 << b
         else:
-            raise ValueError(f"foreign variable {v}")
-    light = {i for (kind, i, _), ls in gadget.items() if len(ls) == (ell if kind == "x" else ell // 2)}
-    return TouchReport(frozenset(strong), frozenset(light))
+            refused[1 << b] = "variable {} outside the (n={}, ell={}) family", v, n, ell
+    gadgets = [(i, bits) for (kind, i, _), bits in copies.items() if bits.bit_count() == need[kind]]
+    bad = sum(refused)
+
+    def touch(m: int) -> TouchReport:
+        if hit := m & bad:
+            raise ValueError(str.format(*refused[hit & -hit]))
+        return TouchReport(frozenset(j for j, bits in strong.items() if m & bits),
+                           frozenset(i for i, bits in gadgets if m & bits == bits))
+
+    return touch
+
+
+def touched(t: Term, n: int, ell: int) -> TouchReport:
+    """The vertices a term touches, by ``_touch_rule`` over its own codec."""
+    codec = TermCodec(v.base for v in t)
+    return _touch_rule(codec, n, ell)(codec.mask(set(t)))
 
 
 def special_degree(proof: PCProof) -> int:
     """The most vertices a term of any line touches, each twin read as
     its base, as the heavy-term analysis reads them."""
-    n, ell = proof.axioms.n, proof.axioms.ell
-    if n is None or ell is None:
-        raise ValueError("touch context (n, ell) unknown")
     codec = proof.axioms.codec
+    touch = _touch_rule(codec, proof.axioms.n, proof.axioms.ell)
     bases = {codec.fold(m) for _, _, line in _mask_lines(proof) for m in line}
-    return max((len(touched(codec.term(m), n, ell).tau) for m in bases), default=0)
+    return max((len(touch(m).tau) for m in bases), default=0)
 
 
 # ---------------------------------------------------------------------------

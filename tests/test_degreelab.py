@@ -46,7 +46,18 @@ from pclab.degreelab import (
     verify_touch_superset,
 )
 from pclab.formulas import cnf_to_axioms, gen_bop_lifted, semantic_implies
-from pclab.proofs import AxiomSystem, check_pc, proof_lines, quadratic_set, random_derivation, touched
+import pclab.proofs as proofs
+from pclab.constructions import pcr_upper_bound
+from pclab.proofs import (
+    AxiomSystem,
+    PCProof,
+    check_pc,
+    proof_lines,
+    quadratic_set,
+    random_derivation,
+    special_degree,
+    touched,
+)
 from test_span_oracle import GroebnerReducer
 
 F = DEFAULT_FIELD
@@ -806,3 +817,42 @@ def test_heavy_split_round_skips_twin_blocked_vars(lifted_axioms):
     assert rep.split_at == (edge(3, 1, 2),)
     assert len(rep.skipped) == 3
     assert rep.after < rep.before
+
+
+def test_touch_refuses_only_the_variables_a_term_holds(lifted_axioms):
+    # plain w joins the universe but no line: the touch table is built over
+    # a codec holding w, and no analysis refuses it
+    ax = lifted_axioms
+    proof = random_derivation(ax, 30, 0)
+    with_w = AxiomSystem(ax.field, ax.basis, ax.polys, ax.universe + (plain("w"),), ax.groups, n=3, ell=2)
+    wide = PCProof(with_w, proof.steps)
+    assert special_degree(wide) == special_degree(proof) == 3
+    heavy = degreelab._heavy_terms(wide, 2)
+    assert heavy == degreelab._heavy_terms(proof, 2)
+    assert len(heavy) == 1383
+    sel = heavy_term_selection(wide, 2)
+    assert sel == heavy_term_selection(proof, 2)
+    assert sel.vertex == 1
+
+
+def test_valid_input_never_decodes_a_term_to_touch_it(lifted_axioms, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a term was decoded only to be touched")
+
+    # degreelab holds the name too, for terms its codec cannot encode
+    monkeypatch.setattr(proofs, "touched", refuse)
+    monkeypatch.setattr(degreelab, "touched", refuse)
+    proof = random_derivation(lifted_axioms, 30, 0)
+    assert special_degree(proof) == 3
+    assert special_degree(pcr_upper_bound(3, 1)) == 3
+    assert special_degree(pcr_upper_bound(4, 2)) == 4
+    out, rep = heavy_split_round(proof, 2)
+    assert check_pc(out).valid
+    assert (rep.vertex, rep.before, rep.after) == (1, 1383, 1)
+    assert rep.split_at == (edge(2, 1, 1), edge(3, 1, 1))
+    assert rep.skipped == (pointer(1, 1), pointer(1, 2))
+    for run in ("all-3-1", "bench-3-1"):
+        make, pins = _REPORT_PINS[run]
+        reports = make()
+        assert tuple(r.name for r in reports) == _REPORT_NAMES
+        assert [(r.cases, len(r.counterexamples), "") for r in reports] == pins

@@ -4,6 +4,7 @@ import weakref
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pclab.algebra import (
     BOOLEAN,
@@ -11,6 +12,9 @@ from pclab.algebra import (
     DEFAULT_FIELD,
     BasisMismatch,
     Poly,
+    TermCodec,
+    Var,
+    cluster_var,
     edge,
     grlex_key,
     make_term,
@@ -49,6 +53,7 @@ from pclab.proofs import (
     write_pcproof,
     write_resproof,
 )
+from pclab.proofs import _touch_rule
 
 F = DEFAULT_FIELD
 INV2 = (F.p + 1) // 2
@@ -370,6 +375,93 @@ class TestTouched:
         assert special_degree(pcr_upper_bound(4, 2)) == 4
         ax = cnf_to_axioms(gen_bop_lifted(3, 2), FOURIER)
         assert special_degree(random_derivation(ax, 30, seed=0)) == 3
+
+
+def touch_by_term(t, n, ell):
+    """The touch rule read off a term's variables, written apart from
+    ``proofs``: the strong vertices are the heads of its pointer bits and
+    gadget variables; a vertex i is light when, for some head j, every copy
+    of x(i,j,.) (ell of them) or of z(i,j,.) (ell // 2) is in the term."""
+    held = set(t)
+    strong = {v.index[0] for v in t if v.kind == "y"} | {v.index[1] for v in t if v.kind in ("x", "z")}
+    light = {i for kind, copies in (("x", ell), ("z", ell // 2)) if copies
+             for i in range(1, n + 1) for j in range(1, n + 1)
+             if all(Var(kind, (i, j, l)) in held for l in range(1, copies + 1))}
+    return strong, light
+
+
+def _clustered_universe(n, ell):
+    """The bases a clustered proof at (n, ell) speaks of: pointer bits and
+    the ell // 2 pair variables z(i,j,l) of every edge."""
+    cnf = gen_bop_lifted(n, ell)
+    return tuple(sorted([v for v in cnf.universe if v.kind == "y"]
+                        + [cluster_var(i, j, l) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+                           for l in range(1, ell // 2 + 1)]))
+
+
+_TOUCH_FAMILIES = {(n, ell): gen_bop_lifted(n, ell).universe for n, ell in [(3, 1), (3, 2), (4, 2)]}
+_TOUCH_FAMILIES["clustered", 3, 4] = _clustered_universe(3, 4)
+
+
+@st.composite
+def family_terms(draw):
+    """(n, ell, a term over that family's bases, the family's codec)."""
+    family = draw(st.sampled_from(sorted(_TOUCH_FAMILIES, key=str)))
+    universe = _TOUCH_FAMILIES[family]
+    n, ell = family[-2:]
+    return n, ell, make_term(draw(st.lists(st.sampled_from(universe), max_size=10))), TermCodec(universe)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_terms())
+def test_mask_touch_key_matches_the_term_rule(case):
+    n, ell, t, codec = case
+    want = touch_by_term(t, n, ell)
+    on_mask = _touch_rule(codec, n, ell)(codec.mask(t))
+    assert (set(on_mask.strong), set(on_mask.light)) == want
+    rep = touched(t, n, ell)
+    assert (set(rep.strong), set(rep.light)) == want
+    assert rep.tau == on_mask.tau == want[0] | want[1]
+
+
+def test_clustered_pairs_light_their_tail():
+    # both pair variables of edge (1,2) at ell = 4 light vertex 1, as the
+    # four copies x(1,2,1..4) would
+    codec = TermCodec(_clustered_universe(3, 4))
+    touch = _touch_rule(codec, 3, 4)
+    rep = touch(codec.mask(make_term([cluster_var(1, 2, 1), cluster_var(1, 2, 2), pointer(3, 1)])))
+    assert (rep.strong, rep.light) == ({2, 3}, {1})
+    assert touch(codec.mask((cluster_var(1, 2, 2),))).light == frozenset()
+
+
+# Each bad term at (n=3, ell=2) with the message the term-walking rule gave
+# for it; a term with two bad variables names the first in term order.
+_TOUCH_REFUSALS = [
+    ((edge(1, 2, 1).twin,), "touch analysis is over positive terms, got ~x(1,2,1)"),
+    ((plain("w"),), "foreign variable w"),
+    ((pointer(4, 1),), "vertex 4 outside 1..3"),
+    ((edge(1, 2, 3),), "variable x(1,2,3) outside the (n=3, ell=2) family"),
+    ((edge(1, 2),), "variable x(1,2) outside the (n=3, ell=2) family"),
+    (make_term([edge(1, 2, 1), pointer(1, 1).twin, plain("w")]),
+     "touch analysis is over positive terms, got ~y(1,1)"),
+    (make_term([pointer(2, 1), edge(2, 3, 5), plain("w")]),
+     "variable x(2,3,5) outside the (n=3, ell=2) family"),
+]
+
+
+@pytest.mark.parametrize("t, message", _TOUCH_REFUSALS)
+def test_touch_refusals_keep_their_messages(t, message):
+    with pytest.raises(ValueError) as got:
+        touched(t, 3, 2)
+    assert str(got.value) == message
+    # over a codec of the whole family and the bad variables, the table is
+    # built without complaint, and only a mask holding a bad bit is refused
+    codec = TermCodec(gen_bop_lifted(3, 2).universe + tuple(v.base for v in t))
+    touch = _touch_rule(codec, 3, 2)
+    with pytest.raises(ValueError) as got:
+        touch(codec.mask(t))
+    assert str(got.value) == message
+    assert touch(codec.mask((edge(1, 2, 1), edge(1, 2, 2)))).tau == {1, 2}
 
 
 class TestRandomDerivation:
