@@ -38,6 +38,7 @@ from pclab.proofs import (
     PCProof,
     QuadraticSet,
     ResolutionProof,
+    _touch_rule,
     check_pc,
     check_resolution,
     proof_lines,
@@ -53,7 +54,6 @@ from pclab.proofs import (
     write_pcproof,
     write_resproof,
 )
-from pclab.proofs import _touch_rule
 
 F = DEFAULT_FIELD
 INV2 = (F.p + 1) // 2
