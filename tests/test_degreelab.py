@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import pclab.degreelab as degreelab
+import pclab.proofs as proofs
 from pclab.algebra import (
     BOOLEAN,
     DEFAULT_FIELD,
@@ -24,6 +25,7 @@ from pclab.algebra import (
     plain,
     pointer,
 )
+from pclab.constructions import pcr_upper_bound
 from pclab.degreelab import (
     CLOSURE_STD_LIMIT,
     CLOSURE_STEP_LIMIT,
@@ -46,8 +48,6 @@ from pclab.degreelab import (
     verify_touch_superset,
 )
 from pclab.formulas import cnf_to_axioms, gen_bop_lifted, semantic_implies
-import pclab.proofs as proofs
-from pclab.constructions import pcr_upper_bound
 from pclab.proofs import (
     AxiomSystem,
     PCProof,
