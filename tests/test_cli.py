@@ -77,6 +77,23 @@ class TestGen:
     def test_bad_n_is_usage_error(self, tmp_path):
         assert run("gen", "lop", "--n", 1, "--out", tmp_path / "x.cnf") == 2
 
+    @pytest.mark.parametrize("argv, line", [
+        (("lop", "--n", 4, "--out", "l.cnf"),
+         "wrote l.cnf and l.cnf.names: 34 clauses over 12 variables"),
+        (("bop-lifted", "--n", 3, "--ell", 2, "--out", "b.cnf"),
+         "wrote b.cnf and b.cnf.names: 48 clauses over 18 variables"),
+        (("bop", "--n", 3, "--axioms", "--basis", "fourier", "--out", "b.txt"),
+         "wrote b.txt: 21 axioms over 12 variables"),
+        (("bop", "--n", 3, "--axioms", "--no-twins", "--out", "c.txt"),
+         "wrote c.txt: 21 axioms over 12 variables"),
+        (("tseitin-cycle", "--n", 5, "--out", "t.txt"),
+         "wrote t.txt: 5 axioms over 5 variables"),
+    ])
+    def test_stdout_line(self, tmp_path, monkeypatch, capsys, argv, line):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", *argv) == 0
+        assert capsys.readouterr().out == line + "\n"
+
 
 class TestRefute:
     def test_lop_artifacts(self, tmp_path):
@@ -387,6 +404,34 @@ class TestTransform:
                    "--out", tmp_path / "out") == 0
         report = check_pc(read_pcproof(tmp_path / "out" / "proof.pc"))
         assert report.valid and report.is_refutation
+
+    def test_res2pcr_field(self, tmp_path):
+        run("refute", "lop", "--n", 3, "--out", tmp_path / "in")
+        assert run("transform", "res2pcr", "--proof", tmp_path / "in" / "proof.res",
+                   "--field", 101, "--out", tmp_path / "out") == 0
+        back = read_pcproof(tmp_path / "out" / "proof.pc")
+        assert back.field.p == 101 and check_pc(back).is_refutation
+
+    @pytest.mark.parametrize("name, own", [
+        ("split", ("--var", "x1")),
+        ("qdeg2deg", ()),
+        ("restrict", ("--restriction", "rho.txt")),
+        ("cluster", ("--seed", 3)),
+        ("res2pcr", ("--field", 101)),
+    ])
+    @pytest.mark.parametrize("missing", ["--proof", "--out"])
+    def test_missing_proof_or_out_is_usage_error(self, tmp_path, capsys, name, own, missing):
+        given = {"--proof": tmp_path / "p.pc", "--out": tmp_path / "out"}
+        del given[missing]
+        argv = [a for flag, value in given.items() for a in (flag, value)]
+        assert run("transform", name, *own, *argv) == 2
+        assert f"required: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, flag", [("split", "--var"), ("restrict", "--restriction")])
+    def test_missing_own_flag_is_usage_error(self, tmp_path, capsys, name, flag):
+        assert run("transform", name, "--proof", tmp_path / "p.pc", "--out", tmp_path / "out") == 2
+        assert f"required: {flag}" in capsys.readouterr().err
 
 
 class TestVerifyLemmas:

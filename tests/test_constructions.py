@@ -172,6 +172,20 @@ def test_tseitin_rejects_tiny_n():
         tseitin_fourier_refutation(2)
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (lifted_refutation, (1, 1), "need n >= 2, got 1"),
+    (lifted_refutation, (3, 0), "need ell >= 1, got 0"),
+    (lifted_refutation, (1, 0), "need n >= 2, got 1"),
+    (lop_resolution_refutation, (1,), "need n >= 2, got 1"),
+    (bop_to_lop_derivation, (1,), "need n >= 2, got 1"),
+    (tseitin_fourier_refutation, (2,), "need n >= 3, got 2"),
+])
+def test_bad_arguments_keep_their_messages(build, args, message):
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # fits
 

@@ -3,10 +3,11 @@ span engine: ``sat_oracle`` and ``semantic_implies`` against a brute
 force over ``Poly.evaluate``, the points engine against the closure
 engine, and the refusal of primes too large for int64 arithmetic."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclab.algebra import BASES, DEFAULT_FIELD, Field, Poly, make_term, plain
+from pclab.algebra import BASES, DEFAULT_FIELD, FOURIER, Field, Poly, make_term, plain
 from pclab.degreelab import ResidueOracle, bop_context, span_basis
 from pclab.formulas import CNF, AxiomSystem, Cube, NUMPY_PRIME_LIMIT, sat_oracle, semantic_implies
 
@@ -97,6 +98,26 @@ def test_cube_masks_round_trip(t, lits):
     pos, neg = Cube(VARS).masks(make_term(lits))
     assert Cube(VARS).term(pos) == make_term(v for v in lits if not v.negated)
     assert Cube(VARS).term(neg) == make_term(v.base for v in lits if v.negated)
+
+
+def test_fourier_monomials_above_sixteen_variables():
+    """Monomial values read every bit of a 24-variable cube, the high
+    half included, as ``Poly.evaluate`` gives them."""
+    rng = np.random.default_rng(2024)
+    wide = [plain(f"w{i:02d}") for i in range(24)]
+    cube = Cube(wide, F, FOURIER)
+    ks = rng.integers(0, 1 << 24, size=40, dtype=np.uint32)
+    for _ in range(30):
+        low = rng.choice(16, size=int(rng.integers(0, 5)), replace=False)
+        high = 16 + rng.choice(8, size=int(rng.integers(1, 5)), replace=False)
+        lits = [wide[i].twin if rng.random() < 0.5 else wide[i] for i in [*low, *high]]
+        lits.append(lits[-1].twin)  # a variable beside its twin
+        t = make_term(lits)
+        got = cube.monomials(ks, *cube.masks(t))
+        assert got.dtype == np.int64
+        mono = Poly.from_term(F, FOURIER, t)
+        want = [mono.evaluate(cube.assignment(int(k))) for k in ks]
+        assert [int(v) % F.p for v in got] == want
 
 
 @pytest.mark.parametrize("p", [3, 2**31 - 1, 2**61 - 1])
