@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 import math
+from itertools import product
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -277,9 +278,7 @@ def or_lift(cnf: CNF, ell: int, lift_set: Iterable[Var], diagonal: bool = False)
         if diagonal and neg:
             choicess = [[l] * len(neg) for l in range(1, ell + 1)]
         else:
-            choicess = [[]]
-            for _ in neg:
-                choicess = [ch + [l] for ch in choicess for l in range(1, ell + 1)]
+            choicess = product(range(1, ell + 1), repeat=len(neg))
         for choices in choicess:
             neg_lits = [copies(v)[l - 1].twin for v, l in zip(neg, choices)]
             if ci in label_of:
@@ -364,25 +363,6 @@ def cnf_to_axioms(cnf: CNF, basis: str, field: Field = DEFAULT_FIELD, twins: boo
 # for any polynomial of fewer than 2^32 terms.
 NUMPY_PRIME_LIMIT = 2**31
 
-_PARITY16 = None
-
-
-def _parity16():
-    global _PARITY16
-    if _PARITY16 is None:
-        x = np.arange(1 << 16, dtype=np.uint32)
-        x ^= x >> 8
-        x ^= x >> 4
-        x ^= x >> 2
-        x ^= x >> 1
-        _PARITY16 = (x & 1).astype(np.uint8)
-    return _PARITY16
-
-
-def _parity(arr: np.ndarray) -> np.ndarray:
-    t = _parity16()
-    return t[arr & 0xFFFF] ^ t[(arr >> np.uint32(16)) & 0xFFFF]
-
 
 class Cube:
     """Every assignment to a set of variables, one bit per variable.
@@ -445,7 +425,7 @@ class Cube:
         as int64 in the {+1,-1} basis."""
         if self.basis == BOOLEAN:
             return ((ks & pos) == pos) & ((ks & neg) == 0)
-        return 1 - 2 * _parity((ks & pos) | (~ks & neg)).astype(np.int64)
+        return 1 - 2 * (np.bitwise_count((ks & pos) | (~ks & neg)) & 1).astype(np.int64)
 
     def zero_test(self, poly: Poly) -> Callable[[np.ndarray], np.ndarray]:
         """The function of points that says where the polynomial vanishes."""
