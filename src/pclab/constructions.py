@@ -66,8 +66,6 @@ def lop_resolution_refutation(n: int) -> ResolutionProof:
     """Refutation of the ordering principle on n vertices in about n^3/3
     resolution steps; every derived clause carries at most one negative
     literal."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     cnf = gen_lop(n)
     b = _Builder(cnf)
     # cur[j] holds the clause saying "some vertex of 1..m beats j"
@@ -120,8 +118,6 @@ def _pointer_tree(b: _Builder, j: int, bits: int) -> int:
 def bop_to_lop_derivation(n: int) -> ResolutionProof:
     """From the pointer formulation, derive every vertex's vee-clause
     ("someone beats j") by resolving out the pointer bits."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     cnf = gen_bop(n)
     b = _Builder(cnf)
     bits = pointer_bits(n)
@@ -141,10 +137,6 @@ def lifted_refutation(n: int, ell: int) -> ResolutionProof:
     elimination scheme then removes the top vertex copy by copy, costing
     about ell^2 resolutions per ordering axiom used.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if ell < 1:
-        raise ValueError(f"need ell >= 1, got {ell}")
     cnf = gen_bop_lifted(n, ell)
     b = _Builder(cnf)
     bits = pointer_bits(n)
@@ -195,8 +187,6 @@ def tseitin_fourier_refutation(n: int) -> PCProof:
     """Refutation of the odd cycle parity system in the {+1,-1} encoding:
     walk the cycle keeping one binomial per vertex, then collide with the
     flipped last axiom.  About 4n lines of at most two monomials."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
     ax = gen_cycle_tseitin(n)
     p = ax.field.p
     half = (p + 1) // 2  # inverse of 2
