@@ -38,7 +38,7 @@ from .constructions import (
     pcr_upper_bound,
     tseitin_fourier_refutation,
 )
-from .degreelab import LEMMAS, ResidueOracle, bop_context, verify_all
+from .degreelab import LEMMAS, ResidueOracle, _points_var_cap, bop_context, verify_all
 from .formulas import (
     cnf_to_axioms,
     gen_bop,
@@ -108,25 +108,19 @@ def parse_range(text: str) -> List[int]:
 def _cmd_gen(args) -> int:
     if args.family == "tseitin-cycle":
         ax = gen_cycle_tseitin(args.n, field=Field(args.field))
-        write_axioms(ax, args.out)
-        print(f"wrote {args.out}: {len(ax.polys)} axioms over {len(ax.universe)} variables")
-        return 0
-    if args.family == "lop":
-        cnf = gen_lop(args.n)
-    elif args.family == "bop":
-        cnf = gen_bop(args.n)
     else:
-        cnf = gen_bop_lifted(args.n, args.ell)
-    if args.axioms:
+        if args.family == "bop-lifted":
+            cnf = gen_bop_lifted(args.n, args.ell)
+        else:
+            cnf = (gen_lop if args.family == "lop" else gen_bop)(args.n)
+        if not args.axioms:
+            write_dimacs(cnf, args.out)
+            print(f"wrote {args.out} and {args.out}.names: "
+                  f"{len(cnf.clauses)} clauses over {len(cnf.universe)} variables")
+            return 0
         ax = cnf_to_axioms(cnf, args.basis, Field(args.field), twins=not args.no_twins)
-        write_axioms(ax, args.out)
-        print(f"wrote {args.out}: {len(ax.polys)} axioms over {len(ax.universe)} variables")
-    else:
-        write_dimacs(cnf, args.out)
-        print(
-            f"wrote {args.out} and {args.out}.names: "
-            f"{len(cnf.clauses)} clauses over {len(cnf.universe)} variables"
-        )
+    write_axioms(ax, args.out)
+    print(f"wrote {args.out}: {len(ax.polys)} axioms over {len(ax.universe)} variables")
     return 0
 
 
@@ -234,20 +228,19 @@ def _cmd_check(args) -> int:
 # transform
 
 
-def _cmd_split(args) -> int:
-    proof = read_pcproof(args.proof)
-    out = split(proof, parse_var(args.var), prune_dead=args.prune_dead)
-    return _print_report(_emit(out, args.out)[1])
+_REWRITES = {
+    "split": lambda proof, args: split(proof, parse_var(args.var), prune_dead=args.prune_dead),
+    "qdeg2deg": lambda proof, args: qdeg_to_deg(proof),
+    "restrict": lambda proof, args: restrict_proof(proof, read_restriction(args.restriction))[0],
+    "res2pcr": lambda rproof, args: res_to_pcr(rproof, Field(args.field)),
+}
 
 
-def _cmd_qdeg2deg(args) -> int:
-    return _print_report(_emit(qdeg_to_deg(read_pcproof(args.proof)), args.out)[1])
-
-
-def _cmd_restrict(args) -> int:
-    proof = read_pcproof(args.proof)
-    rho = read_restriction(args.restriction)
-    out, _ = restrict_proof(proof, rho)
+def _cmd_rewrite(args) -> int:
+    """Every transform but cluster: read the input proof, rewrite it, then
+    emit and check the result."""
+    read = read_resproof if args.transform == "res2pcr" else read_pcproof
+    out = _REWRITES[args.transform](read(args.proof), args)
     return _print_report(_emit(out, args.out)[1])
 
 
@@ -266,16 +259,13 @@ def _cmd_cluster(args) -> int:
     return status
 
 
-def _cmd_res2pcr(args) -> int:
-    rproof = read_resproof(args.proof)
-    return _print_report(_emit(res_to_pcr(rproof, Field(args.field)), args.out)[1])
-
-
 # ---------------------------------------------------------------------------
 # verify-lemmas
 
 
 def _cmd_verify_lemmas(args) -> int:
+    if args.n >= 2 and args.ell >= 1:  # smaller values get bop_context's message
+        _points_var_cap(args.n * (args.n - 1) * args.ell)  # every span holds T's lifted edges
     oracle = ResidueOracle(bop_context(args.n, args.ell))
     if args.which == "all":
         reports = verify_all(args.n, args.ell, seed=args.seed, oracle=oracle)
@@ -416,38 +406,26 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_check)
 
     t = sub.add_parser("transform", help="rewrite a proof file")
+    t.set_defaults(func=_cmd_rewrite)  # cluster sets its own
     tsub = t.add_subparsers(dest="transform", required=True)
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--proof", required=True, help="input proof file")
+    io.add_argument("--out", required=True, help="output directory")
 
-    ts = tsub.add_parser("split", help="eliminate one variable by case split")
-    ts.add_argument("--proof", required=True)
+    ts = tsub.add_parser("split", parents=[io], help="eliminate one variable by case split")
     ts.add_argument("--var", required=True, help="variable token, e.g. 'x(1,2,1)'")
     ts.add_argument("--prune-dead", action="store_true")
-    ts.add_argument("--out", required=True, help="output directory")
-    ts.set_defaults(func=_cmd_split)
-
-    tq = tsub.add_parser("qdeg2deg", help="rebalance lines to the quadratic-degree bound")
-    tq.add_argument("--proof", required=True)
-    tq.add_argument("--out", required=True, help="output directory")
-    tq.set_defaults(func=_cmd_qdeg2deg)
-
-    tr = tsub.add_parser("restrict", help="apply a partial assignment")
-    tr.add_argument("--proof", required=True)
+    tsub.add_parser("qdeg2deg", parents=[io], help="rebalance lines to the quadratic-degree bound")
+    tr = tsub.add_parser("restrict", parents=[io], help="apply a partial assignment")
     tr.add_argument("--restriction", required=True, help="restriction file")
-    tr.add_argument("--out", required=True, help="output directory")
-    tr.set_defaults(func=_cmd_restrict)
 
-    tc = tsub.add_parser("cluster", help="merge paired gadget copies into cluster variables")
-    tc.add_argument("--proof", required=True)
+    tc = tsub.add_parser("cluster", parents=[io], help="merge paired gadget copies into cluster variables")
     tc.add_argument("--map", help="cluster map file; omit to draw a seeded random pairing")
     tc.add_argument("--seed", type=int, default=seed_default)
-    tc.add_argument("--out", required=True, help="output directory")
     tc.set_defaults(func=_cmd_cluster)
 
-    t2 = tsub.add_parser("res2pcr", help="simulate a resolution proof in the Boolean system")
-    t2.add_argument("--proof", required=True, help="resproof file")
+    t2 = tsub.add_parser("res2pcr", parents=[io], help="simulate a resolution proof in the Boolean system")
     t2.add_argument("--field", type=int, default=field_default)
-    t2.add_argument("--out", required=True, help="output directory")
-    t2.set_defaults(func=_cmd_res2pcr)
 
     v = sub.add_parser("verify-lemmas", help="run the reduction-operator lemma checks")
     v.add_argument("--which", default="all", choices=("all", *LEMMAS))
@@ -471,21 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
-    except ScaleLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, ScaleLimitExceeded) else 2
 
 
 if __name__ == "__main__":

@@ -328,6 +328,11 @@ class SpanBasis:
         return tuple(sorted(mins, key=grlex_key))
 
 
+def _points_var_cap(count: int) -> None:
+    if count > SPAN_VAR_LIMIT:
+        raise ScaleLimitExceeded(f"{count} variables exceed the points limit of {SPAN_VAR_LIMIT}")
+
+
 def span_basis(
     polys: Iterable[Poly],
     universe: Optional[Iterable[Var]] = None,
@@ -377,8 +382,8 @@ def span_basis(
         raise ValueError(f"universe misses {sorted(format_var(v) for v in missing)}")
     if method not in ("points", "closure"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "points" and len(seen) > SPAN_VAR_LIMIT:
-        raise ScaleLimitExceeded(f"{len(seen)} variables exceed the points limit of {SPAN_VAR_LIMIT}")
+    if method == "points":
+        _points_var_cap(len(seen))
     return SpanBasis(polys, tuple(uni), method, field, basis)
 
 

@@ -449,6 +449,23 @@ class TestVerifyLemmas:
     def test_scale_limit_exit_code(self):
         assert run("verify-lemmas", "--which", "operator", "--n", 4) == 3
 
+    def test_too_many_edges_refused_before_the_context(self, monkeypatch, capsys):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("bop_context was built")
+
+        monkeypatch.setattr("pclab.cli.bop_context", unbuilt)
+        assert run("verify-lemmas", "--n", 60) == 3
+        assert "3540 variables exceed the points limit of 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", 1), "error: need n >= 2, got 1"),
+        (("--ell", 0), "error: need ell >= 1, got 0"),
+        (("--n", 1, "--ell", 0), "error: need n >= 2, got 1"),
+    ])
+    def test_small_family_parameters_are_usage_errors(self, capsys, argv, message):
+        assert run("verify-lemmas", *argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+
 
 class TestExperiment:
     def test_tseitin_csv(self, tmp_path):
