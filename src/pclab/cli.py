@@ -228,19 +228,19 @@ def _cmd_check(args) -> int:
 # transform
 
 
-_REWRITES = {
-    "split": lambda proof, args: split(proof, parse_var(args.var), prune_dead=args.prune_dead),
-    "qdeg2deg": lambda proof, args: qdeg_to_deg(proof),
-    "restrict": lambda proof, args: restrict_proof(proof, read_restriction(args.restriction))[0],
-    "res2pcr": lambda rproof, args: res_to_pcr(rproof, Field(args.field)),
+_REWRITES = {  # transform -> (reader of its input proof, rewrite)
+    "split": (read_pcproof, lambda proof, args: split(proof, parse_var(args.var), prune_dead=args.prune_dead)),
+    "qdeg2deg": (read_pcproof, lambda proof, args: qdeg_to_deg(proof)),
+    "restrict": (read_pcproof, lambda proof, args: restrict_proof(proof, read_restriction(args.restriction))[0]),
+    "res2pcr": (read_resproof, lambda rproof, args: res_to_pcr(rproof, Field(args.field))),
 }
 
 
 def _cmd_rewrite(args) -> int:
     """Every transform but cluster: read the input proof, rewrite it, then
     emit and check the result."""
-    read = read_resproof if args.transform == "res2pcr" else read_pcproof
-    out = _REWRITES[args.transform](read(args.proof), args)
+    read, rewrite = _REWRITES[args.transform]
+    out = rewrite(read(args.proof), args)
     return _print_report(_emit(out, args.out)[1])
 
 
