@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 import math
-from itertools import product
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import product
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
