@@ -141,34 +141,28 @@ def lifted_refutation(n: int, ell: int) -> ResolutionProof:
     b = _Builder(cnf)
     bits = pointer_bits(n)
     copies = range(1, ell + 1)
+    # x(i,j,l) and its twin, built once
+    x = {(i, j, l): edge(i, j, l) for i in range(1, n + 1) for j in range(1, n + 1) if i != j for l in copies}
+    nx = {k: v.twin for k, v in x.items()}
     cur = {j: _pointer_tree(b, j, bits) for j in range(1, n + 1)}
     for m in range(n, 1, -1):
         for j in range(1, m):
             # one helper clause per copy of the edge from m to j
             helpers = []
+            blocks = {i: frozenset(x[i, j, l2] for l2 in copies) for i in range(1, m) if i != j}
             for sigma in copies:
                 d = cur[m]
                 for i in range(1, m):
                     for l in copies:
                         if i == j:
-                            ax = b.axiom(
-                                frozenset(
-                                    {edge(j, m, l).twin, edge(m, j, sigma).twin}
-                                )
-                            )
+                            ax = b.axiom(frozenset({nx[j, m, l], nx[m, j, sigma]}))
                         else:
-                            block = {edge(i, j, l2) for l2 in copies}
-                            ax = b.axiom(
-                                frozenset(
-                                    {edge(i, m, l).twin, edge(m, j, sigma).twin}
-                                )
-                                | block
-                            )
-                        d = b.resolve(d, ax, edge(i, m, l))
+                            ax = b.axiom(blocks[i] | {nx[i, m, l], nx[m, j, sigma]})
+                        d = b.resolve(d, ax, x[i, m, l])
                 helpers.append(d)
             e = cur[j]
             for t, d in zip(copies, helpers):
-                e = b.resolve(e, d, edge(m, j, t))
+                e = b.resolve(e, d, x[m, j, t])
             cur[j] = e
     return b.proof()
 

@@ -12,6 +12,12 @@ variable (twin) stands for the negative literal.  Edge variable x(i,j)
 asserts i precedes j; pointer bit y(j,a) is the a-th bit (1-based,
 least significant first) of the binary code of j's chosen predecessor,
 where vertex i is encoded as i-1.
+
+A universe lists each base variable once, never a twin.  A CNF checks
+each clause as a mask over ``CNF.codec``: a literal outside the universe
+has no bit, and a clause holding both polarities of a base has both of
+its bits.  The generators, the {0,1} translation and the file formats
+look literals up in tables built once per formula, not per literal.
 """
 
 from __future__ import annotations
@@ -85,6 +91,17 @@ def _check_clause(c: Clause):
             raise ValueError(f"clause holds both polarities of {format_var(v.base)}")
 
 
+def _check_universe(system) -> None:
+    """A universe lists each base once, so its codec holds two bits per
+    entry; otherwise name the first twin or repeat."""
+    if len(system.codec.var_of) != 2 * len(system.universe):
+        seen = set()
+        for v in system.universe:
+            if v.negated or v in seen:
+                raise ValueError(f"universe lists {format_var(v)} " + ("as a twin" if v.negated else "twice"))
+            seen.add(v)
+
+
 def _check_groups(groups: Dict[str, Tuple[int, ...]], count: int, what: str) -> None:
     """Declared groups must partition the ``count`` items of the list."""
     if groups and sorted(i for idxs in groups.values() for i in idxs) != list(range(count)):
@@ -108,12 +125,15 @@ class CNF:
     ell: Optional[int] = None
 
     def __post_init__(self):
-        uni = set(self.universe)
+        _check_universe(self)
+        pos, even = self.codec.pos, self.codec.even
         for c in self.clauses:
-            _check_clause(c)
-            for v in c:
-                if v.base not in uni:
-                    raise ValueError(f"clause variable {v} outside universe")
+            # a literal outside the universe has no bit; both polarities of a base set both its bits
+            if not pos.keys() >= c or (m := sum([1 << pos[v] for v in c])) & m >> 1 & even:
+                _check_clause(c)
+                for v in c:
+                    if v not in pos:
+                        raise ValueError(f"clause variable {v} outside universe")
         _check_groups(self.groups, len(self.clauses), "clause")
 
     def __len__(self) -> int:
@@ -146,15 +166,16 @@ class AxiomSystem:
     ell: Optional[int] = None
 
     def __post_init__(self):
-        uni = set(self.universe)
+        _check_universe(self)
+        pos = self.codec.pos
         for p in self.polys:
             if p.basis != self.basis:
                 raise BasisMismatch("axiom basis differs from system basis")
             if p.field.p != self.field.p:
                 raise ValueError("axiom field differs from system field")
-            for v in p.variables():
-                if v.base not in uni:
-                    raise ValueError(f"axiom variable {v} outside universe")
+            if not pos.keys() >= p.variables():
+                v = next(v for v in p.variables() if v not in pos)
+                raise ValueError(f"axiom variable {v} outside universe")
         _check_groups(self.groups, len(self.polys), "axiom")
 
     def __len__(self) -> int:
@@ -168,15 +189,10 @@ class AxiomSystem:
 
 
 def _ordering_clauses(n: int) -> List[Clause]:
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if len({i, j, k}) == 3:
-                    out.append(clause_of(edge(i, j).twin, edge(j, k).twin, edge(i, k)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(clause_of(edge(i, j).twin, edge(j, i).twin))
+    x = {(i, j): edge(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
+    nx = {e: v.twin for e, v in x.items()}
+    out = [clause_of(nx[i, j], nx[j, k], x[i, k]) for i, j in x for k in range(1, n + 1) if k != i and k != j]
+    out.extend(clause_of(nx[i, j], nx[j, i]) for i, j in x if i < j)
     return out
 
 
@@ -262,31 +278,30 @@ def or_lift(cnf: CNF, ell: int, lift_set: Iterable[Var], diagonal: bool = False)
     for v in lifted:
         if v.negated or v.kind != "x" or v.index[2] != 0:
             raise ValueError(f"can only lift base edge variables, got {v}")
-
-    def copies(v: Var) -> List[Var]:
-        i, j, _ = v.index
-        return [edge(i, j, l) for l in range(1, ell + 1)]
+    # the copies of each lifted base, and under each twin in the formula the copies' twins
+    up = {v: [edge(*v.index[:2], l) for l in range(1, ell + 1)] for v in lifted}
+    var_of, at = cnf.codec.var_of, cnf.codec.pos
+    down = {var_of[at[v] + 1]: [w.twin for w in ws] for v, ws in up.items() if v in at}
 
     clauses: List[Clause] = []
     label_of = {i: label for label, idxs in cnf.groups.items() for i in idxs}
     filed: Dict[str, List[int]] = {label: [] for label in cnf.groups}
     for ci, c in enumerate(cnf.clauses):
-        keep = [v for v in c if v.base not in lifted]
-        pos = sorted(v for v in c if not v.negated and v in lifted)
-        neg = sorted(v.base for v in c if v.negated and v.base in lifted)
-        pos_lits = [w for v in pos for w in copies(v)]
+        keep = [v for v in c if v not in up and v not in down]
+        pos_lits = [w for v in sorted(v for v in c if v in up) for w in up[v]]
+        neg = [down[v] for v in sorted(v for v in c if v in down)]
         if diagonal and neg:
             choicess = [[l] * len(neg) for l in range(1, ell + 1)]
         else:
             choicess = product(range(1, ell + 1), repeat=len(neg))
         for choices in choicess:
-            neg_lits = [copies(v)[l - 1].twin for v, l in zip(neg, choices)]
+            neg_lits = [ws[l - 1] for ws, l in zip(neg, choices)]
             if ci in label_of:
                 filed[label_of[ci]].append(len(clauses))
             clauses.append(frozenset(keep + pos_lits + neg_lits))
     universe = [v for v in cnf.universe if v not in lifted]
     for v in sorted(lifted):
-        universe.extend(copies(v))
+        universe.extend(up[v])
     groups = {label: tuple(idxs) for label, idxs in filed.items()}
     return CNF(tuple(clauses), tuple(sorted(universe)), groups, n=cnf.n, ell=ell)
 
@@ -347,7 +362,13 @@ def clause_to_poly(clause: Clause, basis: str, field: Field = DEFAULT_FIELD, twi
 
 
 def cnf_to_axioms(cnf: CNF, basis: str, field: Field = DEFAULT_FIELD, twins: bool = True) -> AxiomSystem:
-    polys = tuple(clause_to_poly(c, basis, field, twins=twins) for c in cnf.clauses)
+    if basis == BOOLEAN and twins:
+        # clause_to_poly's product of each literal's twin, with the twins from the codec
+        var_of = cnf.codec.var_of
+        twin = {v: var_of[i ^ 1] for v, i in cnf.codec.pos.items()}
+        polys = tuple(Poly.from_term(field, basis, tuple(sorted([twin[v] for v in c]))) for c in cnf.clauses)
+    else:
+        polys = tuple(clause_to_poly(c, basis, field, twins=twins) for c in cnf.clauses)
     return AxiomSystem(field, basis, polys, cnf.universe, dict(cnf.groups), n=cnf.n, ell=cnf.ell)
 
 
@@ -531,9 +552,9 @@ def write_dimacs(cnf: CNF, path) -> None:
         for line in _meta_lines(cnf):
             fh.write(f"c {line}\n")
         fh.write(f"p cnf {len(cnf.universe)} {len(cnf.clauses)}\n")
+        lit = {w: -i if w.negated else i for v, i in num.items() for w in (v, v.twin)}  # signed indices
         for c in cnf.clauses:
-            lits = sorted((-num[v.base] if v.negated else num[v]) for v in c)
-            fh.write(" ".join(str(x) for x in lits) + " 0\n")
+            fh.write(" ".join(map(str, sorted([lit[v] for v in c]))) + " 0\n")
     with open(str(path) + ".names", "w") as fh:
         for v, i in num.items():
             fh.write(f"var {i} = {format_var(v)}\n")
@@ -556,6 +577,7 @@ def read_dimacs(path) -> CNF:
             if v.base in index_of:
                 raise ValueError(f"{format_var(v.base)} is named by indices {index_of[v.base]} and {i}")
             names[i], index_of[v.base] = v, i
+    lit = {**names, **{-i: v.twin for i, v in names.items()}}  # each signed index's literal
     clauses: List[Clause] = []
     meta: Dict[str, object] = {}
     counts = None
@@ -571,9 +593,9 @@ def read_dimacs(path) -> CNF:
                 if lits[-1] != 0:
                     raise ValueError(f"clause line missing terminator: {line!r}")
                 try:
-                    clauses.append(frozenset(names[abs(x)].twin if x < 0 else names[x] for x in lits[:-1]))
+                    clauses.append(frozenset([lit[x] for x in lits[:-1]]))
                 except KeyError as e:
-                    raise ValueError(f"variable {e.args[0]} has no entry in {path}.names") from None
+                    raise ValueError(f"variable {abs(e.args[0])} has no entry in {path}.names") from None
         if counts != (len(names), len(clauses)):
             raise ValueError(f"no 'p cnf' line matches the {len(names)} names and {len(clauses)} clauses")
         universe = tuple(names[i] for i in sorted(names))
@@ -584,7 +606,7 @@ def write_axioms(ax: AxiomSystem, path) -> None:
     with open(str(path), "w") as fh:
         fh.write(f"field={ax.field.p} basis={ax.basis}\n")
         # universe variables no axiom mentions would otherwise be lost
-        inferred = {v.base for p in ax.polys for v in p.variables()}
+        inferred = {v.base for v in {v for p in ax.polys for t in p.terms for v in t}}
         extra = [v for v in ax.universe if v not in inferred]
         universe = ["universe " + " ".join(format_var(v) for v in extra)] if extra else []
         for line in _meta_lines(ax, universe):
@@ -607,5 +629,5 @@ def read_axioms(path) -> AxiomSystem:
                 extras.extend(parse_var(tok).base for tok in line.split()[1:])
             elif not _read_meta(line, meta):
                 polys.append(parse_poly(line, field, basis))
-        universe = sorted({v.base for p in polys for v in p.variables()} | set(extras))
+        universe = sorted({v.base for v in {v for p in polys for t in p.terms for v in t}} | set(extras))
         return AxiomSystem(field, basis, tuple(polys), tuple(universe), **meta)
