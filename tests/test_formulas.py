@@ -10,6 +10,7 @@ from pclab.algebra import (
     DEFAULT_FIELD,
     Poly,
     ScaleLimitExceeded,
+    Var,
     edge,
     make_term,
     plain,
@@ -393,3 +394,57 @@ def test_groups_must_partition_the_list(tmp_path):
     path.write_text(path.read_text().replace("\n", "\ngroup A : 1\n", 1))
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: groups must partition the axiom list") + "$"):
         read_axioms(path)
+
+
+@pytest.mark.parametrize("cnf", [
+    gen_lop(5), gen_bop(6), gen_bop_lifted(4, 3), gen_bop_lifted(4, 3, diagonal=True),
+], ids=["lop5", "bop6", "lifted4_3", "diagonal4_3"])
+def test_translation_equals_clause_to_poly(cnf):
+    # cnf_to_axioms builds the {0,1} axioms with twins from the codec's twins;
+    # clause_to_poly stays the definition of every axiom in every route
+    for basis, twins in ((BOOLEAN, True), (BOOLEAN, False), (FOURIER, True)):
+        ax = cnf_to_axioms(cnf, basis, twins=twins)
+        assert ax.polys == tuple(clause_to_poly(c, basis, twins=twins) for c in cnf.clauses)
+        assert (ax.universe, ax.groups, ax.n, ax.ell) == (cnf.universe, cnf.groups, cnf.n, cnf.ell)
+
+
+def test_translation_and_lift_build_no_twin_per_literal(monkeypatch):
+    # one codec takes a twin per base: the translation and the lift may build
+    # that many, not one per literal (a lifted formula holds about 7 per base)
+    lifted, base = gen_bop_lifted(6, 2), gen_bop(6)
+    calls = []
+    twin = Var.twin.fget
+    monkeypatch.setattr(Var, "twin", property(lambda v: calls.append(v) or twin(v)))
+    cnf_to_axioms(lifted, BOOLEAN)
+    assert len(calls) <= 2 * len(lifted.universe)
+    calls.clear()
+    out = or_lift(base, 2, [v for v in base.universe if v.kind == "x"])
+    assert len(calls) <= 2 * len(out.universe)
+    assert out.clauses == lifted.clauses
+
+
+class TestUniverse:
+    """A universe lists each base once, never a twin: one that does not
+    wrote files that did not read back as the same system."""
+
+    A, B = edge(1, 2), edge(2, 1)
+
+    @pytest.mark.parametrize("universe, message", [
+        ((A, A), "universe lists x(1,2) twice"),
+        ((A.twin, A), "universe lists ~x(1,2) as a twin"),
+        ((A.twin, B), "universe lists ~x(1,2) as a twin"),
+        ((A, B, A.twin), "universe lists ~x(1,2) as a twin"),
+        ((B, A, B), "universe lists x(2,1) twice"),
+    ])
+    def test_both_constructors_refuse(self, universe, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            CNF((clause_of(self.A),), universe)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            AxiomSystem(F, BOOLEAN, (Poly.variable(F, BOOLEAN, self.A),), universe)
+
+    def test_dimacs_names_of_a_twin_are_refused(self, tmp_path):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 1 0\n")
+        (tmp_path / "f.cnf.names").write_text("var 1 = ~x(1,2)\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: universe lists ~x(1,2) as a twin") + "$"):
+            read_dimacs(path)

@@ -120,6 +120,20 @@ class TestRefusals:
         assert code == 2
         assert _refused(f"{cnf}.names", reason, line).match(err)
 
+    @pytest.mark.parametrize("names, reason", [
+        ("var 1 = x1\nvar 2 = ~x2\n", "universe lists ~x2 as a twin"),
+        ("var 1 = ~x1\nvar 2 = x2\n", "universe lists ~x1 as a twin"),
+    ])
+    def test_dimacs_names_of_a_twin(self, tmp_path, names, reason):
+        # each index names a base; a twin would swap the polarity of its literals
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 1\n1 -2 0\n")
+        (tmp_path / "f.cnf.names").write_text(names)
+        (tmp_path / "r.res").write_text("resproof v1 cnf=f.cnf\nL1 IN 1\n")
+        code, err = _cli("check", tmp_path / "r.res")
+        assert code == 2
+        assert _refused(cnf, reason).match(err)
+
     def test_blank_lines_count_toward_the_line_number(self, tmp_path):
         path = tmp_path / "rho.txt"
         path.write_text("# a comment\nrestriction v1\n\nset x(1,2) = maybe\n")
