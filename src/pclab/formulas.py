@@ -548,11 +548,11 @@ def write_dimacs(cnf: CNF, path) -> None:
     indices to variable names; groups and family parameters ride along
     as comment lines."""
     num = {v: i + 1 for i, v in enumerate(cnf.universe)}
+    lit = {w: -i if w.negated else i for v, i in num.items() for w in (v, v.twin)}  # each literal's signed index
     with open(str(path), "w") as fh:
         for line in _meta_lines(cnf):
             fh.write(f"c {line}\n")
         fh.write(f"p cnf {len(cnf.universe)} {len(cnf.clauses)}\n")
-        lit = {w: -i if w.negated else i for v, i in num.items() for w in (v, v.twin)}  # signed indices
         for c in cnf.clauses:
             fh.write(" ".join(map(str, sorted([lit[v] for v in c]))) + " 0\n")
     with open(str(path) + ".names", "w") as fh:
