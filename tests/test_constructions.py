@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from pclab.constructions import (
     pcr_upper_bound,
     tseitin_fourier_refutation,
 )
-from pclab.formulas import gen_bop, pointer_bits
+from pclab.formulas import gen_bop, gen_bop_lifted, pointer_bits, pointer_neq_clause
 from pclab.proofs import (
     check_pc,
     check_resolution,
@@ -91,6 +92,29 @@ def test_bop_to_lop_tree_sizes():
     cnf = gen_bop(n)
     used = {s[1] for s in rp.steps if s[0] == "in"}
     assert used == {i for j in range(1, n + 1) for i in cnf.groups[f"BV({j})"]}
+
+
+@pytest.mark.parametrize("n, ell", [(2, 0), (3, 0), (5, 0), (8, 0), (9, 0), (3, 2), (4, 3), (5, 1), (6, 2)])
+def test_pointer_groups_file_clauses_in_code_order(n, ell):
+    # the pointer trees read group BV(j) by position: its v-th clause holds
+    # exactly the pointer literals that deny code v, lifted or not
+    cnf = gen_bop_lifted(n, ell) if ell else gen_bop(n)
+    b = pointer_bits(n)
+    for j in range(1, n + 1):
+        idxs = cnf.groups[f"BV({j})"]
+        assert len(idxs) == 2**b
+        for v, idx in enumerate(idxs):
+            assert {y for y in cnf.clauses[idx] if y.kind == "y"} == set(pointer_neq_clause(j, v, b))
+
+
+@pytest.mark.parametrize("build, args, digest", [
+    (bop_to_lop_derivation, (7,), "668d54fc4b28f2f2c29202e29f6a67ef720d77be8ae4ea480c5976d1383cdd11"),
+    (lifted_refutation, (5, 3), "7d1afe41c47e3d39338bbd9394bb662824b873a9d830b07c6fdf41e34118e47e"),
+    (lifted_refutation, (6, 1), "16ff7722104700ebaad5a33b8aede2a140e7b003972a7283c555d63cc97f63d3"),
+], ids=["bop_to_lop7", "lifted5_3", "lifted6_1"])
+def test_refutation_steps_are_pinned(build, args, digest):
+    # the step sequence itself, at sizes the golden artifacts do not reach
+    assert hashlib.sha256(repr(build(*args).steps).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

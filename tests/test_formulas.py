@@ -3,15 +3,18 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pclab.algebra import (
     BOOLEAN,
     FOURIER,
     DEFAULT_FIELD,
+    Field,
     Poly,
     ScaleLimitExceeded,
     Var,
     edge,
+    format_poly,
     make_term,
     plain,
     pointer,
@@ -285,6 +288,50 @@ class TestClauseToPoly:
     def test_empty_clause(self):
         assert clause_to_poly(frozenset(), BOOLEAN) == Poly.constant(F, BOOLEAN, 1)
         assert clause_to_poly(frozenset(), FOURIER) == Poly.constant(F, FOURIER, 1)
+
+    def test_both_polarities_of_a_base(self):
+        # a CNF refuses such a clause, the translation takes it: the factors
+        # (1 - a)a and (1 + a)(1 - a) are zero, the twin product keeps a and ~a
+        a, b = plain("a"), plain("b")
+        clause = clause_of(a, a.twin, b.twin)
+        assert clause_to_poly(clause, BOOLEAN, twins=False).is_zero
+        assert clause_to_poly(clause, FOURIER).is_zero
+        assert clause_to_poly(clause, FOURIER, twins=False).is_zero
+        assert format_poly(clause_to_poly(clause, BOOLEAN)) == "1 * a ~a b"
+        assert format_poly(clause_to_poly(clause_of(a, a.twin), BOOLEAN)) == "1 * a ~a"
+
+
+def iterated_product(clause, basis, field, twins):
+    """The translation as a product of one factor per literal, built by
+    Poly arithmetic: (1 - x) or x in {0,1}, (1 +- x) in {+1,-1}."""
+    lits = sorted(clause)
+    if basis == BOOLEAN:
+        if twins:
+            return Poly.from_term(field, basis, make_term(v.twin for v in lits))
+        out = Poly.constant(field, basis, 1)
+        for v in lits:
+            out = out.mul_var(v.base) if v.negated else out.sub(out.mul_var(v))
+        return out
+    out = Poly.constant(field, basis, 1)
+    for v in lits:
+        enc = Poly.variable(field, basis, v.base)
+        out = out.mul(Poly.constant(field, basis, 1).add(enc.neg() if v.negated else enc))
+    return out
+
+
+CLAUSE_POOL = [plain("a"), plain("b"), edge(1, 2), edge(2, 1, 1), edge(2, 1, 2), pointer(1, 1), pointer(3, 2)]
+CLAUSE_POOL += [v.twin for v in CLAUSE_POOL]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.frozensets(st.sampled_from(CLAUSE_POOL), max_size=8),
+       st.sampled_from([(BOOLEAN, True), (BOOLEAN, False), (FOURIER, True)]),
+       st.sampled_from([Field(3), DEFAULT_FIELD]))
+def test_translation_matches_the_iterated_product(clause, route, field):
+    # the same terms, coefficients and term order, both polarities included
+    basis, twins = route
+    got = clause_to_poly(clause, basis, field, twins=twins)
+    assert list(got.terms.items()) == list(iterated_product(clause, basis, field, twins).terms.items())
 
 
 class TestCnfToAxioms:
