@@ -252,6 +252,9 @@ def _cmd_cluster(args) -> int:
         ax = proof.axioms
         if ax.n is None or ax.ell is None:
             raise ValueError("axiom system lacks (n, ell) parameters; pass --map instead")
+        top = max((i for v in ax.universe if v.kind != "v" for i in v.index[:1 if v.kind == "y" else 2]), default=0)
+        if ax.n > top:  # the pairing covers every ordered pair of the n declared vertices
+            raise ValueError(f"axiom system declares n={ax.n}, but its variables name vertices up to {top}; pass --map instead")
         cmap = random_pairing(ax.n, ax.ell, args.seed)
     status = _print_report(_emit(cluster_proof(proof, cmap), args.out)[1])
     if not args.map:

@@ -31,8 +31,6 @@ from .formulas import (
     gen_bop_lifted,
     gen_cycle_tseitin,
     gen_lop,
-    pointer_bits,
-    pointer_neq_clause,
 )
 from .proofs import PCProof, ProofWriter, ResolutionProof
 from .transforms import res_to_pcr
@@ -45,8 +43,6 @@ class _Builder(ProofWriter):
         super().__init__()
         self.cnf = cnf
         self.lookup = {c: i for i, c in enumerate(cnf.clauses)}
-        if len(self.lookup) != len(cnf.clauses):
-            raise ValueError("clause list contains duplicates; cannot index axioms")
 
     def axiom(self, clause: Clause) -> int:
         return self.emit(("in", self.lookup[clause]))
@@ -89,40 +85,22 @@ def lop_resolution_refutation(n: int) -> ResolutionProof:
 # pointer trees
 
 
-def _pointer_tree(b: _Builder, j: int, bits: int) -> int:
-    """Resolve vertex j's pointer clauses over all code values down to the
-    single vee-clause, pairing codes bit by bit."""
-    cnf = b.cnf
-    # a clause's code is the one whose pointer literals it holds
-    code_of_literals = {frozenset(pointer_neq_clause(j, v, bits)): v for v in range(1 << bits)}
-    rows = {}
-    for idx in cnf.groups[f"BV({j})"]:
-        clause = cnf.clauses[idx]
-        v = code_of_literals.get(frozenset(y for y in clause if y.kind == "y"))
-        if v is None:
-            raise ValueError(f"clause misses a pointer code of vertex {j}")
-        rows[v] = b.axiom(clause)
-    if sorted(rows) != list(range(1 << bits)):
-        raise ValueError(f"vertex {j} does not carry one clause per code value")
-    for a in range(1, bits + 1):
-        step = 1 << (a - 1)
-        rows = {
-            v: b.resolve(rows[v], rows[v | step], pointer(j, a))
-            for v in rows
-            if not v & step
-        }
-    (line,) = rows.values()
-    return line
+def _pointer_tree(b: _Builder, j: int) -> int:
+    """Resolve vertex j's pointer clauses down to its vee-clause.  Group
+    BV(j) files one clause per code, in code order, so after a - 1 rounds
+    rows v and v + 1 differ only in bit a and resolve on y(j, a)."""
+    rows = [b.emit(("in", idx)) for idx in b.cnf.groups[f"BV({j})"]]
+    for a in range(1, len(rows).bit_length()):
+        rows = [b.resolve(rows[v], rows[v + 1], pointer(j, a)) for v in range(0, len(rows), 2)]
+    return rows[0]
 
 
 def bop_to_lop_derivation(n: int) -> ResolutionProof:
     """From the pointer formulation, derive every vertex's vee-clause
     ("someone beats j") by resolving out the pointer bits."""
-    cnf = gen_bop(n)
-    b = _Builder(cnf)
-    bits = pointer_bits(n)
+    b = _Builder(gen_bop(n))
     for j in range(1, n + 1):
-        _pointer_tree(b, j, bits)
+        _pointer_tree(b, j)
     return b.proof()
 
 
@@ -139,12 +117,11 @@ def lifted_refutation(n: int, ell: int) -> ResolutionProof:
     """
     cnf = gen_bop_lifted(n, ell)
     b = _Builder(cnf)
-    bits = pointer_bits(n)
     copies = range(1, ell + 1)
     # x(i,j,l) and its twin, built once
     x = {(i, j, l): edge(i, j, l) for i in range(1, n + 1) for j in range(1, n + 1) if i != j for l in copies}
     nx = {k: v.twin for k, v in x.items()}
-    cur = {j: _pointer_tree(b, j, bits) for j in range(1, n + 1)}
+    cur = {j: _pointer_tree(b, j) for j in range(1, n + 1)}
     for m in range(n, 1, -1):
         for j in range(1, m):
             # one helper clause per copy of the edge from m to j

@@ -550,23 +550,29 @@ def _lemma(name: str, n: int, ell: int, oracle: Optional[ResidueOracle],
     return LemmaReport(name, n, ell, count, tuple(bad), time.perf_counter() - start)
 
 
+def _same_remainders(name: str, n: int, ell: int, max_degree: int, oracle: Optional[ResidueOracle],
+                     keys: Callable[..., Iterable[Tuple[FrozenSet[int], str]]]) -> LemmaReport:
+    """Per term t in regime, one case per labelled key in regime from
+    ``keys(o, t, tau(t))``: t's remainder under the key is ``R_term(t)``."""
+
+    def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
+        for t in _family_terms(o.context.universe, max_degree):
+            if _in_regime(tau := o.tau(t), n):
+                pt, base = Poly.from_term(o.context.field, BOOLEAN, t), o.R_term(t)
+                for key, label in keys(o, t, tau):
+                    if _in_regime(key, n):
+                        yield () if o.span_for(key).reduce(pt) == base else (f"t={_fmt_term(t)} {label}",)
+
+    return _lemma(name, n, ell, oracle, cases)
+
+
 def verify_touch_extension(
     n: int = 3, ell: int = 1, max_degree: int = 4, oracle: Optional[ResidueOracle] = None
 ) -> LemmaReport:
     """Multiplying a term by a variable can only grow its touch key, and
     the term's remainder is the same under either key."""
-
-    def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
-        for t in _family_terms(o.context.universe, max_degree):
-            if not _in_regime(o.tau(t), n):
-                continue
-            pt = Poly.from_term(o.context.field, BOOLEAN, t)
-            base = o.R_term(t)
-            for w in o.context.universe:
-                if _in_regime(tau_wt := o.tau(term_mul(t, (w,), BOOLEAN)), n):
-                    yield () if o.span_for(tau_wt).reduce(pt) == base else (f"t={_fmt_term(t)} w={format_var(w)}",)
-
-    return _lemma("touch-extension", n, ell, oracle, cases)
+    return _same_remainders("touch-extension", n, ell, max_degree, oracle, lambda o, t, tau: (
+        (o.tau(term_mul(t, (w,), BOOLEAN)), f"w={format_var(w)}") for w in o.context.universe))
 
 
 def verify_touch_superset(
@@ -575,19 +581,12 @@ def verify_touch_superset(
     """Reducing under any proper-sized superset of the touch key gives
     the same remainder as the key itself."""
 
-    def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
-        for t in _family_terms(o.context.universe, max_degree):
-            if not _in_regime(tau := o.tau(t), n):
-                continue
-            pt = Poly.from_term(o.context.field, BOOLEAN, t)
-            base = o.R_term(t)
-            rest = [j for j in range(1, n + 1) if j not in tau]
-            for k in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, k):
-                    if _in_regime(key := tau | set(extra), n):
-                        yield () if o.span_for(key).reduce(pt) == base else (f"t={_fmt_term(t)} I={sorted(key)}",)
+    def supersets(o: ResidueOracle, t: Term, tau: FrozenSet[int]) -> Iterator[Tuple[FrozenSet[int], str]]:
+        rest = [j for j in range(1, n + 1) if j not in tau]
+        for key in (tau | set(extra) for k in range(len(rest) + 1) for extra in itertools.combinations(rest, k)):
+            yield key, f"I={sorted(key)}"
 
-    return _lemma("touch-superset", n, ell, oracle, cases)
+    return _same_remainders("touch-superset", n, ell, max_degree, oracle, supersets)
 
 
 def verify_residue_support(

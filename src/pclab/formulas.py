@@ -239,7 +239,9 @@ def pointer_neq_clause(j: int, v: int, b: int) -> List[Var]:
 def gen_bop(n: int) -> CNF:
     """Pointer form of the predecessor principle: y_j names a predecessor
     of j in binary, keeping every clause at width <= ceil(log2 n) + 1.
-    Codes that name j itself or fall outside 1..n are prohibited."""
+    Codes that name j itself or fall outside 1..n are prohibited.  Group
+    BV(j) holds the clause denying code v at position v; the OR-lift keeps
+    that order, and the pointer trees of ``constructions`` rely on it."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     b = pointer_bits(n)
@@ -334,31 +336,29 @@ def clause_to_poly(clause: Clause, basis: str, field: Field = DEFAULT_FIELD, twi
     clause.
 
     Boolean with twins: one monomial, the product of each literal's twin.
-    Boolean without twins: same product with each negated factor expanded
-    as (1 - x).  Fourier: product of (1 + enc(literal)) with enc(x) = x
-    and enc(~x) = -x; twin variables never appear.  No scalar
-    normalization is applied.
+    Otherwise one factor per literal, expanded over its subsets in one
+    pass: Boolean without twins takes x for ~x and (1 - x) for x; Fourier
+    takes (1 + x) for x and (1 - x) for ~x, and no twin appears.  Both
+    polarities of a base give zero.  No scalar normalization is applied.
     """
     lits = sorted(clause)
-    if basis == BOOLEAN:
-        if twins:
-            return Poly.from_term(field, basis, make_term(v.twin for v in lits))
-        out = Poly.constant(field, basis, 1)
-        for v in lits:
-            if v.negated:
-                out = out.mul_var(v.base)
-            else:
-                out = out.sub(out.mul_var(v))
-        return out
-    if basis == FOURIER:
-        out = Poly.constant(field, basis, 1)
-        for v in lits:
-            enc = Poly.variable(field, basis, v.base)
-            if v.negated:
-                enc = enc.neg()
-            out = out.mul(Poly.constant(field, basis, 1).add(enc))
-        return out
-    raise BasisMismatch(f"unknown basis {basis!r}")
+    if basis == BOOLEAN and twins:
+        return Poly.from_term(field, basis, make_term(v.twin for v in lits))
+    if len({v.base for v in lits}) < len(lits):  # a factor (1 - x)x or (1 + x)(1 - x)
+        return Poly.zero(field, basis)  # Poly refuses an unknown basis
+    # sorted literals over distinct bases: appending keeps each term sorted
+    p = field.p
+    terms: Dict[Term, int] = {(): 1}
+    for v in lits:
+        x = v.base
+        if basis == FOURIER:
+            s = p - 1 if v.negated else 1
+            terms = {k: d for t, c in terms.items() for k, d in ((t, c), (t + (x,), c * s % p))}
+        elif v.negated:
+            terms = {t + (x,): c for t, c in terms.items()}
+        else:
+            terms.update([(t + (x,), p - c) for t, c in terms.items()])
+    return Poly(field, basis, terms)
 
 
 def cnf_to_axioms(cnf: CNF, basis: str, field: Field = DEFAULT_FIELD, twins: bool = True) -> AxiomSystem:

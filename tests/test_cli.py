@@ -393,6 +393,20 @@ class TestTransform:
                    "--map", tmp_path / "small.map", "--out", tmp_path / "out") == 2
         assert "outside the cluster map over n=2" in capsys.readouterr().err
 
+    def test_cluster_refuses_more_vertices_than_the_variables_name(self, tmp_path, capsys):
+        # a pair is drawn per ordered pair of the declared n, so a 3-vertex
+        # proof declared at n=300 would cost about 90,000 map lines
+        ax = cnf_to_axioms(gen_bop_lifted(3, 2), FOURIER)
+        write_axioms(ax, tmp_path / "ax.txt")
+        text = (tmp_path / "ax.txt").read_text()
+        assert "params n=3 ell=2\n" in text
+        (tmp_path / "ax.txt").write_text(text.replace("params n=3 ell=2\n", "params n=300 ell=2\n", 1))
+        write_pcproof(random_derivation(ax, 20, seed=1), tmp_path / "p.pc", "ax.txt")
+        assert run("transform", "cluster", "--proof", tmp_path / "p.pc", "--seed", 3,
+                   "--out", tmp_path / "out") == 2
+        assert "declares n=300, but its variables name vertices up to 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cluster_without_params_rejected(self, tmp_path):
         run("refute", "tseitin", "--n", 4, "--out", tmp_path / "in")
         assert run("transform", "cluster", "--proof", tmp_path / "in" / "proof.pc",

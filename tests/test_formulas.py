@@ -9,6 +9,7 @@ from pclab.algebra import (
     BOOLEAN,
     FOURIER,
     DEFAULT_FIELD,
+    BasisMismatch,
     Field,
     Poly,
     ScaleLimitExceeded,
@@ -299,6 +300,11 @@ class TestClauseToPoly:
         assert clause_to_poly(clause, FOURIER, twins=False).is_zero
         assert format_poly(clause_to_poly(clause, BOOLEAN)) == "1 * a ~a b"
         assert format_poly(clause_to_poly(clause_of(a, a.twin), BOOLEAN)) == "1 * a ~a"
+
+    def test_unknown_basis(self):
+        for clause in (clause_of(plain("a")), clause_of(plain("a"), plain("a").twin)):
+            with pytest.raises(BasisMismatch, match="unknown basis 'odd'"):
+                clause_to_poly(clause, "odd")
 
 
 def iterated_product(clause, basis, field, twins):
