@@ -677,6 +677,43 @@ def test_regime_predicate_matches_proper_spans():
                        (4, 1, (1, 3, 4)), (4, 1, (2, 3, 4)), (4, 1, (1, 2, 3, 4))]
 
 
+_REFERENCE_SIZES = {(3, 1): {}, (2, 2): {}}  # (n, ell) -> {key: span} of the reference
+
+
+def _reference_R(ctx, poly):
+    """The touch-keyed reduction written out term by term: each term
+    reduced modulo the span of T and the pointer groups of the vertices
+    ``touched`` names, the remainders summed."""
+    spans = _REFERENCE_SIZES[ctx.n, ctx.ell]
+    out = Poly.zero(F, BOOLEAN)
+    for t, c in poly.terms.items():
+        key = touched(t, ctx.n, ctx.ell).tau
+        if key not in spans:
+            family = [ctx.polys[i] for g in ["T"] + [f"BV({j})" for j in sorted(key)] for i in ctx.groups[g]]
+            spans[key] = span_basis(family, ctx.universe)
+        out = out.add(spans[key].reduce(Poly.from_term(F, BOOLEAN, t)).scale(c))
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference_oracles():
+    return {size: ResidueOracle(bop_context(*size)) for size in _REFERENCE_SIZES}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_REFERENCE_SIZES)), st.data())
+def test_oracle_matches_the_termwise_reference(reference_oracles, size, data):
+    """``R`` on random polynomials whose every term is in regime equals
+    the sum of per-term remainders under each term's touch key."""
+    orc = reference_oracles[size]
+    ctx = orc.context
+    n, ell = size
+    terms = st.lists(st.sampled_from(ctx.universe), max_size=5).map(make_term).filter(
+        lambda t: _in_regime(touched(t, n, ell).tau, n))
+    poly = Poly(F, BOOLEAN, data.draw(st.dictionaries(terms, st.integers(1, F.p - 1), max_size=6)))
+    assert orc.R(poly) == _reference_R(ctx, poly)
+
+
 def test_oracle_results_are_reproducible():
     a = ResidueOracle(bop_context(3, 1))
     b = ResidueOracle(bop_context(3, 1))

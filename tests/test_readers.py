@@ -5,20 +5,32 @@ reader, and malformed text is refused as ``<path>: <reason> (line <k>)``
 The fuzz cases mutate a few bytes of small valid files and require each
 reader either to return or to raise a ValueError naming the file at
 fault; an OSError may come only from a header naming a missing file.
+Every ``pclab transform`` given mutated inputs exits 0 to 3, with no
+exception escaping ``main``.
 """
 
 import contextlib
 import io
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclab.algebra import FOURIER, edge, pointer
+from pclab.algebra import FOURIER, edge, plain, pointer
 from pclab.cli import main
 from pclab.constructions import lop_resolution_refutation
-from pclab.formulas import cnf_to_axioms, gen_lop, read_axioms, read_dimacs, write_axioms, write_dimacs
-from pclab.proofs import random_derivation, read_pcproof, read_resproof, write_pcproof, write_resproof
+from pclab.formulas import (
+    AxiomSystem,
+    cnf_to_axioms,
+    gen_bop_lifted,
+    gen_lop,
+    read_axioms,
+    read_dimacs,
+    write_axioms,
+    write_dimacs,
+)
+from pclab.proofs import PCProof, random_derivation, read_pcproof, read_resproof, write_pcproof, write_resproof
 from pclab.transforms import (
     Restriction,
     random_pairing,
@@ -182,6 +194,13 @@ def corpus(tmp_path_factory):
     write_resproof(rproof, d / "r.res", "f.cnf")
     write_restriction(Restriction({edge(1, 2, 1): True, pointer(2, 1): False}), d / "rho.txt")
     write_clustermap(random_pairing(2, 2, seed=0), d / "c.map")
+    # a lifted system with a spare variable s, which no axiom holds, for split
+    lifted = cnf_to_axioms(gen_bop_lifted(2, 2), FOURIER)
+    lifted = AxiomSystem(lifted.field, lifted.basis, lifted.polys, lifted.universe + (plain("s"),),
+                         dict(lifted.groups), n=2, ell=2)
+    steps = random_derivation(lifted, 8, seed=2).steps
+    write_axioms(lifted, d / "lift.txt")
+    write_pcproof(PCProof(lifted, steps + (("mul", plain("s"), len(steps) - 1),)), d / "q.pc", "lift.txt")
     return d
 
 
@@ -251,5 +270,32 @@ def test_check_on_mutated_proofs_exits_0_1_or_2(corpus, top):
         with _mutated(corpus / top, edits):
             code, _ = _cli("check", corpus / top)
         assert code in (0, 1, 2)
+
+    run()
+
+
+# transform, its arguments, and the files it reads
+TRANSFORMS = {
+    "split": (("split", "--proof", "q.pc", "--var", "s"), ("q.pc", "lift.txt")),
+    "qdeg2deg": (("qdeg2deg", "--proof", "q.pc"), ("q.pc", "lift.txt")),
+    "restrict": (("restrict", "--proof", "q.pc", "--restriction", "rho.txt"), ("q.pc", "lift.txt", "rho.txt")),
+    "cluster-map": (("cluster", "--proof", "q.pc", "--map", "c.map"), ("q.pc", "lift.txt", "c.map")),
+    "cluster-seeded": (("cluster", "--proof", "q.pc"), ("q.pc", "lift.txt")),
+    "res2pcr": (("res2pcr", "--proof", "r.res"), ("r.res", "f.cnf", "f.cnf.names")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSFORMS))
+def test_transform_on_mutated_inputs_exits_0_to_3(corpus, tmp_path, case):
+    argv, files = TRANSFORMS[case]
+    argv = [corpus / a if a in files else a for a in argv]
+    assert _cli("transform", *argv, "--out", tmp_path / "clean")[0] == 0
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from(files), _edits)
+    def run(name, edits):
+        with _mutated(corpus / name, edits), tempfile.TemporaryDirectory(dir=tmp_path) as out:
+            code, _ = _cli("transform", *argv, "--out", out)
+        assert code in (0, 1, 2, 3)
 
     run()
