@@ -8,7 +8,9 @@ canonical remainders modulo a span by two independent routes (point
 evaluation, and a Groebner basis built by Buchberger's algorithm);
 ``ResidueOracle`` reduces each term modulo the span keyed by the
 vertex set the term touches, yielding the operator whose properties the
-``verify_*`` runners check case by case.
+``verify_*`` runners check case by case.  From the spans to the runners
+a term is a mask over one ``TermCodec`` and a polynomial a ``{mask:
+coeff}`` dict; only the public wrappers and failure messages decode.
 """
 
 from __future__ import annotations
@@ -56,10 +58,7 @@ from .algebra import (
     edge,
     format_poly,
     format_var,
-    grlex_key,
-    make_term,
     pointer,
-    term_mul,
 )
 from .formulas import AxiomSystem, Cube, cnf_to_axioms, gen_bop_lifted, pointer_bits
 from .proofs import PCProof, TouchReport, _quadratic_masks, _touch_rule, touched
@@ -73,6 +72,14 @@ CLOSURE_STD_LIMIT = 4096
 
 # ---------------------------------------------------------------------------
 # span bases
+
+
+def _collect(pairs: Iterable[Tuple[int, int]], p: int) -> Dict[int, int]:
+    """Sum (mask, coeff) pairs mod p, zeros dropped: equal sums are equal dicts."""
+    out: Dict[int, int] = {}
+    for m, c in pairs:
+        out[m] = out.get(m, 0) + c
+    return {m: c % p for m, c in out.items() if c % p}
 
 
 class _PointsEngine:
@@ -93,26 +100,18 @@ class _PointsEngine:
     the standard monomials' value matrix: a remainder is one product.
     """
 
-    def __init__(self, polys: Sequence[Poly], active: Sequence[Var], field: Field, basis: str):
+    def __init__(self, polys: Sequence[Poly], codec: TermCodec, bits: Sequence[int], field: Field, basis: str):
         self.field = field
-        self.basis = basis
-        self.cube = Cube(active, field, basis)
+        self.bits = bits  # bits[i]: the span codec's bit for the cube's bit i, mapped both ways at the boundary
+        self.cube = Cube((codec.var_of[b.bit_length() - 1] for b in bits), field, basis)
         self.points = np.concatenate(list(self.cube.common_zeros(polys)))
         if len(self.points) > SPAN_POINTS_LIMIT:
             raise ScaleLimitExceeded(
                 f"{len(self.points)} common zeros exceed the points limit of {SPAN_POINTS_LIMIT}"
             )
-        self.std_monomials: Tuple[Term, ...] = ()
-        self._std: Dict[int, Term] = {}  # mask -> standard monomial
-        self._minv: Optional[np.ndarray] = None
-        self._nf: Dict[int, Poly] = {}
-        if len(self.points):
-            self._build_standard()
-
-    def _build_standard(self) -> None:
-        p = self.field.p
+        p = field.p
         npts = len(self.points)
-        bits = [1 << i for i in range(len(self.cube.universe))]
+        units = [1 << i for i in range(len(bits))]  # the cube's own bits
         # row k: its values at the points, then its expression over std
         rows = np.zeros((npts, 2 * npts), dtype=np.int64)
         piv: List[int] = []
@@ -130,7 +129,7 @@ class _PointsEngine:
                 if not nz.size:
                     continue
                 q = int(nz[0])
-                res = (res * self.field.inv(int(res[q]))) % p
+                res = (res * field.inv(int(res[q]))) % p
                 # clear column q from the rows nonzero there, on res's support only
                 sel = np.flatnonzero(rows[:k, q])
                 cols = np.flatnonzero(res)
@@ -142,45 +141,34 @@ class _PointsEngine:
                 if len(std) == npts:
                     break
             have = set(std)
-            nxt = sorted({m | b for m in std[start:] for b in bits if not m & b})
-            level = [c for c in nxt if all(c ^ b in have for b in bits if c & b)]
+            nxt = sorted({m | u for m in std[start:] for u in units if not m & u})
+            level = [c for c in nxt if all(c ^ u in have for u in units if c & u)]
         if len(std) != npts:
             raise ArithmeticError("monomials failed to span the point functions")
-        self._std = {m: self.cube.term(m) for m in std}
-        self.std_monomials = tuple(self._std.values())
+        self.std = tuple(sum(b for i, b in enumerate(bits) if m >> i & 1) for m in std)
+        self._nf = {m: {m: 1} for m in self.std}
         # every row is now the unit vector of its pivot point
         self._minv = np.zeros((npts, npts), dtype=np.int64)
         self._minv[:, piv] = rows[:, npts:].T
 
-    def nf_mask(self, mask: int) -> Poly:
+    def _nf_mask(self, mask: int) -> Dict[int, int]:
         got = self._nf.get(mask)
-        if got is not None:
-            return got
-        std = self._std.get(mask)
-        if self._minv is None:
-            got = Poly.zero(self.field, self.basis)
-        elif std is not None:
-            got = Poly.from_term(self.field, self.basis, std)
-        else:
-            coef = (self._minv @ self.cube.monomials(self.points, mask, 0)) % self.field.p
-            got = Poly(self.field, self.basis, dict(zip(self.std_monomials, coef.tolist())))
-        self._nf[mask] = got
+        if got is None:
+            cube = sum(1 << i for i, b in enumerate(self.bits) if mask & b)
+            coef = (self._minv @ self.cube.monomials(self.points, cube, 0)) % self.field.p
+            got = self._nf[mask] = {s: c for s, c in zip(self.std, coef.tolist()) if c}
         return got
 
-    def nf_poly(self, poly: Poly) -> Poly:
-        out: Dict[Term, int] = {}
-        for t, c in poly.terms.items():
-            mask, free = self.cube.split(t)
-            for s, cs in self.nf_mask(mask).terms.items():
-                key = make_term(s + free)
-                out[key] = out.get(key, 0) + c * cs
-        return Poly(self.field, self.basis, out)
+    def reduce(self, f: Dict[int, int]) -> Dict[int, int]:
+        if not self.std:  # no common zero: the span is the whole ring
+            return {}
+        return _collect(((s, c * cs) for m, c in f.items() for s, cs in self._nf_mask(m).items()), self.field.p)
 
 
 class _ClosureEngine:
     """Remainders via a Groebner basis, built by Buchberger's algorithm on
-    the masks of one ``TermCodec`` of the active variables, where graded
-    lex is (degree, mask) order.  A term times a term is ``m | b`` in
+    the masks of the span codec's active bits, where graded lex is
+    (degree, mask) order.  A term times a term is ``m | b`` in
     {0,1}, where ``v*v = v``, and ``m ^ b`` in {+1,-1}, where ``v*v = 1``.
     Pairs are taken smallest lcm first.  Leads with no common variable make
     no pair (Buchberger's product criterion); of a new lead's pairs, Gebauer
@@ -190,12 +178,11 @@ class _ClosureEngine:
     tail-reduced polynomial, and the leads cut out the standard monomials.
     """
 
-    def __init__(self, polys: Sequence[Poly], active: Sequence[Var], field: Field, basis: str):
-        self.field, self.basis, self.codec = field, basis, TermCodec(active)
+    def __init__(self, polys: Sequence[Poly], codec: TermCodec, bits: Sequence[int], field: Field, basis: str):
+        self.field, self.codec = field, codec
         self._or = basis == BOOLEAN
         self._left = CLOSURE_STEP_LIMIT
         self.groebner: Dict[int, Dict[int, int]] = {}
-        bits = [self.codec.mask((v,)) for v in active]
         # a pair is (lcm degree, lcm, order, parts): the sum of c*u*g over its
         # parts (g, u, c); the inputs come first
         heap = [(0, 0, i, ((self.codec.encode(q), 0, 1),)) for i, q in enumerate(polys)]
@@ -206,7 +193,7 @@ class _ClosureEngine:
                 for m, cm in g.items():
                     m = m | u if self._or else m ^ u
                     f[m] = f.get(m, 0) + c * cm
-            g = self._reduce(f)
+            g = self.reduce(f)
             if not g:
                 continue
             lt = self.codec.lead(g)
@@ -226,7 +213,7 @@ class _ClosureEngine:
                     heapq.heappush(heap, (lt.bit_count() + 1, lt, next(order), ((g, v, 1),)))
             self.groebner = {m: h for m, h in self.groebner.items() if lt & m != lt}
             self.groebner[lt] = g
-        self.groebner = {m: {m: 1, **self._reduce({s: c for s, c in g.items() if s != m})}
+        self.groebner = {m: {m: 1, **self.reduce({s: c for s, c in g.items() if s != m})}
                          for m, g in self.groebner.items()}
         self._left = math.inf  # remainders after the build are not counted
         # the order ideal, one degree at a time: the one-variable multiples
@@ -239,9 +226,9 @@ class _ClosureEngine:
             have = set(level)
             nxt = sorted({m | b for m in level for b in bits if not m & b})
             level = [c for c in nxt if c not in self.groebner and all(c ^ b in have for b in bits if c & b)]
-        self.std_monomials = tuple(map(self.codec.term, std))
+        self.std = tuple(std)
 
-    def _reduce(self, f: Dict[int, int]) -> Dict[int, int]:
+    def reduce(self, f: Dict[int, int]) -> Dict[int, int]:
         """The remainder of a ``{mask: coeff}`` dict, which it consumes:
         each term, largest first, is kept or replaced by the smaller terms
         of a lead's multiple.  It costs a step, plus one per lead and one
@@ -269,38 +256,41 @@ class _ClosureEngine:
                     f[s] = f.get(s, 0) - c * cs
         return out
 
-    def nf_poly(self, poly: Poly) -> Poly:
-        # the terms grouped by their free variables, which multiply in
-        groups: Dict[Term, Dict[int, int]] = {}
-        pos = self.codec.pos
-        for t, c in poly.terms.items():
-            groups.setdefault(tuple(v for v in t if v not in pos), {})[self.codec.mask(v for v in t if v in pos)] = c
-        return Poly(self.field, self.basis, {make_term(self.codec.term(m) + free): c
-                                            for free, f in groups.items() for m, c in self._reduce(f).items()})
-
 
 class SpanBasis:
     """Canonical remainders modulo a span; build with ``span_basis``.
 
     ``reduce`` maps a polynomial to the graded-lex least member of its
     coset, supported on the standard monomials; ``contains`` is
-    membership in the span itself.
+    membership in the span itself.  Terms are masks over ``codec``, the
+    ``TermCodec`` of the universe; the engine sees only the active bits.
     """
 
     def __init__(self, polys: Sequence[Poly], universe: Tuple[Var, ...], method: str, field: Field, basis: str):
         self.field = field
         self.basis = basis
         self.universe = universe
+        self.codec = TermCodec(universe)
         self.active = tuple(sorted({v for p in polys for v in p.variables()}))
-        self._uset = set(universe)
+        self._bits = [1 << self.codec.pos[v] for v in self.active]
+        self._active = sum(self._bits)
         engine = _PointsEngine if method == "points" else _ClosureEngine
-        self._engine = engine(polys, self.active, field, basis)
+        self._engine = engine(polys, self.codec, self._bits, field, basis)
 
     @property
     def std_monomials(self) -> Tuple[Term, ...]:
         """Monomials over the constrained variables whose remainders are
         themselves, in graded-lex order; free variables multiply in."""
-        return self._engine.std_monomials
+        return tuple(map(self.codec.term, self._engine.std))
+
+    def _reduce(self, f: Dict[int, int]) -> Dict[int, int]:
+        """The remainder of a ``{mask: coeff}`` dict over ``codec``: the terms
+        are grouped by their free variables, which multiply in, and each
+        group's active part is reduced by the engine."""
+        groups: Dict[int, Dict[int, int]] = {}
+        for m, c in f.items():
+            groups.setdefault(m & ~self._active, {})[m & self._active] = c
+        return {m | free: c for free, g in groups.items() for m, c in self._engine.reduce(g).items()}
 
     def reduce(self, poly: Poly) -> Poly:
         if poly.basis != self.basis:
@@ -310,9 +300,10 @@ class SpanBasis:
         for v in poly.variables():
             if v.negated:
                 raise ValueError(f"span input must be twin-free, got {format_var(v)}")
-            if v not in self._uset:
+            if v not in self.codec.pos:
                 raise ValueError(f"variable {format_var(v)} outside the span universe")
-        return self._engine.nf_poly(poly)
+        r = self._reduce(self.codec.encode(poly))
+        return Poly(self.field, self.basis, dict(zip(map(self.codec.term, r), r.values())))
 
     def contains(self, poly: Poly) -> bool:
         return self.reduce(poly).is_zero
@@ -320,12 +311,12 @@ class SpanBasis:
     def leading_terms(self) -> Tuple[Term, ...]:
         """Minimal non-standard monomials: every proper divisor is
         standard, so these generate everything the span rewrites."""
-        std = set(self.std_monomials)
-        if () not in std:
+        std, bits = set(self._engine.std), self._bits
+        if 0 not in std:
             return ((),)
-        border = {make_term(s + (v,)) for s in std for v in self.active if v not in s} - std
-        mins = [m for m in border if all(m[:i] + m[i + 1:] in std for i in range(len(m)))]
-        return tuple(sorted(mins, key=grlex_key))
+        border = {m | b for m in std for b in bits if not m & b} - std
+        mins = [m for m in border if all(m ^ b in std for b in bits if m & b)]
+        return tuple(map(self.codec.term, sorted(mins, key=lambda m: (m.bit_count(), m))))
 
 
 def _points_var_cap(count: int) -> None:
@@ -355,9 +346,11 @@ def span_basis(
     ``bop_context(4, 1)`` takes, or an order ideal of more than
     ``CLOSURE_STD_LIMIT`` (4096) standard monomials to walk.  Either
     refusal comes within about a second and raises
-    ``ScaleLimitExceeded``.  The two routes share no code -- they agree
-    everywhere and are cross-checked in the tests, where sympy Groebner
-    bases check both.  Twin variables must be expanded away before calling.
+    ``ScaleLimitExceeded``.  Both routes reduce masks over the span's
+    codec, inside the span's one free-variable rule; they share no
+    reduction code -- they agree everywhere and are cross-checked in the
+    tests, where sympy Groebner bases check both.  Twin variables must be
+    expanded away before calling.
     """
     polys = list(polys)
     for p in polys:
@@ -401,10 +394,11 @@ class ResidueOracle:
     """Touch-keyed reduction over a pointing-family axiom system.
 
     A term is reduced modulo the span of the ordering group together
-    with the pointer groups of exactly the vertices it touches.  Spans
-    per key, remainders per term and touch keys per term are cached on
-    the oracle, so exhaustive sweeps stay cheap and each new oracle
-    starts cold.  Equal touch keys are one frozenset.
+    with the pointer groups of exactly the vertices it touches.  Each span
+    is built over ``context.universe``, so masks over ``context.codec``
+    pass to it as they are.  Spans per key, and remainders and touch keys
+    per mask, are cached, so exhaustive sweeps stay cheap and each new
+    oracle starts cold.  Equal touch keys are one frozenset.
     """
 
     def __init__(self, context: AxiomSystem):
@@ -422,42 +416,66 @@ class ResidueOracle:
         self.context = context
         self.n, self.ell = context.n, context.ell
         self._touch = _touch_rule(context.codec, self.n, self.ell)
+        self._vars = [(1 << context.codec.pos[v], v) for v in context.universe]  # (bit, variable)
         self._spans: Dict[FrozenSet[int], SpanBasis] = {}
-        self._rterm: Dict[Term, Poly] = {}
-        self._tau: Dict[Term, FrozenSet[int]] = {}
+        self._rem: Dict[int, Dict[int, int]] = {}
+        self._tau: Dict[int, FrozenSet[int]] = {}
         self._keys: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
     def span_for(self, vertices: Iterable[int]) -> SpanBasis:
         key = frozenset(vertices)
+        # 1.0 and True equal the vertex 1, but name no vertex
+        bad = sorted(j for j in key if type(j) is not int or not 1 <= j <= self.n)
+        if bad:
+            raise ValueError(f"vertices {bad} outside 1..{self.n}")
         got = self._spans.get(key)
         if got is None:
-            bad = sorted(j for j in key if not 1 <= j <= self.n)
-            if bad:
-                raise ValueError(f"vertices {bad} outside 1..{self.n}")
             groups = ["T"] + [f"BV({j})" for j in sorted(key)]
             family = [self.context.polys[i] for g in groups for i in self.context.groups[g]]
             got = self._spans[key] = span_basis(family, self.context.universe, self.context.basis, self.context.field)
         return got
 
-    def tau(self, t: Term) -> FrozenSet[int]:
-        """The touch key of a term, by the touch rule on its mask over
-        ``context.codec``, or by ``touched`` for a term the codec cannot
-        encode; computed once per term, and raised every time if invalid."""
-        got = self._tau.get(t)
+    def _key(self, m: int) -> FrozenSet[int]:
+        """The touch key of a mask over ``context.codec``, computed once
+        per mask, and raised every time if the touch rule refuses it."""
+        got = self._tau.get(m)
         if got is None:
-            try:
-                key = self._touch(self.context.codec.mask(t)).tau
-            except KeyError:  # a variable outside the codec
-                key = touched(t, self.n, self.ell).tau
-            got = self._tau[t] = self._keys.setdefault(key, key)
+            key = self._touch(m).tau
+            got = self._tau[m] = self._keys.setdefault(key, key)
         return got
 
-    def R_term(self, t: Term) -> Poly:
-        got = self._rterm.get(t)
+    def _remainder(self, m: int) -> Dict[int, int]:
+        """The remainder of one term's mask under its touch key."""
+        got = self._rem.get(m)
         if got is None:
-            got = self.span_for(self.tau(t)).reduce(Poly.from_term(self.context.field, BOOLEAN, t))
-            self._rterm[t] = got
+            got = self._rem[m] = self.span_for(self._key(m))._reduce({m: 1})
         return got
+
+    def _apply(self, pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+        """The reduction of the sum of some (mask, coeff) pairs."""
+        return _collect(((s, c * cs) for m, c in pairs for s, cs in self._remainder(m).items()), self.context.field.p)
+
+    def _mask(self, t: Term) -> int:
+        """The mask of a term over ``context.codec``; a term the codec cannot
+        encode is refused by the touch rule, else by its key's span."""
+        if not self.context.codec.pos.keys() >= set(t):
+            self.span_for(self.tau(t)).reduce(Poly.from_term(self.context.field, BOOLEAN, t))
+        return self.context.codec.mask(t)
+
+    def _decode(self, f: Dict[int, int]) -> Poly:
+        return Poly(self.context.field, BOOLEAN, dict(zip(map(self.context.codec.term, f), f.values())))
+
+    def tau(self, t: Term) -> FrozenSet[int]:
+        """The touch key of a term: the touch rule on its mask over ``context.codec``,
+        or ``touched`` for a term outside it; raised every time if invalid."""
+        try:
+            return self._key(self.context.codec.mask(t))
+        except KeyError:  # a variable outside the codec
+            key = touched(t, self.n, self.ell).tau
+            return self._keys.setdefault(key, key)
+
+    def R_term(self, t: Term) -> Poly:
+        return self._decode(self._remainder(self._mask(t)))
 
     def R(self, poly: Poly) -> Poly:
         """Linear extension of the per-term touch-keyed reduction."""
@@ -465,11 +483,7 @@ class ResidueOracle:
             raise BasisMismatch("the reduction operator works on the {0,1} side")
         if poly.field.p != self.context.field.p:
             raise ValueError("field mismatch")
-        out: Dict[Term, int] = {}
-        for t, c in poly.terms.items():
-            for s, cs in self.R_term(t).terms.items():
-                out[s] = out.get(s, 0) + c * cs
-        return Poly(self.context.field, BOOLEAN, out)
+        return self._decode(self._apply((self._mask(t), c) for t, c in poly.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -497,26 +511,22 @@ class LemmaReport:
         return f"{self.name}: {flag} ({self.cases} cases, n={self.n}, ell={self.ell}, {self.seconds:.2f}s)"
 
 
-def _fmt_term(t: Term) -> str:
-    return "*".join(format_var(v) for v in t) if t else "1"
+def _fmt_term(codec: TermCodec, m: int) -> str:
+    return "*".join(map(format_var, codec.term(m))) or "1"
 
 
-def _family_terms(universe: Sequence[Var], max_degree: int) -> Iterator[Term]:
-    """Every term over a universe of distinct variables up to
+def _family_terms(codec: TermCodec, max_degree: int) -> Iterator[int]:
+    """The mask of every term over the codec's bases up to
     ``max_degree``, in graded-lex order, one degree block at a time: a
     scale limit met by an early term fires before a large block is built.
-
-    Within one degree, graded lex orders terms by their variables read
-    from the largest down, lexicographically.  ``combinations`` of the
-    universe sorted largest first yields exactly those descending tuples,
-    and in lexicographic order of positions, where an earlier position
-    holds a larger variable: graded-lex largest first.  So each tuple is
-    reversed into a term and each block is reversed; nothing is sorted.
+    Within one degree, graded lex is integer order, and ``combinations``
+    of the bits, largest first, yields the largest mask first, since a bit
+    outweighs all smaller ones together; so each block is reversed.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    desc = sorted(universe, reverse=True)
-    return (c[::-1] for d in range(max_degree + 1) for c in reversed(list(itertools.combinations(desc, d))))
+    desc = [1 << i for i in range(len(codec.var_of) - 2, -1, -2)]
+    return (sum(c) for d in range(max_degree + 1) for c in reversed(list(itertools.combinations(desc, d))))
 
 
 def _default_oracle(n: int, ell: int, oracle: Optional[ResidueOracle]) -> ResidueOracle:
@@ -552,16 +562,17 @@ def _lemma(name: str, n: int, ell: int, oracle: Optional[ResidueOracle],
 
 def _same_remainders(name: str, n: int, ell: int, max_degree: int, oracle: Optional[ResidueOracle],
                      keys: Callable[..., Iterable[Tuple[FrozenSet[int], str]]]) -> LemmaReport:
-    """Per term t in regime, one case per labelled key in regime from
-    ``keys(o, t, tau(t))``: t's remainder under the key is ``R_term(t)``."""
+    """Per term mask t in regime, one case per labelled key in regime from
+    ``keys(o, t, tau(t))``: t's remainder is the same under the key."""
 
     def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
-        for t in _family_terms(o.context.universe, max_degree):
-            if _in_regime(tau := o.tau(t), n):
-                pt, base = Poly.from_term(o.context.field, BOOLEAN, t), o.R_term(t)
+        codec = o.context.codec
+        for t in _family_terms(codec, max_degree):
+            if _in_regime(tau := o._key(t), n):
+                base = o._remainder(t)
                 for key, label in keys(o, t, tau):
                     if _in_regime(key, n):
-                        yield () if o.span_for(key).reduce(pt) == base else (f"t={_fmt_term(t)} {label}",)
+                        yield () if o.span_for(key)._reduce({t: 1}) == base else (f"t={_fmt_term(codec, t)} {label}",)
 
     return _lemma(name, n, ell, oracle, cases)
 
@@ -572,7 +583,7 @@ def verify_touch_extension(
     """Multiplying a term by a variable can only grow its touch key, and
     the term's remainder is the same under either key."""
     return _same_remainders("touch-extension", n, ell, max_degree, oracle, lambda o, t, tau: (
-        (o.tau(term_mul(t, (w,), BOOLEAN)), f"w={format_var(w)}") for w in o.context.universe))
+        (o._key(t | b), f"w={format_var(w)}") for b, w in o._vars))
 
 
 def verify_touch_superset(
@@ -581,7 +592,7 @@ def verify_touch_superset(
     """Reducing under any proper-sized superset of the touch key gives
     the same remainder as the key itself."""
 
-    def supersets(o: ResidueOracle, t: Term, tau: FrozenSet[int]) -> Iterator[Tuple[FrozenSet[int], str]]:
+    def supersets(o: ResidueOracle, t: int, tau: FrozenSet[int]) -> Iterator[Tuple[FrozenSet[int], str]]:
         rest = [j for j in range(1, n + 1) if j not in tau]
         for key in (tau | set(extra) for k in range(len(rest) + 1) for extra in itertools.combinations(rest, k)):
             yield key, f"I={sorted(key)}"
@@ -595,23 +606,24 @@ def verify_residue_support(
     """Remainders never touch vertices the original term did not."""
 
     def cases(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
-        for t in _family_terms(o.context.universe, max_degree):
-            tau = o.tau(t)
-            yield tuple(f"t={_fmt_term(t)} term {_fmt_term(s)} escapes {sorted(tau)}"
-                        for s in o.R_term(t).terms if not o.tau(s) <= tau)
+        codec = o.context.codec
+        for t in _family_terms(codec, max_degree):
+            tau = o._key(t)
+            yield tuple(f"t={_fmt_term(codec, t)} term {_fmt_term(codec, s)} escapes {sorted(tau)}"
+                        for s in o._remainder(t) if not o._key(s) <= tau)
 
     return _lemma("residue-support", n, ell, oracle, cases)
 
 
 def _random_pool_poly(
-    rng: random.Random, pool: Sequence[Var], fld: Field, max_terms: int = 5, max_degree: int = 3
-) -> Poly:
-    terms: Dict[Term, int] = {}
+    rng: random.Random, bits: Sequence[int], p: int, max_terms: int = 5, max_degree: int = 3
+) -> Dict[int, int]:
+    """A random sum of terms over some variables' bits, as ``{mask: coeff}``."""
+    f: Dict[int, int] = {}
     for _ in range(rng.randint(1, max_terms)):
-        d = rng.randint(0, max_degree)
-        t = make_term(rng.sample(list(pool), d)) if d else ()
-        terms[t] = terms.get(t, 0) + rng.randrange(1, fld.p)
-    return Poly(fld, BOOLEAN, terms)
+        m = sum(rng.sample(bits, rng.randint(0, max_degree)))
+        f[m] = f.get(m, 0) + rng.randrange(1, p)
+    return f
 
 
 def verify_residue_product(
@@ -629,12 +641,14 @@ def verify_residue_product(
         pool = [pointer(j, a) for j in (1, 2) for a in range(1, pointer_bits(n) + 1)]
         pool += [edge(1, 2, l) for l in range(1, ell + 1)]
         pool += [edge(2, 1, l) for l in range(1, ell + 1)]
-        rng = random.Random(seed)
+        pos, rng = o.context.codec.pos, random.Random(seed)
+        bits = [1 << pos[v] for v in pool]
         for _ in range(samples):
-            poly = _random_pool_poly(rng, pool, o.context.field)
+            f = _random_pool_poly(rng, bits, o.context.field.p)
             w = rng.choice(pool)
-            same = o.R(poly.mul_var(w)) == o.R(o.R(poly).mul_var(w))
-            yield () if same else (f"w={format_var(w)} P={format_poly(poly)}",)
+            b = 1 << pos[w]
+            same = o._apply((m | b, c) for m, c in f.items()) == o._apply((m | b, c) for m, c in o._apply(f.items()).items())
+            yield () if same else (f"w={format_var(w)} P={format_poly(o._decode(f))}",)
 
     return _lemma("residue-product", n, ell, oracle, cases)
 
@@ -668,27 +682,28 @@ def verify_residue_properties(
     if pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {pairs}")
     oracle = _default_oracle(n, ell, oracle)
-    fld = oracle.context.field
-    universe = oracle.context.universe
-    small = _family_terms(universe, max_degree)
+    p, codec = oracle.context.field.p, oracle.context.codec
+    small = _family_terms(codec, max_degree)
+
+    def lin(a: int, f: Dict[int, int], b: int, g: Dict[int, int]) -> Iterator[Tuple[int, int]]:
+        return itertools.chain(((m, a * c) for m, c in f.items()), ((m, b * c) for m, c in g.items()))
 
     def linearity(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
-        rng = random.Random(seed)
+        rng, bits = random.Random(seed), [b for b, _ in o._vars]
         for _ in range(pairs):
-            p1 = _random_pool_poly(rng, universe, fld, max_terms=4)
-            p2 = _random_pool_poly(rng, universe, fld, max_terms=4)
-            a = rng.randrange(fld.p)
-            b = rng.randrange(fld.p)
-            same = o.R(p1.lin(a, p2, b)) == o.R(p1).lin(a, o.R(p2), b)
-            yield () if same else (f"a={a} b={b} P={format_poly(p1)} Q={format_poly(p2)}",)
+            f1 = _random_pool_poly(rng, bits, p, max_terms=4)
+            f2 = _random_pool_poly(rng, bits, p, max_terms=4)
+            a = rng.randrange(p)
+            b = rng.randrange(p)
+            same = o._apply(lin(a, f1, b, f2)) == _collect(lin(a, o._apply(f1.items()), b, o._apply(f2.items())), p)
+            yield () if same else (f"a={a} b={b} P={format_poly(o._decode(f1))} Q={format_poly(o._decode(f2))}",)
 
     def product(o: ResidueOracle) -> Iterable[Tuple[str, ...]]:
         for t in small:
-            pt = Poly.from_term(fld, BOOLEAN, t)
-            for w in universe:
-                if _in_regime(o.tau(term_mul(t, (w,), BOOLEAN)), n):
-                    same = o.R(pt.mul_var(w)) == o.R(o.R(pt).mul_var(w))
-                    yield () if same else (f"t={_fmt_term(t)} w={format_var(w)}",)
+            for b, w in o._vars:
+                if _in_regime(o._key(t | b), n):
+                    same = o._remainder(t | b) == o._apply((m | b, c) for m, c in o._remainder(t).items())
+                    yield () if same else (f"t={_fmt_term(codec, t)} w={format_var(w)}",)
 
     return (
         _lemma("residue-linearity", n, ell, oracle, linearity),

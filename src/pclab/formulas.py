@@ -415,22 +415,6 @@ class Cube:
                 pos |= self._bit[v]
         return pos, neg
 
-    def split(self, t: Term) -> Tuple[int, Term]:
-        """The mask of a twin-free term's variables in the cube, and the
-        term of its other variables."""
-        mask = 0
-        rest = []
-        for v in t:
-            bit = self._bit.get(v)
-            if bit is None:
-                rest.append(v)
-            else:
-                mask |= bit
-        return mask, tuple(rest)
-
-    def term(self, mask: int) -> Term:
-        return tuple(v for i, v in enumerate(self.universe) if (mask >> i) & 1)
-
     def assignment(self, k: int) -> Dict[Var, bool]:
         return {v: bool((k >> i) & 1) for i, v in enumerate(self.universe)}
 

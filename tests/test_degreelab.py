@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -16,6 +18,7 @@ from pclab.algebra import (
     BasisMismatch,
     Poly,
     ScaleLimitExceeded,
+    TermCodec,
     cluster_var,
     edge,
     format_poly,
@@ -222,7 +225,7 @@ def test_closure_basis_is_monic_and_reduced(basis):
         for lead, g in gb.items():
             assert g[lead] == 1 and codec.lead(g) == lead
             assert not any(divisible(m) for m in g if m != lead)
-        for t in _family_terms(universe, len(universe)):
+        for t in map(codec.term, _family_terms(codec, len(universe))):
             for s in b.reduce(Poly.from_term(F, basis, t)).terms:
                 assert not divisible(codec.mask(v for v in s if v in codec.pos)), (t, s)
         a = span_basis(fam, universe=universe, basis=basis, field=F, method="points")
@@ -237,7 +240,7 @@ def test_closure_matches_points_on_every_touch_key():
     standard monomials and remainders on every key and every term."""
     oracle = ResidueOracle(bop_context(3, 1))
     ctx = oracle.context
-    terms = [Poly.from_term(F, BOOLEAN, t) for t in _family_terms(ctx.universe, len(ctx.universe))]
+    terms = [Poly.from_term(F, BOOLEAN, ctx.codec.term(m)) for m in _family_terms(ctx.codec, len(ctx.universe))]
     assert len(terms) == 4096
     for k in range(4):
         for key in itertools.combinations(range(1, 4), k):
@@ -306,14 +309,15 @@ def _mixed_vars():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_mixed_vars(), max_size=8, unique=True), st.data())
+@given(st.lists(_mixed_vars().map(lambda v: v.base), max_size=8, unique=True), st.data())
 def test_family_terms_matches_sorted_combinations(universe, data):
     universe = data.draw(st.permutations(universe))
     max_degree = data.draw(st.integers(0, len(universe) + 1))
     want = []
     for d in range(max_degree + 1):
         want.extend(sorted((make_term(c) for c in itertools.combinations(universe, d)), key=grlex_key))
-    assert list(_family_terms(universe, max_degree)) == want
+    codec = TermCodec(universe)
+    assert [codec.term(m) for m in _family_terms(codec, max_degree)] == want
 
 
 def test_family_terms_lists_one_degree_at_a_time(monkeypatch):
@@ -324,8 +328,8 @@ def test_family_terms_lists_one_degree_at_a_time(monkeypatch):
         return combinations(pool, d)
 
     monkeypatch.setattr(degreelab.itertools, "combinations", recorded)
-    terms = iter(_family_terms(bop_context(3, 1).universe, 4))
-    assert next(terms) == () and asked == [0]
+    terms = iter(_family_terms(bop_context(3, 1).codec, 4))
+    assert next(terms) == 0 and asked == [0]
     assert next(terms) and asked == [0, 1]
 
 
@@ -471,10 +475,19 @@ def test_span_for_is_cached_and_sized(oracle):
         oracle.span_for({4})
 
 
+@pytest.mark.parametrize("vertex", [2.5, 1.0, True])
+def test_span_for_refuses_a_vertex_that_is_not_an_int(vertex):
+    # 1.0 and True hash as the vertex 1, but no pointer group is named by them
+    orc = ResidueOracle(bop_context(3, 1))
+    orc.span_for({1})
+    with pytest.raises(ValueError, match=re.escape(f"vertices [{vertex}] outside 1..3")):
+        orc.span_for({vertex})
+
+
 def test_tau_is_the_touch_key_interned():
     ctx = bop_context(3, 1)
     orc = ResidueOracle(ctx)
-    terms = list(_family_terms(ctx.universe, len(ctx.universe)))
+    terms = list(map(ctx.codec.term, _family_terms(ctx.codec, len(ctx.universe))))
     assert len(terms) == 4096
     keys = {}
     for t in terms:
@@ -712,6 +725,41 @@ def test_oracle_matches_the_termwise_reference(reference_oracles, size, data):
         lambda t: _in_regime(touched(t, n, ell).tau, n))
     poly = Poly(F, BOOLEAN, data.draw(st.dictionaries(terms, st.integers(1, F.p - 1), max_size=6)))
     assert orc.R(poly) == _reference_R(ctx, poly)
+    # every span lays out terms as the context codec does, so masks pass between them
+    assert all(orc.span_for(key).codec.var_of == ctx.codec.var_of for key in _REFERENCE_SIZES[size])
+
+
+def test_lemma_runners_build_no_poly_and_encode_no_term(monkeypatch):
+    """On a warmed oracle, the runners that walk every small term work on
+    masks only: no ``Poly`` is built and no term is masked per case."""
+    orc = ResidueOracle(bop_context(3, 1))
+    verify_all(3, 1, oracle=orc)
+    calls, per_report = collections.Counter(), {}
+    init, mask, lemma = Poly.__init__, TermCodec.mask, degreelab._lemma
+
+    def counted_init(self, *args):
+        calls["Poly.__init__"] += 1
+        init(self, *args)
+
+    def counted_mask(self, t):
+        calls["TermCodec.mask"] += 1
+        return mask(self, t)
+
+    def counted_lemma(name, *args):
+        before = calls.copy()
+        rep = lemma(name, *args)
+        per_report[name] = dict(calls - before)
+        return rep
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(TermCodec, "mask", counted_mask)
+    monkeypatch.setattr(degreelab, "_lemma", counted_lemma)
+    verify_touch_extension(3, 1, oracle=orc)
+    verify_touch_superset(3, 1, oracle=orc)
+    verify_residue_support(3, 1, oracle=orc)
+    verify_residue_properties(3, 1, oracle=orc)
+    for name in ("touch-extension", "touch-superset", "residue-support", "residue-product-small"):
+        assert per_report[name] == {}, name
 
 
 def test_oracle_results_are_reproducible():
