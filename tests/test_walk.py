@@ -485,3 +485,31 @@ def test_mask_metrics_match_their_term_definitions(steps, seed):
              (narrow, proof, w), (proof, narrow, w)]    # products outside the universe
     for before, after, x in cases:
         assert quadratic_containment_check(before, after, x) == term_containment(before, after, x)
+
+
+LIN_SYSTEMS = {
+    "parity": parity_axioms(),
+    "lifted-boolean": cnf_to_axioms(gen_bop_lifted(3, 2), BOOLEAN),
+    "lifted-fourier": cnf_to_axioms(gen_bop_lifted(3, 2), FOURIER),
+}
+WIDE_COEFS = st.one_of(
+    st.integers(-2**70, -1),                # negative
+    st.integers(F.p, 4 * F.p),              # at least p
+    st.integers(2**64 + 1, 2**200),         # wider than a machine word
+)
+
+
+@pytest.mark.parametrize("name", LIN_SYSTEMS)
+def test_wide_lin_coefficients_survive_the_file_round_trip(name):
+    """A "lin" coefficient outside 0..p-1 is written as it is and read
+    back reduced mod p, so the proof read back checks as the original."""
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 25), st.integers(0, 10**6), st.data())
+    def check(steps, seed, data):
+        proof = random_derivation(LIN_SYSTEMS[name], steps, seed=seed)
+        wide = tuple(("lin", data.draw(WIDE_COEFS), s[2], data.draw(WIDE_COEFS), s[4]) if s[0] == "lin" else s
+                     for s in proof.steps)
+        proof = PCProof(proof.axioms, wide)
+        assert check_pc(read_back(proof)) == check_pc(proof)
+
+    check()
