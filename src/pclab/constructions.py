@@ -21,8 +21,6 @@ __all__ = [
 
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from .algebra import Var, edge, plain, pointer
 from .formulas import (
     CNF,
@@ -182,6 +180,8 @@ def loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
     """Least-squares slope and intercept of log y against log x."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two matching points")
+    import numpy as np
+
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -191,6 +191,8 @@ def loglog_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
 def fit_through_origin(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
     """Best constant C for y ~ C*x and the relative root-mean-square
     residual of that fit."""
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size == 0:

@@ -43,8 +43,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .algebra import (
     BOOLEAN,
     DEFAULT_FIELD,
@@ -101,6 +99,8 @@ class _PointsEngine:
     """
 
     def __init__(self, polys: Sequence[Poly], codec: TermCodec, bits: Sequence[int], field: Field, basis: str):
+        import numpy as np
+
         self.field = field
         self.bits = bits  # bits[i]: the span codec's bit for the cube's bit i, mapped both ways at the boundary
         self.cube = Cube((codec.var_of[b.bit_length() - 1] for b in bits), field, basis)
@@ -425,8 +425,12 @@ class ResidueOracle:
     def span_for(self, vertices: Iterable[int]) -> SpanBasis:
         key = frozenset(vertices)
         # 1.0 and True equal the vertex 1, but name no vertex
-        bad = sorted(j for j in key if type(j) is not int or not 1 <= j <= self.n)
+        bad = [j for j in key if type(j) is not int or not 1 <= j <= self.n]
         if bad:
+            try:
+                bad.sort()
+            except TypeError:  # mixed types, as {'a', 2.5}: by type name, then text
+                bad.sort(key=lambda j: (type(j).__name__, repr(j)))
             raise ValueError(f"vertices {bad} outside 1..{self.n}")
         got = self._spans.get(key)
         if got is None:

@@ -49,8 +49,6 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .algebra import (
     BASES,
     BOOLEAN,
@@ -419,6 +417,8 @@ class Cube:
         return {v: bool((k >> i) & 1) for i, v in enumerate(self.universe)}
 
     def chunks(self) -> Iterator[np.ndarray]:
+        import numpy as np
+
         total = 1 << len(self.universe)
         step = 1 << min(_CHUNK_BITS, len(self.universe))
         for start in range(0, total, step):
@@ -428,6 +428,8 @@ class Cube:
         """Values of the monomials with masks (pos, neg) at the points ks,
         broadcast elementwise: 0 or 1 as bool in the {0,1} basis, +1 or -1
         as int64 in the {+1,-1} basis."""
+        import numpy as np
+
         if self.basis == BOOLEAN:
             return ((ks & pos) == pos) & ((ks & neg) == 0)
         return 1 - 2 * (np.bitwise_count((ks & pos) | (~ks & neg)) & 1).astype(np.int64)
@@ -443,6 +445,8 @@ class Cube:
         p = self.field.p
 
         def vanishes(ks: np.ndarray) -> np.ndarray:
+            import numpy as np
+
             total = np.zeros(len(ks), dtype=np.int64)
             for (pos, neg), c in terms:
                 total += c * self.monomials(ks, pos, neg)

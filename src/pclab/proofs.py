@@ -233,7 +233,7 @@ def _walk(proof, derive) -> Iterator[Tuple[int, Step, object]]:
                 if type(at) is not Var or (at := pos.get(at)) is None:
                     raise StepError(f"variable {step[1]} outside the system universe")
             elif operand is _COEFS:
-                if not isinstance(at, int) or not isinstance(step[3], int):
+                if type(at) is not int or type(step[3]) is not int:  # True is no coefficient
                     raise StepError(f"non-scalar coefficients in {step!r}")
             elif operand is _FOREIGN:
                 raise StepError(f"malformed step {step!r}")

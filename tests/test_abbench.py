@@ -167,3 +167,72 @@ def test_several_workloads(monkeypatch, capsys):
     docs = [json.loads(line) for line in out[-2:]]
     assert [d["workload"] for d in docs] == ["same", "slow"]
     assert all(len(d["parent"]) == len(d["change"]) == 4 for d in docs)
+
+
+def _recorded(parent, change):
+    """Runs whose ``# record`` lines gave (wall_s, ref_loop_ms) pairs."""
+    runs = _runs(WALL, TIGHT[:len(parent)], TIGHT[:len(change)])
+    for side, values in (("parent", parent), ("change", change)):
+        for run, (wall, ref) in zip(runs[side], values):
+            run["recorded"] = {"wall_s": wall, "ref_loop_ms": ref}
+    return runs
+
+
+def test_recorded_metrics_get_quartiles_and_no_verdict():
+    # the pass time stays flat while the reference loop runs faster
+    parent = [(0.60 + k / 100, 4.0 + k / 10) for k in range(5)]
+    change = [(0.60 + k / 100, 3.6 + k / 10) for k in range(5)]
+    rows = abbench.recorded(_recorded(parent, change))
+    assert set(rows) == {"wall_s", "ref_loop_ms"}
+    assert rows["wall_s"]["parent_median"] == rows["wall_s"]["change_median"] == 0.62
+    assert rows["ref_loop_ms"] == {"parent_median": 4.2, "parent_quartiles": [4.05, 4.2, 4.35],
+                                   "change_median": 3.8, "change_quartiles": [3.65, 3.8, 3.95]}
+    assert not any("verdict" in row for row in rows.values())
+
+
+def test_recorded_metrics_with_too_few_runs_give_counts():
+    runs = _recorded([(0.6, 4.0)] * 3, [(0.6, 4.0)])
+    runs["parent"][0]["recorded"] = {}
+    assert abbench.recorded(runs)["wall_s"] == {"runs": {"parent": 2, "change": 1}}
+    del runs["change"][0]["recorded"]  # a run that printed no record line
+    assert abbench.recorded(runs)["ref_loop_ms"] == {"runs": {"parent": 2, "change": 0}}
+
+
+def test_run_once_reads_the_record_line(tmp_path):
+    record = {"end_to_end": {"wall_s": {"value": 0.61}, "ref_loop_ms": {"value": 4.2},
+                             "wall_ref": {"value": 145.2}}}
+    result = {"correct": True, "metrics": {"wall_ref": {"value": 145.2}}}
+    os.makedirs(tmp_path / "bench")
+    with open(tmp_path / "bench" / "run.py", "w") as fh:
+        fh.write(f"print('# bool-refute seed=1')\nprint({'# record ' + json.dumps(record)!r})\n"
+                 f"print({json.dumps(result)!r})\n")
+    args = abbench.argparse.Namespace(workload="bool-refute", seed=1, seconds=1)
+    assert abbench.run_once(str(tmp_path), args) == {
+        "exit": 0, "result": result, "recorded": {"wall_s": 0.61, "ref_loop_ms": 4.2}}
+
+
+def test_recorded_metrics_are_printed_and_kept(monkeypatch, capsys):
+    walls = {"parent": iter([0.6, 0.61, 0.62]), "change": iter([0.6, 0.6, 0.61])}
+
+    def export(sha, into):
+        os.makedirs(into)
+        with open(os.path.join(into, "BENCHMARK.json"), "w") as fh:
+            json.dump({"end_to_end": [WALL]}, fh)
+        return into
+
+    def run_once(checkout, args):
+        side = os.path.basename(checkout)
+        return {"exit": 0, "result": {"metrics": {"wall_ref": {"value": 100}}},
+                "recorded": {"wall_s": next(walls[side]), "ref_loop_ms": 5.0}}
+
+    monkeypatch.setattr(abbench, "git", lambda *args: b"0" * 40 + b"\n")
+    monkeypatch.setattr(abbench, "export", export)
+    monkeypatch.setattr(abbench, "run_once", run_once)
+    assert abbench.main(["PARENT", "CHANGE", "--workload", "w", "--pairs", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = {line.split()[1]: json.loads(line.split(": ", 1)[1]) for line in out if "(no verdict): " in line}
+    assert rows["wall_s"]["parent_median"] == 0.61 and rows["wall_s"]["change_median"] == 0.6
+    assert rows["ref_loop_ms"]["parent_median"] == rows["ref_loop_ms"]["change_median"] == 5.0
+    doc = json.loads(out[-1])
+    assert doc["recorded"] == rows and doc["summary"]["wall_ref"]["verdict"] == "no regression"
+    assert [r["recorded"]["wall_s"] for r in doc["change"]] == [0.6, 0.6, 0.61]

@@ -484,6 +484,18 @@ def test_span_for_refuses_a_vertex_that_is_not_an_int(vertex):
         orc.span_for({vertex})
 
 
+@pytest.mark.parametrize("vertices, listed", [
+    ({"a", 2.5}, "[2.5, 'a']"),
+    ({"b", 0, None, "a"}, "[None, 0, 'a', 'b']"),
+    # sortable sets keep their numeric order
+    ({0, 2.5, 10, 4}, "[0, 2.5, 4, 10]"),
+    ({0, 4}, "[0, 4]"),
+])
+def test_span_for_refuses_mixed_vertex_types_in_a_fixed_order(oracle, vertices, listed):
+    with pytest.raises(ValueError, match=re.escape(f"vertices {listed} outside 1..3")):
+        oracle.span_for(vertices)
+
+
 def test_tau_is_the_touch_key_interned():
     ctx = bop_context(3, 1)
     orc = ResidueOracle(ctx)

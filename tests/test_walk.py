@@ -513,3 +513,20 @@ def test_wide_lin_coefficients_survive_the_file_round_trip(name):
         assert check_pc(read_back(proof)) == check_pc(proof)
 
     check()
+
+
+@pytest.mark.parametrize("basis", [BOOLEAN, FOURIER])
+@pytest.mark.parametrize("step", [("lin", True, 0, 0, 0), ("lin", 1, 0, False, 0)])
+def test_bool_lin_coefficients_are_refused(basis, step):
+    """A bool is refused as a coefficient, as it is as an index: the
+    proof file would spell it True, which no reader parses."""
+    proof = PCProof(AXIOMS[basis], (("ax", 0), step))
+    message = f"non-scalar coefficients in {step!r}"
+    rep = check_pc(proof)
+    assert (rep.valid, rep.first_bad_line, rep.message) == (False, 1, message)
+    for name, transform in TRANSFORMS.items():
+        if name == "split" and basis == BOOLEAN:
+            continue  # split takes {+1,-1} proofs only
+        with pytest.raises(ValueError) as e:
+            transform(proof)
+        assert str(e.value) == f"input proof invalid at L2: {message}"

@@ -22,6 +22,12 @@ won, and a verdict read against the metric's ``bound``:
   exceeds the bound, and not every change run beats every parent run;
 - ``no regression``: every other case.
 
+Each run's ``# record`` line also gives its ``wall_s`` (the median pass
+time) and ``ref_loop_ms`` (the mean reference-loop time).  ``wall_ref``
+divides the mean pass time by that reference time, so for each of the
+two the tool prints both sides' medians and quartiles, with no verdict:
+they show which side of the ratio moved.
+
 Every verdict is ``failed`` instead when the change has more failed runs
 than the parent, or a larger share of failed operations.  A failed run
 exited nonzero, printed no result line, or printed one with ``correct:
@@ -29,9 +35,10 @@ false``; the share of failed operations is taken over the runs that
 reported their operations.  The tool prints both counts for each side.
 
 Its last lines are one JSON object per workload, in the order given,
-that holds every result line, laid out like the ``workloads`` entries of
-a ``BENCH_*.json``.  Progress goes to stderr.  The exports are removed at the end, so nothing is written
-inside the repository.
+that holds every result line and the recorded ``wall_s`` and
+``ref_loop_ms`` summaries, laid out like the ``workloads`` entries of a
+``BENCH_*.json``.  Progress goes to stderr.  The exports are removed at
+the end, so nothing is written inside the repository.
 
 The exit status is 1 when any metric of any workload reads ``worse`` or
 ``failed``, and 0 otherwise, so a script can gate on it.
@@ -48,6 +55,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# read from each run's ``# record`` line and reported without a verdict
+RECORDED = ("wall_s", "ref_loop_ms")
 
 
 def git(*args: str) -> bytes:
@@ -72,7 +81,15 @@ def run_once(checkout: str, args) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = None
-    return {"exit": proc.returncode, "result": result}
+    recorded = {}
+    for line in lines:
+        if line.startswith("# record "):
+            try:
+                end = json.loads(line[len("# record "):])["end_to_end"]
+                recorded = {name: end[name]["value"] for name in RECORDED if name in end}
+            except (ValueError, LookupError, TypeError):
+                recorded = {}
+    return {"exit": proc.returncode, "result": result, "recorded": recorded}
 
 
 def metric(run: dict, name: str):
@@ -109,6 +126,29 @@ def failures(runs: dict) -> dict:
     return out
 
 
+def quartiles(values: dict) -> dict:
+    """Each side's median and quartiles (exclusive method)."""
+    row = {}
+    for side, v in values.items():
+        row[f"{side}_median"] = round(statistics.median(v), 3)
+        row[f"{side}_quartiles"] = [round(q, 3) for q in statistics.quantiles(v, n=4)]
+    return row
+
+
+def recorded(runs: dict) -> dict:
+    """Per ``RECORDED`` metric: each side's median and quartiles, or its
+    run counts when a side recorded fewer than two values."""
+    out = {}
+    for name in RECORDED:
+        values = {side: [r["recorded"][name] for r in runs[side] if name in r.get("recorded", {})]
+                  for side in ("parent", "change")}
+        if min(len(v) for v in values.values()) < 2:
+            out[name] = {"runs": {side: len(v) for side, v in values.items()}}
+        else:
+            out[name] = quartiles(values)
+    return out
+
+
 def summarise(runs: dict, metrics: list) -> dict:
     """Per metric: each side's median and quartiles (exclusive method), the
     change's median over the parent's, the pairs the change won, and the
@@ -126,10 +166,7 @@ def summarise(runs: dict, metrics: list) -> dict:
             if failed:
                 out[name]["verdict"] = "failed"
             continue
-        row = {}
-        for side, v in values.items():
-            row[f"{side}_median"] = round(statistics.median(v), 3)
-            row[f"{side}_quartiles"] = [round(q, 3) for q in statistics.quantiles(v, n=4)]
+        row = quartiles(values)
         row["change_over_parent"] = round(statistics.median(values["change"]) / statistics.median(values["parent"]), 3)
         pairs = [(metric(p, name), metric(c, name)) for p, c in zip(runs["parent"], runs["change"])]
         won = sum(1 for p, c in pairs if p is not None and c is not None and (c < p if lower else c > p))
@@ -164,20 +201,22 @@ def main(argv=None) -> int:
                 for side in order:
                     run = {"pair": pair, **run_once(checkouts[side], one)}
                     runs[w][side].append(run)
-                    values = {m["name"]: metric(run, m["name"]) for m in metrics}
+                    values = {**{m["name"]: metric(run, m["name"]) for m in metrics}, **run.get("recorded", {})}
                     print(f"# {tag}pair {pair} {side}: exit {run['exit']} {json.dumps(values)}",
                           file=sys.stderr, flush=True)
     docs, bad = [], False
     for w in args.workload:
-        summary, operations = summarise(runs[w], metrics), failures(runs[w])
+        summary, operations, extra = summarise(runs[w], metrics), failures(runs[w]), recorded(runs[w])
         for side, row in operations.items():
             print(f"{w} {side} runs: {row['failed_runs']} of {row['runs']} failed; "
                   f"{row['failed']} of {row['attempted']} operations failed ({row['failed_share']:.4f})")
         for name, row in summary.items():
             print(f"{w} {name}: {json.dumps(row)}")
+        for name, row in extra.items():
+            print(f"{w} {name} (no verdict): {json.dumps(row)}")
         docs.append({"workload": w, "seed": args.seed, "seconds": args.seconds,
                      "runs_per_side": args.pairs, "parent_sha": shas["parent"], "change_sha": shas["change"],
-                     "operations": operations, "summary": summary, **runs[w]})
+                     "operations": operations, "summary": summary, "recorded": extra, **runs[w]})
         bad = bad or any(row.get("verdict") in ("worse", "failed") for row in summary.values())
     for doc in docs:
         print(json.dumps(doc))
