@@ -29,6 +29,7 @@ from pclab.proofs import (
     check_resolution,
     proof_lines,
     quadratic_degree,
+    quadratic_set,
     random_derivation,
     resolution_lines,
 )
@@ -329,6 +330,28 @@ def test_split_requires_fourier():
     proof = PCProof(ax, (("ax", 0),))
     with pytest.raises(BasisMismatch):
         split(proof, x)
+
+
+_FOURIER_ONLY = "is specific to the {+1,-1} encoding"
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda proof, cmap: quadratic_set(proof), "quadratic machinery " + _FOURIER_ONLY),
+    (lambda proof, cmap: quadratic_degree(proof), "quadratic machinery " + _FOURIER_ONLY),
+    (lambda proof, cmap: quadratic_containment_check(proof, proof, X[1]), "quadratic machinery " + _FOURIER_ONLY),
+    (lambda proof, cmap: split(proof, X[1]), "split " + _FOURIER_ONLY),
+    (lambda proof, cmap: qdeg_to_deg(proof), "the degree conversion " + _FOURIER_ONLY),
+    (lambda proof, cmap: cluster(proof.axioms.polys[0], cmap), "clustering " + _FOURIER_ONLY),
+    (lambda proof, cmap: cluster(proof.axioms, cmap), "clustering " + _FOURIER_ONLY),
+    (lambda proof, cmap: cluster_proof(proof, cmap), "clustering " + _FOURIER_ONLY),
+])
+def test_fourier_only_operations_refuse_boolean_input(run, message):
+    """Each {+1,-1}-only operation refuses a {0,1} input with its own message."""
+    x = edge(1, 2, 1)
+    ax = AxiomSystem(F, BOOLEAN, (Poly(F, BOOLEAN, {(x,): 1}),), (x,), {})
+    with pytest.raises(BasisMismatch) as err:
+        run(PCProof(ax, (("ax", 0),)), random_pairing(2, 2, seed=0))
+    assert str(err.value) == message
 
 
 def test_split_rejects_axiom_variable():
