@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 import functools
-from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
@@ -101,6 +100,8 @@ class Field:
     p: int = DEFAULT_PRIME
 
     def __post_init__(self):
+        if type(self.p) is not int:  # a float or numpy order would leak into every coefficient
+            raise ValueError(f"field order must be an int, got {self.p!r}")
         if self.p >= _PRIME_PROOF_BOUND:
             raise ValueError(f"field order {self.p} is not below {_PRIME_PROOF_BOUND}, "
                              "the bound under which primality is proven")
@@ -370,23 +371,8 @@ class Poly:
 
     def mul_var(self, v: Var) -> "Poly":
         """v * self: v*v folds to v (boolean) or to 1 (fourier); a twin
-        is never folded.  Each product term is hashed once unless two of
-        them meet."""
-        fourier = self.basis == FOURIER
-        keys = []
-        for t in self.terms:
-            i = bisect_left(t, v)
-            if i == len(t) or t[i] != v:
-                t = t[:i] + (v,) + t[i:]
-            elif fourier:
-                t = t[:i] + t[i + 1 :]
-            keys.append(t)
-        out = dict(zip(keys, self.terms.values()))
-        if len(out) < len(keys):
-            out = {}
-            for t, c in zip(keys, self.terms.values()):
-                out[t] = out.get(t, 0) + c
-        return Poly(self.field, self.basis, out)
+        is never folded."""
+        return self.mul(Poly.variable(self.field, self.basis, v))
 
     def mul(self, other: "Poly") -> "Poly":
         self._check(other)

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -345,6 +344,8 @@ def _cmd_experiment(args) -> int:
     tasks = [(args.family, n, ell, args.timings) for ell in ells for n in ns]
     jobs = min(args.jobs, len(tasks))  # a pool may start every worker at once
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads the pool
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_experiment_row, tasks))
     else:

@@ -413,38 +413,41 @@ class QuadraticSet:
     d0: int
 
 
-def _quadratic_masks(proof: PCProof) -> Tuple[Set[int], int]:
+def _fourier_only(x, what: str) -> None:
+    """Refuse a proof, axiom system or polynomial outside the {+1,-1} encoding."""
+    if x.basis != FOURIER:
+        raise BasisMismatch(f"{what} is specific to the {{+1,-1}} encoding")
+
+
+def _quadratic_masks(proof: PCProof) -> Set[int]:
     """The products of two mask terms sharing a line, each their XOR,
-    which never folds a twin into its base, 0 for a self-pair; and the
-    largest degree of an axiom, square or twin line."""
-    if proof.basis != FOURIER:
-        raise BasisMismatch("quadratic machinery is specific to the {+1,-1} encoding")
+    which never folds a twin into its base, 0 for a self-pair."""
+    _fourier_only(proof, "quadratic machinery")
     products: Set[int] = set()
-    d0 = 0
-    for _, step, line in _mask_lines(proof):
-        if step[0] in ("ax", "sq", "tw"):
-            d0 = max(d0, max(map(int.bit_count, line), default=0))
+    for _, _, line in _mask_lines(proof):
         if line:
             products.add(0)
         masks = list(line)
         while masks:
             m = masks.pop()
             products.update(map(m.__xor__, masks))
-    return products, d0
+    return products
 
 
 def quadratic_set(proof: PCProof) -> QuadraticSet:
     """The decoded form of ``_quadratic_masks``: every product of two terms
-    sharing a line, folded modulo v*v = 1.  {+1,-1} encoding only."""
-    products, d0 = _quadratic_masks(proof)
+    sharing a line, folded modulo v*v = 1.  {+1,-1} encoding only.  ``d0``
+    is read off the steps: an axiom's degree, 2 for a twin, 0 for a square."""
+    products = _quadratic_masks(proof)
     qdeg = max(map(int.bit_count, products), default=0)
+    polys = proof.axioms.polys
+    d0 = max((polys[s[1]].degree if s[0] == "ax" else 2 for s in proof.steps if s[0] in ("ax", "tw")), default=0)
     return QuadraticSet(frozenset(map(proof.axioms.codec.term, products)), qdeg, d0)
 
 
 def quadratic_degree(proof: PCProof) -> int:
     """``quadratic_set(proof).qdeg``, with no set of products built."""
-    if proof.basis != FOURIER:
-        raise BasisMismatch("quadratic machinery is specific to the {+1,-1} encoding")
+    _fourier_only(proof, "quadratic machinery")
     best = 0
     for _, _, line in _mask_lines(proof):
         masks = list(line)

@@ -40,7 +40,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from .algebra import (
     BOOLEAN,
     FOURIER,
-    BasisMismatch,
     LineReader,
     Poly,
     Term,
@@ -62,6 +61,7 @@ from .proofs import (
     _PC,
     _VAR,
     _clause_rule,
+    _fourier_only,
     _mask_lines,
     _quadratic_masks,
     _walk,
@@ -377,8 +377,7 @@ def split(proof: PCProof, x: Var, prune_dead: bool = False) -> PCProof:
     the final one.  Requires that no axiom mentions x or its twin and no
     twin-axiom step is taken at x.
     """
-    if proof.basis != FOURIER:
-        raise BasisMismatch("split is specific to the {+1,-1} encoding")
+    _fourier_only(proof, "split")
     base = x.base
     if any(v.base == base for p in proof.axioms.polys for v in p.variables()):
         raise ValueError(f"{format_var(base)} occurs in an axiom; cannot split")
@@ -419,8 +418,8 @@ def quadratic_containment_check(before: PCProof, after: PCProof, x: Var) -> bool
 
     Products are compared as masks over ``before``'s codec; a product of
     ``after`` with a variable outside that universe is not contained."""
-    qb, _ = _quadratic_masks(before)
-    qa, _ = _quadratic_masks(after)
+    qb = _quadratic_masks(before)
+    qa = _quadratic_masks(after)
     codec, theirs = before.axioms.codec, after.axioms.codec
     if theirs.var_of != codec.var_of:
         try:
@@ -447,8 +446,7 @@ def qdeg_to_deg(proof: PCProof) -> PCProof:
     terms absorb the multiplier), and linear combinations by multiplying
     each parent's transformed line up to t_k*(parent term) and combining.
     """
-    if proof.basis != FOURIER:
-        raise BasisMismatch("the degree conversion is specific to the {+1,-1} encoding")
+    _fourier_only(proof, "the degree conversion")
     out = ProofWriter(proof.field.p)
     codec = proof.axioms.codec
     idx: List[int] = []
@@ -549,8 +547,7 @@ def cluster_term(t: Term, cmap: ClusterMap) -> Term:
 
 
 def cluster_poly(p: Poly, cmap: ClusterMap) -> Poly:
-    if p.basis != FOURIER:
-        raise BasisMismatch("clustering is specific to the {+1,-1} encoding")
+    _fourier_only(p, "clustering")
     terms: Dict[Term, int] = {}
     for t, c in p.terms.items():
         key = cluster_term(t, cmap)
@@ -559,8 +556,7 @@ def cluster_poly(p: Poly, cmap: ClusterMap) -> Poly:
 
 
 def cluster_axioms(ax: AxiomSystem, cmap: ClusterMap) -> AxiomSystem:
-    if ax.basis != FOURIER:
-        raise BasisMismatch("clustering is specific to the {+1,-1} encoding")
+    _fourier_only(ax, "clustering")
     polys = tuple(cluster_poly(p, cmap) for p in ax.polys)
     universe = tuple(sorted({cmap.image(v) for v in ax.universe}))
     return AxiomSystem(ax.field, ax.basis, polys, universe, dict(ax.groups), n=ax.n, ell=ax.ell)

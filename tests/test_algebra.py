@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -51,6 +52,11 @@ class TestField:
             Field(2)
         Field(3)
         Field(101)
+
+    @pytest.mark.parametrize("p", [5.0, np.int64(7), "7", True])
+    def test_rejects_an_order_that_is_not_an_int(self, p):
+        with pytest.raises(ValueError, match="field order must be an int"):
+            Field(p)
 
     def test_accepts_exactly_the_odd_primes_below_the_proof_bound(self):
         bound = 318665857834031151167461

@@ -529,7 +529,7 @@ class TestExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("pclab.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("experiment", "--family", "tseitin", "--n", "3..4", "--out", a)
         assert run("experiment", "--family", "tseitin", "--n", "3..4", "--out", b, "--jobs", 64) == 0

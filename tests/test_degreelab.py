@@ -742,8 +742,9 @@ def test_oracle_matches_the_termwise_reference(reference_oracles, size, data):
 
 
 def test_lemma_runners_build_no_poly_and_encode_no_term(monkeypatch):
-    """On a warmed oracle, the runners that walk every small term work on
-    masks only: no ``Poly`` is built and no term is masked per case."""
+    """On a warmed oracle, the lemma runners work on masks: the runners
+    that walk every small term, and the unit check, build no ``Poly`` and
+    mask no term per case; the axiom checks build no ``Poly``."""
     orc = ResidueOracle(bop_context(3, 1))
     verify_all(3, 1, oracle=orc)
     calls, per_report = collections.Counter(), {}
@@ -770,8 +771,13 @@ def test_lemma_runners_build_no_poly_and_encode_no_term(monkeypatch):
     verify_touch_superset(3, 1, oracle=orc)
     verify_residue_support(3, 1, oracle=orc)
     verify_residue_properties(3, 1, oracle=orc)
-    for name in ("touch-extension", "touch-superset", "residue-support", "residue-product-small"):
+    verify_residue_operator(3, 1, oracle=orc)
+    for name in ("touch-extension", "touch-superset", "residue-support", "residue-product-small",
+                 "residue-unit-fixed"):
         assert per_report[name] == {}, name
+    # an axiom is masked once, term by term, and reduced as masks
+    for name in ("residue-axioms-vanish", "residue-operator"):
+        assert "Poly.__init__" not in per_report[name], name
 
 
 def test_oracle_results_are_reproducible():

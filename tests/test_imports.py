@@ -1,7 +1,9 @@
 """numpy stays off the proof path: ``import pclab`` loads only the
 standard library, and the commands that generate, refute, check and
 transform proofs run without numpy.  Only the lemma checks, the
-exhaustive cube evaluation and the experiment fits load it.
+exhaustive cube evaluation and the experiment fits load it.  Nor does
+``import pclab.cli`` load the process pool, which only ``experiment
+--jobs`` uses.
 
 Each check runs in a fresh interpreter, since the test process has
 numpy loaded already."""
@@ -24,18 +26,20 @@ import pclab
 foreign = sorted(m for m in set(sys.modules) - before
                  if m.split(".")[0] not in sys.stdlib_module_names and m.split(".")[0] != "pclab")
 from pclab.cli import main
+pool = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
 runs = []
 for argv in json.loads(sys.argv[1]):
     runs.append((argv, main(argv), "numpy" in sys.modules))
-print(json.dumps({"foreign": foreign, "runs": runs}))
+print(json.dumps({"foreign": foreign, "pool": pool, "runs": runs}))
 """
 
 
 def run_fresh(argvs, cwd):
     """Import pclab in a new interpreter, then run ``pclab.cli.main`` on
     each argument list in turn: the modules outside the standard library
-    that the import added, and per run its exit code and whether numpy
-    was loaded by then."""
+    that the import added, the process pool modules loaded once
+    ``pclab.cli`` is, and per run its exit code and whether numpy was
+    loaded by then."""
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argvs)], cwd=cwd, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, check=True)
@@ -81,3 +85,7 @@ def test_lemma_checks_load_numpy_past_their_early_refusal(tmp_path):
     ]
     got = run_fresh(argvs, tmp_path)
     assert got["runs"] == [[argvs[0], 3, False], [argvs[1], 0, True]]
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    assert run_fresh([], tmp_path) == {"foreign": [], "pool": [], "runs": []}
