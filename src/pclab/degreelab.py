@@ -266,13 +266,12 @@ class SpanBasis:
     ``TermCodec`` of the universe; the engine sees only the active bits.
     """
 
-    def __init__(self, polys: Sequence[Poly], universe: Tuple[Var, ...], active: Tuple[Var, ...], method: str,
-                 field: Field, basis: str):
+    def __init__(self, polys: Sequence[Poly], universe: Tuple[Var, ...], method: str, field: Field, basis: str):
         self.field = field
         self.basis = basis
         self.universe = universe
         self.codec = TermCodec(universe)
-        self.active = active  # the sorted variables of ``polys``
+        self.active = tuple(sorted({v for p in polys for v in p.variables()}))
         self._bits = [1 << self.codec.pos[v] for v in self.active]
         self._active = sum(self._bits)
         engine = _PointsEngine if method == "points" else _ClosureEngine
@@ -378,7 +377,7 @@ def span_basis(
         raise ValueError(f"unknown method {method!r}")
     if method == "points":
         _points_var_cap(len(seen))
-    return SpanBasis(polys, tuple(uni), tuple(seen), method, field, basis)
+    return SpanBasis(polys, tuple(uni), method, field, basis)
 
 
 # ---------------------------------------------------------------------------

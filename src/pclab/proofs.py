@@ -437,7 +437,8 @@ def _quadratic_masks(proof: PCProof) -> Set[int]:
 def quadratic_set(proof: PCProof) -> QuadraticSet:
     """The decoded form of ``_quadratic_masks``: every product of two terms
     sharing a line, folded modulo v*v = 1.  {+1,-1} encoding only.  ``d0``
-    is read off the steps: an axiom's degree, 2 for a twin, 0 for a square."""
+    is read off the steps, so it must match the degrees of the lines
+    ``_line_rule`` derives for them: an axiom's, 2 for a twin, 0 for a square."""
     products = _quadratic_masks(proof)
     qdeg = max(map(int.bit_count, products), default=0)
     polys = proof.axioms.polys

@@ -38,6 +38,7 @@ from pclab.proofs import (
     PCProof,
     QuadraticSet,
     ResolutionProof,
+    _mask_lines,
     _touch_rule,
     check_pc,
     check_resolution,
@@ -307,6 +308,19 @@ class TestQuadratic:
         qs = quadratic_set(proof)
         assert (qs.products, qs.qdeg, qs.d0) == (products, qdeg, d0)
         assert quadratic_degree(proof) == qdeg
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_d0_matches_the_walked_lines(self, seed):
+        """``d0`` is read off the steps, not the lines: pin it to the lines
+        ``_line_rule`` derives, on linear axioms (a twin sets ``d0``) and
+        on LOP axioms (an axiom does)."""
+        linear = plain_system(FOURIER, [Poly(F, FOURIER, {(plain("a"),): 1, (plain("b"),): 1})])
+        for ax in (linear, cnf_to_axioms(gen_lop(3), FOURIER)):
+            proof = random_derivation(ax, 60, seed)
+            assert {"tw", "sq"} <= {s[0] for s in proof.steps}
+            walked = max(max(map(int.bit_count, line), default=0) for _, step, line in _mask_lines(proof)
+                         if step[0] in ("ax", "sq", "tw"))
+            assert quadratic_set(proof).d0 == walked
 
     def test_degree_without_the_set_on_a_long_proof(self):
         proof = tseitin_fourier_refutation(60)
