@@ -73,16 +73,6 @@ from .transforms import (
 )
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}")
-
-
 def parse_range(text: str) -> List[int]:
     """Accepts "4", "4..12", and comma-joined mixtures of both."""
     out: List[int] = []
@@ -368,13 +358,6 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seed_default = _env_int("PCLAB_SEED", 0)
-    field_default = _env_int("PCLAB_FIELD", DEFAULT_FIELD.p)
-    jobs_default = _env_int("PCLAB_JOBS", 1)
-    basis_default = os.environ.get("PCLAB_BASIS", BOOLEAN)
-    if basis_default not in BASES:
-        raise ValueError(f"PCLAB_BASIS must be one of {BASES}, got {basis_default!r}")
-
     parser = argparse.ArgumentParser(
         prog="pclab",
         description="generate, refute, check, and transform polynomial calculus instances",
@@ -388,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output path")
     g.add_argument("--axioms", action="store_true",
                    help="write the polynomial translation instead of DIMACS")
-    g.add_argument("--basis", choices=BASES, default=basis_default,
+    g.add_argument("--basis", choices=BASES, default=BOOLEAN,
                    help="encoding for --axioms")
-    g.add_argument("--field", type=int, default=field_default, help="odd prime field order")
+    g.add_argument("--field", type=int, default=DEFAULT_FIELD.p, help="odd prime field order")
     g.add_argument("--no-twins", action="store_true",
                    help="translate negated literals as 1-x instead of twin variables")
     g.set_defaults(func=_cmd_gen)
@@ -425,17 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     tc = tsub.add_parser("cluster", parents=[io], help="merge paired gadget copies into cluster variables")
     tc.add_argument("--map", help="cluster map file; omit to draw a seeded random pairing")
-    tc.add_argument("--seed", type=int, default=seed_default)
+    tc.add_argument("--seed", type=int, default=0)
     tc.set_defaults(func=_cmd_cluster)
 
     t2 = tsub.add_parser("res2pcr", parents=[io], help="simulate a resolution proof in the Boolean system")
-    t2.add_argument("--field", type=int, default=field_default)
+    t2.add_argument("--field", type=int, default=DEFAULT_FIELD.p)
 
     v = sub.add_parser("verify-lemmas", help="run the reduction-operator lemma checks")
     v.add_argument("--which", default="all", choices=("all", *LEMMAS))
     v.add_argument("--n", type=int, default=3)
     v.add_argument("--ell", type=int, default=1)
-    v.add_argument("--seed", type=int, default=seed_default)
+    v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=_cmd_verify_lemmas)
 
     e = sub.add_parser("experiment", help="sweep refutation sizes into a CSV table")
@@ -443,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", required=True, help="range, e.g. '4..12' or '3,5,9'")
     e.add_argument("--ell", default="1", help="range of gadget copies (pcr-upper)")
     e.add_argument("--out", required=True, help="CSV path")
-    e.add_argument("--jobs", type=int, default=jobs_default)
+    e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--timings", action="store_true",
                    help="fill the seconds column (breaks byte-reproducibility)")
     e.set_defaults(func=_cmd_experiment)

@@ -461,10 +461,12 @@ class ResidueOracle:
 
     def _mask(self, t: Term) -> int:
         """The mask of a term over ``context.codec``; a term the codec cannot
-        encode is refused by the touch rule, else by its key's span."""
-        if not self.context.codec.pos.keys() >= set(t):
-            self.span_for(self.tau(t)).reduce(Poly.from_term(self.context.field, BOOLEAN, t))
-        return self.context.codec.mask(t)
+        encode is refused by the touch rule, else as outside the span universe."""
+        try:
+            return self.context.codec.mask(t)
+        except KeyError as e:  # e names the first variable outside the codec
+            self.tau(t)
+            raise ValueError(f"variable {format_var(e.args[0])} outside the span universe") from None
 
     def _decode(self, f: Dict[int, int]) -> Poly:
         return Poly(self.context.field, BOOLEAN, dict(zip(map(self.context.codec.term, f), f.values())))

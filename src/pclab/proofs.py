@@ -87,7 +87,7 @@ from .algebra import (
     lin_dict,
     parse_var,
 )
-from .formulas import CNF, AxiomSystem, Clause, read_axioms, read_dimacs
+from .formulas import CNF, AxiomSystem, Clause, pointer_bits, read_axioms, read_dimacs
 
 Step = tuple
 
@@ -490,13 +490,13 @@ def _touch_rule(codec: TermCodec, n: Optional[int], ell: Optional[int]) -> Calla
         kind, ix = v.kind, v.index
         if v.negated:
             refused[1 << b] = "touch analysis is over positive terms, got {}", v
-        elif kind == "y" and 1 <= ix[0] <= n:
-            strong[ix[0]] = strong.get(ix[0], 0) | 1 << b
-        elif kind == "y":
+        elif kind == "y" and not 1 <= ix[0] <= n:
             refused[1 << b] = "vertex {} outside 1..{}", ix[0], n
-        elif kind not in need:
+        elif kind == "y" and 1 <= ix[1] <= pointer_bits(n):
+            strong[ix[0]] = strong.get(ix[0], 0) | 1 << b
+        elif kind not in need and kind != "y":
             refused[1 << b] = "foreign variable {}", v
-        elif 1 <= ix[0] <= n and 1 <= ix[1] <= n and 1 <= ix[2] <= need[kind]:
+        elif kind in need and 1 <= ix[0] <= n and 1 <= ix[1] <= n and 1 <= ix[2] <= need[kind]:
             strong[ix[1]] = strong.get(ix[1], 0) | 1 << b
             copies[kind, ix[0], ix[1]] = copies.get((kind, ix[0], ix[1]), 0) | 1 << b
         else:

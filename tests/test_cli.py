@@ -576,17 +576,17 @@ class TestParseRange:
 
 
 class TestEnvDefaults:
-    def test_basis_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PCLAB_BASIS", "fourier")
-        out = tmp_path / "b.txt"
-        assert run("gen", "bop", "--n", 3, "--axioms", "--out", out) == 0
-        assert read_axioms(out).basis == FOURIER
-
-    def test_field_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PCLAB_FIELD", "101")
-        out = tmp_path / "t.txt"
-        assert run("gen", "tseitin-cycle", "--n", 4, "--out", out) == 0
-        assert read_axioms(out).field.p == 101
+    @pytest.mark.parametrize("env", [("x", "many", "2.5", "junk"), ("7", "101", "2", "fourier")])
+    def test_stray_variables_do_not_leak_in(self, tmp_path, monkeypatch, env):
+        clean = tmp_path / "clean.txt"
+        assert run("gen", "lop", "--n", 3, "--axioms", "--out", clean) == 0
+        assert run("refute", "tseitin", "--n", 5, "--out", tmp_path / "t") == 0
+        for name, value in zip(("PCLAB_SEED", "PCLAB_FIELD", "PCLAB_JOBS", "PCLAB_BASIS"), env):
+            monkeypatch.setenv(name, value)
+        assert run("check", tmp_path / "t" / "proof.pc") == 0
+        out = tmp_path / "env.txt"
+        assert run("gen", "lop", "--n", 3, "--axioms", "--out", out) == 0
+        assert out.read_bytes() == clean.read_bytes()
 
     def test_field_past_the_primality_bound_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "lop.txt"
@@ -594,9 +594,3 @@ class TestEnvDefaults:
         assert "318665857834031151167461" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_env_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PCLAB_FIELD", "many")
-        assert run("gen", "lop", "--n", 3, "--out", tmp_path / "x.cnf") == 2
-        monkeypatch.setenv("PCLAB_FIELD", "2147483647")
-        monkeypatch.setenv("PCLAB_BASIS", "junk")
-        assert run("gen", "lop", "--n", 3, "--out", tmp_path / "x.cnf") == 2

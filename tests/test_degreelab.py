@@ -510,7 +510,8 @@ def test_tau_is_the_touch_key_interned():
     assert len(keys) == 8
 
 
-@pytest.mark.parametrize("bad", [(pointer(1, 1).twin,), (plain("w"),), (pointer(4, 1),), (edge(1, 2, 2),)])
+@pytest.mark.parametrize("bad", [(pointer(1, 1).twin,), (plain("w"),), (pointer(4, 1),), (edge(1, 2, 2),),
+                                 (pointer(1, 3),), (pointer(1, 0),)])
 def test_tau_does_not_cache_errors(bad):
     orc = ResidueOracle(bop_context(3, 1))
     t = make_term((edge(1, 2, 1),) + bad)
@@ -523,6 +524,17 @@ def test_tau_does_not_cache_errors(bad):
         with pytest.raises(ValueError):
             orc.R_term(t)
     assert orc.tau((edge(1, 2, 1),)) == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("n, ell", [(3, 2), (4, 2)])
+def test_a_term_outside_the_codec_is_refused_before_any_span(n, ell):
+    orc = ResidueOracle(bop_context(n, ell))
+    t = (cluster_var(1, 2, 1),)
+    for call in (lambda: orc.R_term(t), lambda: orc.R(Poly.from_term(orc.context.field, BOOLEAN, t))):
+        with pytest.raises(ValueError, match=re.escape("variable z(1,2,1) outside the span universe")) as got:
+            call()
+        assert type(got.value) is ValueError
+    assert orc._spans == {}
 
 
 def test_residue_kills_order_violations(oracle):
