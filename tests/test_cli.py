@@ -593,4 +593,3 @@ class TestEnvDefaults:
         assert run("gen", "lop", "--n", 3, "--axioms", "--field", 3317044064679887385961981, "--out", out) == 2
         assert "318665857834031151167461" in capsys.readouterr().err
         assert not out.exists()
-
