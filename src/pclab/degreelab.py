@@ -39,7 +39,6 @@ import itertools
 import math
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,7 +58,7 @@ from .algebra import (
     pointer,
 )
 from .formulas import AxiomSystem, Cube, cnf_to_axioms, gen_bop_lifted, pointer_bits
-from .proofs import PCProof, TouchReport, _quadratic_masks, _touch_rule, touched
+from .proofs import PCProof, _quadratic_masks, _touch_rule, touched
 from .transforms import isolate_vertex_restriction, restrict_proof, split
 
 SPAN_VAR_LIMIT = 16
@@ -747,7 +746,7 @@ def verify_all(
 class HeavySelection:
     """A proof's busiest vertex by heavy quadratic products, the
     majority copy choice per incoming edge, and the variables a split
-    round would eliminate."""
+    round would eliminate; ``heavy`` is decoded once, at the public boundary."""
 
     vertex: int
     l_choice: Tuple[Tuple[int, int], ...]
@@ -767,13 +766,33 @@ class RoundReport:
     skipped: Tuple[Var, ...]
 
 
-def _heavy_terms(proof: PCProof, threshold: int) -> Dict[Term, TouchReport]:
-    """Each quadratic product, twins replaced by bases, that touches at least
-    ``threshold`` vertices, with its touch report; only these are decoded."""
+def _heavy_masks(proof: PCProof, threshold: int) -> Tuple[Callable, List[int]]:
+    """The touch rule over the proof's codec, and the quadratic products, twins
+    folded onto their bases, touching at least ``threshold`` vertices."""
     codec = proof.axioms.codec
     touch = _touch_rule(codec, proof.axioms.n, proof.axioms.ell)
-    bases = set(map(codec.fold, _quadratic_masks(proof)))
-    return {codec.term(m): rep for m in bases if len((rep := touch(m)).tau) >= threshold}
+    bases = list(set(map(codec.fold, _quadratic_masks(proof))))
+    return touch, list(itertools.compress(bases, map(threshold.__le__, touch.counts(bases))))
+
+
+def _selection(proof: PCProof, threshold: int) -> Tuple[int, tuple, tuple, List[int]]:
+    """``heavy_term_selection``'s fields, counted on the heavy masks."""
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    n, ell, pos = proof.axioms.n, proof.axioms.ell, proof.axioms.codec.pos
+    touch, heavy = _heavy_masks(proof, threshold)
+    if not heavy:
+        raise ValueError(f"no quadratic product touches >= {threshold} vertices")
+    counts = {j: len(list(filter(bits.__and__, heavy))) for j, bits in touch.strong.items()}
+    vertex = min(counts, key=lambda j: (-counts[j], j))
+    # per copy x(i,vertex,l), the heavy masks holding it: the touch rule keeps l in 1..ell
+    copies = {(i, l): len(list(filter((1 << pos[v]).__and__, heavy))) if (v := edge(i, vertex, l)) in pos else 0
+              for i in range(1, n + 1) if i != vertex for l in range(1, ell + 1)}
+    l_choice = {i: min(range(1, ell + 1), key=lambda l: (-copies[i, l], l))
+                for i in range(1, n + 1) if i != vertex}
+    split_vars = [pointer(vertex, a) for a in range(1, pointer_bits(n) + 1)]
+    split_vars += [edge(i, vertex, l) for i, l in l_choice.items()]
+    return vertex, tuple(sorted(l_choice.items())), tuple(sorted(split_vars)), heavy
 
 
 def heavy_term_selection(proof: PCProof, threshold: int) -> HeavySelection:
@@ -783,22 +802,8 @@ def heavy_term_selection(proof: PCProof, threshold: int) -> HeavySelection:
 
     Products are compared after replacing twins by their base variable,
     so the touch analysis sees a positive term."""
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    n, ell = proof.axioms.n, proof.axioms.ell
-    heavy = _heavy_terms(proof, threshold)
-    if not heavy:
-        raise ValueError(f"no quadratic product touches >= {threshold} vertices")
-    counts = Counter(j for rep in heavy.values() for j in rep.strong)
-    vertex = min(counts, key=lambda j: (-counts[j], j))
-    # (i, l) per copy x(i,vertex,l) in a heavy product: the touch rule keeps l in 1..ell
-    copies = Counter(v.index[::2] for t in heavy for v in t if v.kind == "x" and v.index[1] == vertex)
-    l_choice = {i: min(range(1, ell + 1), key=lambda l: (-copies[i, l], l))
-                for i in range(1, n + 1) if i != vertex}
-    split_vars = [pointer(vertex, a) for a in range(1, pointer_bits(n) + 1)]
-    split_vars += [edge(i, vertex, l) for i, l in l_choice.items()]
-    return HeavySelection(vertex, tuple(sorted(l_choice.items())), tuple(sorted(split_vars)),
-                          frozenset(heavy))
+    *fields, heavy = _selection(proof, threshold)
+    return HeavySelection(*fields, frozenset(map(proof.axioms.codec.term, heavy)))
 
 
 def heavy_split_round(proof: PCProof, threshold: int) -> Tuple[PCProof, RoundReport]:
@@ -812,17 +817,16 @@ def heavy_split_round(proof: PCProof, threshold: int) -> Tuple[PCProof, RoundRep
     reported.  Needs ell >= 2 so the isolation can satisfy the vertex's
     own pointer group.
     """
-    sel = heavy_term_selection(proof, threshold)
-    n, ell = proof.axioms.n, proof.axioms.ell
-    rho = isolate_vertex_restriction(n, ell, sel.vertex, l_choice=dict(sel.l_choice))
+    vertex, l_choice, split_vars, heavy = _selection(proof, threshold)
+    rho = isolate_vertex_restriction(proof.axioms.n, proof.axioms.ell, vertex, l_choice=dict(l_choice))
     cur, _ = restrict_proof(proof, rho)
     split_at: List[Var] = []
     skipped: List[Var] = []
-    for v in sel.split_vars:
+    for v in split_vars:
         if v in rho or any(s[0] == "tw" and s[1].base == v for s in cur.steps):
             skipped.append(v)
             continue
         cur = split(cur, v, prune_dead=True)
         split_at.append(v)
-    return cur, RoundReport(sel.vertex, len(sel.heavy), len(_heavy_terms(cur, threshold)),
+    return cur, RoundReport(vertex, len(heavy), len(_heavy_masks(cur, threshold)[1]),
                             tuple(split_at), tuple(skipped))

@@ -71,6 +71,8 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (
@@ -479,7 +481,10 @@ def _touch_rule(codec: TermCodec, n: Optional[int], ell: Optional[int]) -> Calla
     i is lightly touched by a full gadget out of i: ``ell`` copies x(i,j,l) or
     ``ell // 2`` pair variables z(i,j,l), as clustered variables count twice.
     A twin, foreign or out-of-family variable is refused only in a touched
-    mask, by its lowest such bit: the first offending variable in term order."""
+    mask, by its lowest such bit: the first offending variable in term order.
+    ``touch.counts(masks)`` counts each mask's vertices by C-level filters,
+    refusing the first refused mask as ``touch`` does; ``touch.strong``
+    maps each vertex to its strong bits."""
     if n is None or ell is None:
         raise ValueError("touch context (n, ell) unknown")
     need = {"x": ell, "z": ell // 2}
@@ -510,6 +515,15 @@ def _touch_rule(codec: TermCodec, n: Optional[int], ell: Optional[int]) -> Calla
         return TouchReport(frozenset(j for j, bits in strong.items() if m & bits),
                            frozenset(i for i, bits in gadgets if m & bits == bits))
 
+    def counts(masks: List[int]) -> List[int]:
+        for m in filter(bad.__and__, masks):
+            touch(m)  # raises
+        cols = {j: map(bool, map(bits.__and__, masks)) for j, bits in strong.items()}
+        for i, bits in gadgets:  # one column per vertex: strong or light, counted once
+            cols[i] = map(or_, cols.get(i, repeat(False)), map(bits.__eq__, map(bits.__and__, masks)))
+        return list(map(sum, zip(repeat(0, len(masks)), *cols.values())))
+
+    touch.counts, touch.strong = counts, strong
     return touch
 
 
@@ -525,7 +539,7 @@ def special_degree(proof: PCProof) -> int:
     codec = proof.axioms.codec
     touch = _touch_rule(codec, proof.axioms.n, proof.axioms.ell)
     bases = {codec.fold(m) for _, _, line in _mask_lines(proof) for m in line}
-    return max((len(touch(m).tau) for m in bases), default=0)
+    return max(touch.counts(list(bases)), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -499,27 +499,28 @@ class ClusterMap:
         inside = all(1 <= i <= n and 1 <= j <= n and i != j for i, j in self.pairs)
         if len(self.pairs) != n * (n - 1) or not inside:
             raise ValueError("pairing must cover every ordered vertex pair exactly")
-        for key, pairing in self.pairs.items():
+        images: Dict[Var, Var] = {}  # each paired copy and its twin to theirs
+        for (i, j), pairing in self.pairs.items():
             flat = sorted(l for pr in pairing for l in pr)
             if flat != list(range(1, self.ell + 1)):
-                raise ValueError(f"pairing for {key} is not a perfect pairing of 1..{self.ell}")
+                raise ValueError(f"pairing for {(i, j)} is not a perfect pairing of 1..{self.ell}")
+            images.update((edge(i, j, l), cluster_var(i, j, p)) for p, pr in enumerate(pairing, start=1) for l in pr)
+        images.update([(x.twin, z.twin) for x, z in images.items()])
+        object.__setattr__(self, "_images", images)
 
     def pair_index(self, i: int, j: int, l: int) -> int:
-        if (i, j) not in self.pairs:
-            raise ValueError(f"edge ({i},{j}) is outside the cluster map over n={self.n} vertices")
-        for p, pr in enumerate(self.pairs[(i, j)], start=1):
-            if l in pr:
-                return p
-        raise ValueError(f"gadget index {l} not paired for edge ({i},{j})")
+        return self.image(Var("x", (i, j, l))).index[2]
 
     def image(self, v: Var) -> Var:
-        if v.kind == "z":
+        z = self._images.get(v)
+        if z is None and v.kind == "z":
             raise ValueError(f"{format_var(v)} is already a cluster variable")
-        if v.kind != "x":
-            return v
-        i, j, l = v.index
-        z = cluster_var(i, j, self.pair_index(i, j, l))
-        return z.twin if v.negated else z
+        if z is None and v.kind == "x":
+            i, j, l = v.index
+            if (i, j) not in self.pairs:
+                raise ValueError(f"edge ({i},{j}) is outside the cluster map over n={self.n} vertices")
+            raise ValueError(f"gadget index {l} not paired for edge ({i},{j})")
+        return z or v
 
 
 def random_pairing(n: int, ell: int, seed: int) -> ClusterMap:
@@ -540,10 +541,11 @@ def random_pairing(n: int, ell: int, seed: int) -> ClusterMap:
 
 
 def cluster_term(t: Term, cmap: ClusterMap) -> Term:
-    out: Term = ()
-    for v in t:
-        out = term_mul(out, (cmap.image(v),), FOURIER)
-    return out
+    """The images of a term's variables folded by parity: a pair's two copies cancel."""
+    odd: Set[Var] = set()
+    for w in map(cmap.image, t):
+        odd ^= {w}
+    return tuple(sorted(odd))
 
 
 def cluster_poly(p: Poly, cmap: ClusterMap) -> Poly:

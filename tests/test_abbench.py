@@ -190,6 +190,31 @@ def test_recorded_metrics_get_quartiles_and_no_verdict():
     assert not any("verdict" in row for row in rows.values())
 
 
+def test_derivation_percentiles_are_recorded_only_where_reported():
+    # fourier-transform reports the per-derivation percentiles; bool-refute does not
+    with_p = _recorded([(0.6, 4.0)] * 3, [(0.6, 4.0)] * 3)
+    for side in ("parent", "change"):
+        for k, run in enumerate(with_p[side]):
+            run["recorded"].update(derivation_p50_ms=1.2 + k / 10, derivation_p90_ms=2.0)
+    rows = abbench.recorded(with_p)
+    assert list(rows) == ["wall_s", "ref_loop_ms", "derivation_p50_ms", "derivation_p90_ms"]
+    assert rows["derivation_p50_ms"]["parent_median"] == rows["derivation_p50_ms"]["change_median"] == 1.3
+    assert not any("verdict" in row for row in rows.values())
+    rows = abbench.recorded(_recorded([(0.6, 4.0)] * 3, [(0.6, 4.0)] * 3))
+    assert list(rows) == ["wall_s", "ref_loop_ms"]
+
+
+def test_run_once_keeps_the_derivation_percentiles(tmp_path):
+    record = {"end_to_end": {"wall_s": {"value": 0.61}, "ref_loop_ms": {"value": 4.2},
+                             "derivation_p50_ms": {"value": 1.25}, "derivation_p90_ms": {"value": 2.5}}}
+    os.makedirs(tmp_path / "bench")
+    with open(tmp_path / "bench" / "run.py", "w") as fh:
+        fh.write(f"print({'# record ' + json.dumps(record)!r})\nprint({json.dumps({'metrics': {}})!r})\n")
+    args = abbench.argparse.Namespace(workload="fourier-transform", seed=1, seconds=1)
+    assert abbench.run_once(str(tmp_path), args)["recorded"] == {
+        "wall_s": 0.61, "ref_loop_ms": 4.2, "derivation_p50_ms": 1.25, "derivation_p90_ms": 2.5}
+
+
 def test_recorded_metrics_with_too_few_runs_give_counts():
     runs = _recorded([(0.6, 4.0)] * 3, [(0.6, 4.0)])
     runs["parent"][0]["recorded"] = {}

@@ -50,7 +50,7 @@ from pclab.degreelab import (
     verify_touch_extension,
     verify_touch_superset,
 )
-from pclab.formulas import cnf_to_axioms, gen_bop_lifted, semantic_implies
+from pclab.formulas import cnf_to_axioms, gen_bop_lifted, pointer_bits, semantic_implies
 from pclab.proofs import (
     AxiomSystem,
     PCProof,
@@ -906,23 +906,63 @@ def heavy_terms_by_term(proof, threshold):
     return {t: rep for t, rep in reports.items() if len(rep.tau) >= threshold}
 
 
-def test_heavy_analysis_matches_the_term_oracle(lifted_axioms, monkeypatch):
-    # every derivation of the fourier-transform bop pool; the round's
-    # report counts heavy products both before and after the split
-    proofs = [random_derivation(lifted_axioms, 30, seed) for seed in range(60)]
+def selection_by_term(proof, threshold):
+    """``heavy_term_selection`` recomputed on the decoded heavy terms of
+    ``heavy_terms_by_term``, as the selection was first written."""
+    n, ell = proof.axioms.n, proof.axioms.ell
+    heavy = heavy_terms_by_term(proof, threshold)
+    counts = collections.Counter(j for rep in heavy.values() for j in rep.strong)
+    vertex = min(counts, key=lambda j: (-counts[j], j))
+    copies = collections.Counter(v.index[::2] for t in heavy for v in t if v.kind == "x" and v.index[1] == vertex)
+    l_choice = {i: min(range(1, ell + 1), key=lambda l: (-copies[i, l], l))
+                for i in range(1, n + 1) if i != vertex}
+    split_vars = [pointer(vertex, a) for a in range(1, pointer_bits(n) + 1)]
+    split_vars += [edge(i, vertex, l) for i, l in l_choice.items()]
+    return HeavySelection(vertex, tuple(sorted(l_choice.items())), tuple(sorted(split_vars)), frozenset(heavy))
 
-    def outcomes():
-        out = []
-        for proof in proofs:
-            sel = heavy_term_selection(proof, 2)
-            cur, rep = heavy_split_round(proof, 2)
-            out.append((sel, rep, cur.steps))
-        return out
 
-    on_masks = outcomes()
-    monkeypatch.setattr(degreelab, "_heavy_terms", heavy_terms_by_term)
-    assert outcomes() == on_masks
-    assert all(rep.after < rep.before for _, rep, _ in on_masks)
+@pytest.fixture(scope="module")
+def bop_pool(lifted_axioms):
+    """Every derivation of the fourier-transform workload's bop pool."""
+    return [random_derivation(lifted_axioms, 30, seed) for seed in range(60)]
+
+
+def test_heavy_analysis_matches_the_term_oracle(bop_pool):
+    # the oracle selects on decoded terms and counts the round's output
+    # the same way; the round must agree on every field it reports
+    for proof in bop_pool:
+        want = selection_by_term(proof, 2)
+        assert heavy_term_selection(proof, 2) == want
+        cur, rep = heavy_split_round(proof, 2)
+        assert (rep.vertex, rep.before) == (want.vertex, len(want.heavy))
+        assert rep.after == len(heavy_terms_by_term(cur, 2)) < rep.before
+        assert sorted(rep.split_at + rep.skipped) == list(want.split_vars)
+
+
+def test_the_round_decodes_nothing_and_builds_no_touch_report(bop_pool, monkeypatch):
+    calls = collections.Counter()
+    term, report = TermCodec.term, proofs.TouchReport
+
+    def counted_term(self, mask):
+        calls["term"] += 1
+        return term(self, mask)
+
+    def counted_report(*args):
+        calls["report"] += 1
+        return report(*args)
+
+    monkeypatch.setattr(TermCodec, "term", counted_term)
+    monkeypatch.setattr(proofs, "TouchReport", counted_report)
+    for proof in bop_pool:
+        heavy_split_round(proof, 2)
+    assert calls == {}
+    heavy = sum(len(heavy_term_selection(proof, 2).heavy) for proof in bop_pool)
+    # one decode per heavy product, at the public boundary
+    assert calls == {"term": heavy}
+
+
+def test_special_degree_on_the_bop_pool(bop_pool):
+    assert [special_degree(proof) for proof in bop_pool] == [3] * 60
 
 
 def test_heavy_split_round_skips_twin_blocked_vars(lifted_axioms):
@@ -942,11 +982,9 @@ def test_touch_refuses_only_the_variables_a_term_holds(lifted_axioms):
     with_w = AxiomSystem(ax.field, ax.basis, ax.polys, ax.universe + (plain("w"),), ax.groups, n=3, ell=2)
     wide = PCProof(with_w, proof.steps)
     assert special_degree(wide) == special_degree(proof) == 3
-    heavy = degreelab._heavy_terms(wide, 2)
-    assert heavy == degreelab._heavy_terms(proof, 2)
-    assert len(heavy) == 1383
     sel = heavy_term_selection(wide, 2)
     assert sel == heavy_term_selection(proof, 2)
+    assert len(sel.heavy) == 1383
     assert sel.vertex == 1
 
 

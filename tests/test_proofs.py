@@ -478,6 +478,50 @@ def test_touch_refusals_keep_their_messages(t, message):
     assert touch(codec.mask((edge(1, 2, 1), edge(1, 2, 2)))).tau == {1, 2}
 
 
+# The (3, 2) and (4, 2) families' codecs (36 and 64 bits), each widened by
+# bases outside the family; every base brings its twin bit.
+_BULK_CODECS = {
+    (n, ell): TermCodec(gen_bop_lifted(n, ell).universe
+                        + (plain("w"), pointer(n + 1, 1), edge(1, 2), edge(1, 2, ell + 1)))
+    for n, ell in [(3, 2), (4, 2)]
+}
+
+
+@st.composite
+def mask_lists(draw):
+    """(n, ell, codec, masks): most masks hold only the family's own bases;
+    the rest add one bit of any kind, a twin or an out-of-family base."""
+    n, ell = draw(st.sampled_from(sorted(_BULK_CODECS)))
+    codec = _BULK_CODECS[n, ell]
+    own = st.builds(sum, st.lists(st.sampled_from([1 << codec.pos[v] for v in gen_bop_lifted(n, ell).universe]),
+                                  unique=True, max_size=14))
+    any_bit = st.sampled_from([1 << b for b in range(len(codec.var_of))])
+    mixed = st.builds(int.__or__, own, any_bit)
+    return n, ell, codec, draw(st.lists(st.one_of(own, own, own, mixed), max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_lists())
+def test_bulk_touch_counts_match_touch(case):
+    n, ell, codec, masks = case
+    touch = _touch_rule(codec, n, ell)
+    outcomes = []  # per mask, its touch count or the message refusing it
+    for m in masks:
+        try:
+            outcomes.append(len(touch(m).tau))
+        except ValueError as e:
+            outcomes.append(str(e))
+    counted = [o for o in outcomes if isinstance(o, int)]
+    refusals = [o for o in outcomes if isinstance(o, str)]
+    if refusals:
+        with pytest.raises(ValueError) as got:
+            touch.counts(masks)
+        assert str(got.value) == refusals[0]
+    else:
+        assert touch.counts(masks) == outcomes
+    assert touch.counts([m for m, o in zip(masks, outcomes) if isinstance(o, int)]) == counted
+
+
 class TestRandomDerivation:
     def test_deterministic(self):
         ax = cnf_to_axioms(gen_lop(3), FOURIER)

@@ -11,6 +11,7 @@ from pclab.algebra import (
     make_term,
     plain,
     pointer,
+    term_mul,
 )
 from pclab.formulas import (
     CNF,
@@ -655,6 +656,58 @@ def test_cluster_poly_merges_coefficients():
     )
     q = cluster(p, cm)
     assert q == fpoly({(): 12, (cluster_var(2, 1, 1),): 2})
+
+
+def cluster_term_by_var(t, cmap):
+    """The first ``cluster_term``: each variable's image, found by scanning
+    its edge's pairing, multiplied in one at a time by ``term_mul``."""
+    out = ()
+    for v in t:
+        if v.kind == "x":
+            i, j, l = v.index
+            p = next(p for p, pr in enumerate(cmap.pairs[i, j], start=1) if l in pr)
+            v = cluster_var(i, j, p).twin if v.negated else cluster_var(i, j, p)
+        out = term_mul(out, (v,), FOURIER)
+    return out
+
+
+def test_cluster_matches_the_per_variable_fold():
+    ax = cnf_to_axioms(gen_bop_lifted(3, 2), FOURIER)
+    assert len(ax.polys) == 48
+    cancelled = 0
+    for seed in range(8):
+        cm = random_pairing(3, 2, seed)
+        for p in ax.polys:
+            want = {}
+            for t, c in p.terms.items():
+                key = cluster_term_by_var(t, cm)
+                assert cluster(t, cm) == key
+                cancelled += len(key) < len(t)
+                want[key] = want.get(key, 0) + c
+            assert cluster(p, cm) == Poly(p.field, p.basis, want)
+    assert cancelled  # some terms lose a pair's two copies
+
+
+def test_cluster_image_keeps_its_messages():
+    cm = _tiny_map()
+    for v, message in [
+        (cluster_var(1, 2, 1), "z(1,2,1) is already a cluster variable"),
+        (cluster_var(1, 2, 1).twin, "~z(1,2,1) is already a cluster variable"),
+        (edge(1, 3, 1), "edge (1,3) is outside the cluster map over n=2 vertices"),
+        (edge(1, 2, 5), "gadget index 5 not paired for edge (1,2)"),
+        (edge(2, 1).twin, "gadget index 0 not paired for edge (2,1)"),
+    ]:
+        with pytest.raises(ValueError) as got:
+            cm.image(v)
+        assert str(got.value) == message
+        with pytest.raises(ValueError) as got:
+            cluster(make_term([pointer(1, 1), edge(1, 2, 1), v]), cm)
+        assert str(got.value) == message
+    with pytest.raises(ValueError, match=r"^edge \(1,1\) is outside the cluster map over n=2 vertices$"):
+        cm.pair_index(1, 1, 1)
+    assert [cm.pair_index(1, 2, l) for l in range(1, 5)] == [1, 2, 1, 2]
+    assert cm.image(edge(2, 1, 4).twin) == cluster_var(2, 1, 2).twin
+    assert cm.image(plain("w")) == plain("w")
 
 
 def test_cluster_axioms_keeps_identically_zero_entries():

@@ -26,7 +26,10 @@ Each run's ``# record`` line also gives its ``wall_s`` (the median pass
 time) and ``ref_loop_ms`` (the mean reference-loop time).  ``wall_ref``
 divides the mean pass time by that reference time, so for each of the
 two the tool prints both sides' medians and quartiles, with no verdict:
-they show which side of the ratio moved.
+they show which side of the ratio moved.  The same goes for
+``derivation_p50_ms`` and ``derivation_p90_ms``, the percentiles of the
+per-derivation operation, where a workload reports them; a recorded
+metric that no run of either side reported is left out.
 
 Every verdict is ``failed`` instead when the change has more failed runs
 than the parent, or a larger share of failed operations.  A failed run
@@ -56,7 +59,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # read from each run's ``# record`` line and reported without a verdict
-RECORDED = ("wall_s", "ref_loop_ms")
+RECORDED = ("wall_s", "ref_loop_ms", "derivation_p50_ms", "derivation_p90_ms")
 
 
 def git(*args: str) -> bytes:
@@ -136,12 +139,15 @@ def quartiles(values: dict) -> dict:
 
 
 def recorded(runs: dict) -> dict:
-    """Per ``RECORDED`` metric: each side's median and quartiles, or its
-    run counts when a side recorded fewer than two values."""
+    """Per ``RECORDED`` metric that some run reported: each side's median
+    and quartiles, or its run counts when a side recorded fewer than two
+    values."""
     out = {}
     for name in RECORDED:
         values = {side: [r["recorded"][name] for r in runs[side] if name in r.get("recorded", {})]
                   for side in ("parent", "change")}
+        if not any(values.values()):
+            continue
         if min(len(v) for v in values.values()) < 2:
             out[name] = {"runs": {side: len(v) for side, v in values.items()}}
         else:
