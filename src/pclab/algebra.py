@@ -189,8 +189,6 @@ def plain(name: str) -> Var:
 
 Term = Tuple[Var, ...]
 
-EMPTY_TERM: Term = ()
-
 
 def make_term(vs: Iterable[Var]) -> Term:
     return tuple(sorted(set(vs)))
@@ -298,20 +296,6 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
-    # constructors
-
-    @classmethod
-    def zero(cls, field: Field, basis: str) -> "Poly":
-        return cls(field, basis, {})
-
-    @classmethod
-    def constant(cls, field: Field, basis: str, c: int) -> "Poly":
-        return cls(field, basis, {EMPTY_TERM: c})
-
-    @classmethod
-    def variable(cls, field: Field, basis: str, v: Var) -> "Poly":
-        return cls(field, basis, {(v,): 1})
-
     @classmethod
     def from_term(cls, field: Field, basis: str, t: Term, c: int = 1) -> "Poly":
         return cls(field, basis, {t: c})
@@ -330,16 +314,8 @@ class Poly:
     def monomial_count(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, t: Term) -> int:
-        return self.terms.get(t, 0)
-
     def sorted_terms(self):
         return sorted(self.terms, key=grlex_key, reverse=True)
-
-    def leading_term(self) -> Term:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        return max(self.terms, key=grlex_key)
 
     def variables(self):
         return {v for t in self.terms for v in t}
@@ -357,22 +333,10 @@ class Poly:
         self._check(other)
         return Poly(self.field, self.basis, lin_dict(a, self.terms, b, other.terms, self.field.p))
 
-    def add(self, other: "Poly") -> "Poly":
-        return self.lin(1, other, 1)
-
-    def sub(self, other: "Poly") -> "Poly":
-        return self.lin(1, other, -1)
-
-    def neg(self) -> "Poly":
-        return self.scale(-1)
-
-    def scale(self, a: int) -> "Poly":
-        return self.lin(a, self, 0)
-
     def mul_var(self, v: Var) -> "Poly":
         """v * self: v*v folds to v (boolean) or to 1 (fourier); a twin
         is never folded."""
-        return self.mul(Poly.variable(self.field, self.basis, v))
+        return self.mul(Poly.from_term(self.field, self.basis, (v,)))
 
     def mul(self, other: "Poly") -> "Poly":
         self._check(other)

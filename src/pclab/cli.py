@@ -122,10 +122,12 @@ def _write_manifest(outdir: str, manifest: Dict[str, object]) -> None:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _emit(proof, outdir: str):
-    """Write a resolution or polynomial-calculus proof and its formula
-    into ``outdir``, then read the proof back: the re-read proof and its
-    check report."""
+def _emit(build, outdir: str):
+    """Build a resolution or polynomial-calculus proof with ``build()``,
+    write it and its formula into ``outdir``, drop it, then read the proof
+    back: the re-read proof and its check report.  Only one copy of the
+    proof is alive at a time."""
+    proof = build()
     os.makedirs(outdir, exist_ok=True)
     if isinstance(proof, ResolutionProof):
         formula, path, read, check = "formula.cnf", "proof.res", read_resproof, check_resolution
@@ -135,23 +137,25 @@ def _emit(proof, outdir: str):
         formula, path, read, check = "axioms.txt", "proof.pc", read_pcproof, check_pc
         write_axioms(proof.axioms, os.path.join(outdir, formula))
         write_pcproof(proof, os.path.join(outdir, path), formula)
+    del proof
     back = read(os.path.join(outdir, path))
     return back, check(back)
+
+
+_REFUTATIONS = {
+    "lop": lambda args: lop_resolution_refutation(args.n),
+    "lifted": lambda args: lifted_refutation(args.n, args.ell),
+    "pcr-upper": lambda args: pcr_upper_bound(args.n, args.ell),
+    "tseitin": lambda args: tseitin_fourier_refutation(args.n),
+}
 
 
 def _cmd_refute(args) -> int:
     manifest: Dict[str, object] = {"family": args.family, "n": args.n}
     if args.family in ("lifted", "pcr-upper"):
         manifest["ell"] = args.ell
-    if args.family == "lop":
-        proof = lop_resolution_refutation(args.n)
-    elif args.family == "lifted":
-        proof = lifted_refutation(args.n, args.ell)
-    elif args.family == "pcr-upper":
-        proof = pcr_upper_bound(args.n, args.ell)
-    else:
-        proof = tseitin_fourier_refutation(args.n)
-    back, report = _emit(proof, args.out)
+    # the manifest reads the proof read back, so the built one is gone by then
+    proof, report = _emit(lambda: _REFUTATIONS[args.family](args), args.out)
     manifest.update(lines=report.num_lines, valid=report.valid, refutation=report.is_refutation)
     if isinstance(proof, ResolutionProof):
         manifest.update(
@@ -169,7 +173,7 @@ def _cmd_refute(args) -> int:
             files={"axioms": "axioms.txt", "proof": "proof.pc"},
         )
         if proof.basis == FOURIER and report.valid:
-            manifest["quadratic_degree"] = quadratic_degree(back)
+            manifest["quadratic_degree"] = quadratic_degree(proof)
     _write_manifest(args.out, manifest)
     ok = bool(manifest["valid"]) and bool(manifest["refutation"])
     print(("valid refutation" if ok else "INVALID output") + f" in {args.out}")
@@ -229,8 +233,7 @@ def _cmd_rewrite(args) -> int:
     """Every transform but cluster: read the input proof, rewrite it, then
     emit and check the result."""
     read, rewrite = _REWRITES[args.transform]
-    out = rewrite(read(args.proof), args)
-    return _print_report(_emit(out, args.out)[1])
+    return _print_report(_emit(lambda: rewrite(read(args.proof), args), args.out)[1])
 
 
 def _cmd_cluster(args) -> int:
@@ -245,7 +248,7 @@ def _cmd_cluster(args) -> int:
         if ax.n > top:  # the pairing covers every ordered pair of the n declared vertices
             raise ValueError(f"axiom system declares n={ax.n}, but its variables name vertices up to {top}; pass --map instead")
         cmap = random_pairing(ax.n, ax.ell, args.seed)
-    status = _print_report(_emit(cluster_proof(proof, cmap), args.out)[1])
+    status = _print_report(_emit(lambda: cluster_proof(proof, cmap), args.out)[1])
     if not args.map:
         write_clustermap(cmap, os.path.join(args.out, "cluster.map"))
     return status
@@ -379,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     r = sub.add_parser("refute", help="build a refutation and emit a checked artifact directory")
-    r.add_argument("family", choices=("lop", "lifted", "pcr-upper", "tseitin"))
+    r.add_argument("family", choices=tuple(_REFUTATIONS))
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--ell", type=int, default=1, help="gadget copies (lifted, pcr-upper)")
     r.add_argument("--out", required=True, help="output directory")

@@ -343,7 +343,7 @@ def clause_to_poly(clause: Clause, basis: str, field: Field = DEFAULT_FIELD, twi
     if basis == BOOLEAN and twins:
         return Poly.from_term(field, basis, make_term(v.twin for v in lits))
     if len({v.base for v in lits}) < len(lits):  # a factor (1 - x)x or (1 + x)(1 - x)
-        return Poly.zero(field, basis)  # Poly refuses an unknown basis
+        return Poly(field, basis)  # Poly refuses an unknown basis
     # sorted literals over distinct bases: appending keeps each term sorted
     p = field.p
     terms: Dict[Term, int] = {(): 1}

@@ -260,46 +260,46 @@ class TestGrlex:
 
 class TestPoly:
     def test_zero_and_constant(self):
-        z = Poly.zero(F, BOOLEAN)
+        z = Poly(F, BOOLEAN)
         assert z.is_zero and z.degree == 0 and z.monomial_count == 0
-        c = Poly.constant(F, FOURIER, 5)
-        assert c.coefficient(()) == 5 and c.degree == 0
+        c = Poly(F, FOURIER, {(): 5})
+        assert c.terms.get((), 0) == 5 and c.degree == 0
 
     def test_coefficients_normalized(self):
         a = plain("a")
         p = Poly(F, BOOLEAN, {(a,): F.p, (): F.p + 3})
-        assert p.coefficient((a,)) == 0 and p.coefficient(()) == 3
+        assert p.terms.get((a,), 0) == 0 and p.terms.get((), 0) == 3
         assert p.monomial_count == 1
 
     def test_add_sub_scale(self):
         a, b = pvars("a", "b")
         p = parse_poly("2 * a ; 1 * b", F, BOOLEAN)
         q = parse_poly("-2 * a ; 3", F, BOOLEAN)
-        s = p.add(q)
-        assert s.coefficient((a,)) == 0
-        assert s.coefficient((b,)) == 1 and s.coefficient(()) == 3
-        assert p.sub(p).is_zero
-        assert p.scale(0).is_zero
-        assert p.scale(2).coefficient((a,)) == 4
+        s = p.lin(1, q, 1)
+        assert s.terms.get((a,), 0) == 0
+        assert s.terms.get((b,), 0) == 1 and s.terms.get((), 0) == 3
+        assert p.lin(1, p, -1).is_zero
+        assert p.lin(0, p, 0).is_zero
+        assert p.lin(2, p, 0).terms.get((a,), 0) == 4
 
     def test_mul_var_boolean_square(self):
         a, b = pvars("a", "b")
         p = parse_poly("1 * a ; 1 * b", F, BOOLEAN)
         q = p.mul_var(a)
-        assert q.coefficient((a,)) == 1 and q.coefficient((a, b)) == 1
+        assert q.terms.get((a,), 0) == 1 and q.terms.get((a, b), 0) == 1
 
     def test_mul_var_fourier_square(self):
         a, b = pvars("a", "b")
         p = parse_poly("1 * a ; 1 * b", F, FOURIER)
         q = p.mul_var(a)
-        assert q.coefficient(()) == 1 and q.coefficient((a, b)) == 1
+        assert q.terms.get((), 0) == 1 and q.terms.get((a, b), 0) == 1
 
     def test_mul_var_cancellation(self):
         # (a + b) * a in fourier where coefficients collide and cancel
         a, b = pvars("a", "b")
         p = parse_poly("1 ; -1 * a b", F, FOURIER)
         q = p.mul_var(a)
-        assert q.coefficient((a,)) == 1 and q.coefficient((b,)) == F.p - 1
+        assert q.terms.get((a,), 0) == 1 and q.terms.get((b,), 0) == F.p - 1
         r = parse_poly("1 ; -1", F, FOURIER)
         assert r.is_zero
 
@@ -314,7 +314,7 @@ class TestPoly:
                 rhs = p
                 for v in t:
                     rhs = rhs.mul_var(v)
-                assert p.mul(q) == rhs.scale(q.coefficient(t))
+                assert p.mul(q) == rhs.lin(q.terms.get(t, 0), rhs, 0)
 
     def test_ring_properties_random(self):
         rng = random.Random(5)
@@ -322,24 +322,24 @@ class TestPoly:
         for basis in (BOOLEAN, FOURIER):
             for _ in range(30):
                 p, q, r = (_random_poly(rng, vs, basis) for _ in range(3))
-                assert p.add(q) == q.add(p)
+                assert p.lin(1, q, 1) == q.lin(1, p, 1)
                 assert p.mul(q) == q.mul(p)
-                assert p.mul(q.add(r)) == p.mul(q).add(p.mul(r))
+                assert p.mul(q.lin(1, r, 1)) == p.mul(q).lin(1, p.mul(r), 1)
                 assert p.mul(q.mul(r)) == p.mul(q).mul(r)
 
     def test_basis_mismatch(self):
-        p = Poly.constant(F, BOOLEAN, 1)
-        q = Poly.constant(F, FOURIER, 1)
+        p = Poly(F, BOOLEAN, {(): 1})
+        q = Poly(F, FOURIER, {(): 1})
         with pytest.raises(BasisMismatch):
-            p.add(q)
+            p.lin(1, q, 1)
         with pytest.raises(BasisMismatch):
             p.mul(q)
 
     def test_leading_term(self):
         p = parse_poly("1 * x1 x3 ; 1 * x2 x3 ; 1", F, BOOLEAN)
-        assert p.leading_term() == make_term(pvars("x2", "x3"))
+        assert max(p.terms, key=grlex_key) == make_term(pvars("x2", "x3"))
         with pytest.raises(ValueError):
-            Poly.zero(F, BOOLEAN).leading_term()
+            max(Poly(F, BOOLEAN).terms, key=grlex_key)
 
     def test_sorted_terms_descending(self):
         p = parse_poly("1 ; 1 * a ; 1 * a b", F, BOOLEAN)
@@ -364,14 +364,14 @@ class TestEvaluate:
 
     def test_twin_lookup_and_consistency(self):
         a = plain("a")
-        p = Poly.variable(F, BOOLEAN, a.twin)
+        p = Poly(F, BOOLEAN, {(a.twin,): 1})
         # twin value inferred by flipping the base assignment
         assert p.evaluate({a: False}) == 1
         assert p.evaluate({a: True}) == 0
         with pytest.raises(ValueError):
             p.evaluate({a: True, a.twin: True})
         with pytest.raises(ValueError):
-            Poly.variable(F, BOOLEAN, plain("q")).evaluate({a: True})
+            Poly(F, BOOLEAN, {(plain("q"),): 1}).evaluate({a: True})
 
     def test_boolean_axioms_vanish(self):
         a = plain("a")
@@ -434,12 +434,12 @@ class TestGrammar:
 
     def test_parse_forms(self):
         a = plain("a")
-        assert parse_poly("3", F, BOOLEAN) == Poly.constant(F, BOOLEAN, 3)
+        assert parse_poly("3", F, BOOLEAN) == Poly(F, BOOLEAN, {(): 3})
         assert parse_poly("0", F, BOOLEAN).is_zero
-        assert parse_poly("a", F, BOOLEAN) == Poly.variable(F, BOOLEAN, a)
-        assert parse_poly("-1 * a", F, BOOLEAN) == Poly.variable(F, BOOLEAN, a).neg()
+        assert parse_poly("a", F, BOOLEAN) == Poly(F, BOOLEAN, {(a,): 1})
+        assert parse_poly("-1 * a", F, BOOLEAN) == Poly(F, BOOLEAN, {(a,): -1})
         # repeated term accumulates
-        assert parse_poly("1 * a ; 1 * a", F, BOOLEAN).coefficient((a,)) == 2
+        assert parse_poly("1 * a ; 1 * a", F, BOOLEAN).terms.get((a,), 0) == 2
 
     def test_duplicate_var_in_term_rejected(self):
         with pytest.raises(ValueError):
@@ -448,7 +448,7 @@ class TestGrammar:
     def test_header_round_trip(self, tmp_path):
         f = Field(101)
         path = tmp_path / "ax.txt"
-        write_axioms(AxiomSystem(f, FOURIER, (Poly.constant(f, FOURIER, 1),), ()), path)
+        write_axioms(AxiomSystem(f, FOURIER, (Poly(f, FOURIER, {(): 1}),), ()), path)
         back = read_axioms(path)
         assert back.field.p == 101 and back.basis == FOURIER
         path.write_text("field=7\n1\n")
@@ -458,7 +458,7 @@ class TestGrammar:
     def test_file_round_trip(self, tmp_path):
         rng = random.Random(13)
         vs = [edge(1, 2), edge(1, 2).twin, pointer(2, 1), plain("t")]
-        polys = [_random_poly(rng, vs, FOURIER) for _ in range(5)] + [Poly.zero(F, FOURIER)]
+        polys = [_random_poly(rng, vs, FOURIER) for _ in range(5)] + [Poly(F, FOURIER)]
         ax = AxiomSystem(F, FOURIER, tuple(polys), tuple(sorted({v.base for v in vs})))
         path = tmp_path / "polys.txt"
         write_axioms(ax, path)

@@ -82,3 +82,12 @@ def test_dropped_names_stay_in_their_module(name, home):
     assert not hasattr(pclab, name)
     assert name not in _module(home).__all__
     assert hasattr(_module(home), name)
+
+
+def test_poly_keeps_one_entry_per_operation():
+    # the term-level reference (lin, mul, mul_var, evaluate) and the value
+    # type's queries; a wrapper over one of them does not come back
+    assert sorted(n for n in dir(pclab.Poly) if not n.startswith("_")) == [
+        "basis", "degree", "evaluate", "field", "from_term", "is_zero", "lin",
+        "monomial_count", "mul", "mul_var", "sorted_terms", "terms", "variables",
+    ]

@@ -1,9 +1,11 @@
 import json
 import os
 import re
+import weakref
 
 import pytest
 
+import pclab.cli as cli
 from pclab.algebra import FOURIER, plain
 from pclab.cli import main, parse_range
 from pclab.formulas import (
@@ -134,6 +136,27 @@ class TestRefute:
         assert run("refute", "pcr-upper", "--n", 3, "--out", b) == 0
         for name in ("axioms.txt", "proof.pc", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("family, builder, reader", [
+        ("pcr-upper", "pcr_upper_bound", "read_pcproof"),
+        ("lop", "lop_resolution_refutation", "read_resproof"),
+    ])
+    def test_built_proof_is_dead_before_the_read_back(self, tmp_path, monkeypatch, family, builder, reader):
+        # both copies of a long proof alive at once set refute's peak memory
+        built, build, read = [], getattr(cli, builder), getattr(cli, reader)
+
+        def tracked(*args):
+            proof = build(*args)
+            built.append(weakref.ref(proof))
+            return proof
+
+        def checked(path):
+            assert built and built[0]() is None, "the built proof outlives its write"
+            return read(path)
+
+        monkeypatch.setattr(cli, builder, tracked)
+        monkeypatch.setattr(cli, reader, checked)
+        assert run("refute", family, "--n", 3, "--out", tmp_path) == 0
 
 
 class TestCheck:

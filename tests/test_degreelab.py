@@ -61,6 +61,7 @@ from pclab.proofs import (
     special_degree,
     touched,
 )
+from test_proofs import touch_by_term
 from test_span_oracle import GroebnerReducer
 
 F = DEFAULT_FIELD
@@ -85,14 +86,14 @@ def _rand_poly(rng, vs, basis, max_terms=5, max_degree=None):
 
 def test_span_single_variable():
     x, y = plain("x"), plain("y")
-    sp = span_basis([Poly.variable(F, BOOLEAN, x)], universe=[x, y])
+    sp = span_basis([Poly(F, BOOLEAN, {(x,): 1})], universe=[x, y])
     assert sp.active == (x,)
     assert sp.std_monomials == ((),)
     assert sp.leading_terms() == ((x,),)
-    assert sp.contains(Poly.variable(F, BOOLEAN, x))
+    assert sp.contains(Poly(F, BOOLEAN, {(x,): 1}))
     assert sp.reduce(_poly(BOOLEAN, {(x, y): 5})).is_zero
-    assert sp.reduce(Poly.variable(F, BOOLEAN, y)) == Poly.variable(F, BOOLEAN, y)
-    assert sp.reduce(Poly.constant(F, BOOLEAN, 3)) == Poly.constant(F, BOOLEAN, 3)
+    assert sp.reduce(Poly(F, BOOLEAN, {(y,): 1})) == Poly(F, BOOLEAN, {(y,): 1})
+    assert sp.reduce(Poly(F, BOOLEAN, {(): 3})) == Poly(F, BOOLEAN, {(): 3})
 
 
 def test_span_empty_family_is_identity():
@@ -108,18 +109,18 @@ def test_span_fourier_sign_pinning():
     x = plain("x")
     # x - 1 pins x to +1, x + 1 pins it to -1
     lo = span_basis([_poly(FOURIER, {(x,): 1, (): F.p - 1})], universe=[x])
-    assert lo.reduce(Poly.variable(F, FOURIER, x)) == Poly.constant(F, FOURIER, 1)
+    assert lo.reduce(Poly(F, FOURIER, {(x,): 1})) == Poly(F, FOURIER, {(): 1})
     hi = span_basis([_poly(FOURIER, {(x,): 1, (): 1})], universe=[x])
-    assert hi.reduce(Poly.variable(F, FOURIER, x)) == Poly.constant(F, FOURIER, F.p - 1)
+    assert hi.reduce(Poly(F, FOURIER, {(x,): 1})) == Poly(F, FOURIER, {(): F.p - 1})
 
 
 def test_span_zero_ring():
     x = plain("x")
-    sp = span_basis([Poly.constant(F, BOOLEAN, 2)], universe=[x])
+    sp = span_basis([Poly(F, BOOLEAN, {(): 2})], universe=[x])
     assert sp.std_monomials == ()
-    assert sp.reduce(Poly.variable(F, BOOLEAN, x)).is_zero
-    assert sp.reduce(Poly.constant(F, BOOLEAN, 1)).is_zero
-    assert not sp.contains(Poly.zero(F, BOOLEAN)) or sp.contains(Poly.constant(F, BOOLEAN, 1))
+    assert sp.reduce(Poly(F, BOOLEAN, {(x,): 1})).is_zero
+    assert sp.reduce(Poly(F, BOOLEAN, {(): 1})).is_zero
+    assert not sp.contains(Poly(F, BOOLEAN)) or sp.contains(Poly(F, BOOLEAN, {(): 1}))
     assert sp.leading_terms() == ((),)
 
 
@@ -149,7 +150,7 @@ def test_span_reduce_is_semantically_equal():
         for _ in range(8):
             q = _rand_poly(rng, vs, basis)
             r = sp.reduce(q)
-            assert semantic_implies(polys, q.sub(r))
+            assert semantic_implies(polys, q.lin(1, r, -1))
             assert sp.contains(q) == semantic_implies(polys, q)
 
 
@@ -162,7 +163,7 @@ def test_span_reduce_never_grows_grlex():
         for _ in range(10):
             t = make_term(rng.sample(vs, d))
             r = sp.reduce(Poly.from_term(F, BOOLEAN, t))
-            assert r.is_zero or grlex_key(r.leading_term()) <= grlex_key(t)
+            assert r.is_zero or grlex_key(max(r.terms, key=grlex_key)) <= grlex_key(t)
 
 
 def test_closure_route_matches_points_route():
@@ -345,8 +346,8 @@ def test_span_escalier_and_basis_poly_invariants():
     for m in sp.leading_terms():
         # the monomial minus its remainder keeps the monomial as leading term
         pm = Poly.from_term(F, BOOLEAN, m)
-        g = pm.sub(sp.reduce(pm))
-        assert g.leading_term() == m
+        g = pm.lin(1, sp.reduce(pm), -1)
+        assert max(g.terms, key=grlex_key) == m
         assert all(s == m or s in std for s in g.terms)
         assert sp.contains(g)
 
@@ -356,28 +357,28 @@ def test_span_argument_checks():
     with pytest.raises(ValueError):
         span_basis([])
     with pytest.raises(ValueError):
-        span_basis([Poly.variable(F, BOOLEAN, x.twin)], universe=[x])
+        span_basis([Poly(F, BOOLEAN, {(x.twin,): 1})], universe=[x])
     with pytest.raises(ValueError):
-        span_basis([Poly.variable(F, BOOLEAN, x)], universe=[y])
+        span_basis([Poly(F, BOOLEAN, {(x,): 1})], universe=[y])
     with pytest.raises(ValueError):
-        span_basis([Poly.variable(F, BOOLEAN, x)], universe=[x], method="magic")
+        span_basis([Poly(F, BOOLEAN, {(x,): 1})], universe=[x], method="magic")
     with pytest.raises(BasisMismatch):
-        span_basis([Poly.variable(F, BOOLEAN, x), Poly.variable(F, FOURIER, y)])
-    sp = span_basis([Poly.variable(F, BOOLEAN, x)], universe=[x])
+        span_basis([Poly(F, BOOLEAN, {(x,): 1}), Poly(F, FOURIER, {(y,): 1})])
+    sp = span_basis([Poly(F, BOOLEAN, {(x,): 1})], universe=[x])
     with pytest.raises(ValueError):
-        sp.reduce(Poly.variable(F, BOOLEAN, y))
+        sp.reduce(Poly(F, BOOLEAN, {(y,): 1}))
     with pytest.raises(BasisMismatch):
-        sp.reduce(Poly.variable(F, FOURIER, x))
+        sp.reduce(Poly(F, FOURIER, {(x,): 1}))
 
 
 def test_span_scale_limits():
     vs = [plain(f"v{i:02d}") for i in range(40)]
     with pytest.raises(ScaleLimitExceeded):
-        span_basis([Poly.variable(F, BOOLEAN, v) for v in vs[:17]], universe=vs[:17])
+        span_basis([Poly(F, BOOLEAN, {(v,): 1}) for v in vs[:17]], universe=vs[:17])
     # at the limit the points engine still builds; the closure engine
     # counts no variables
-    span_basis([Poly.variable(F, BOOLEAN, vs[0])], universe=vs[:16])
-    assert span_basis([Poly.variable(F, BOOLEAN, v) for v in vs], method="closure").std_monomials == ((),)
+    span_basis([Poly(F, BOOLEAN, {(vs[0],): 1})], universe=vs[:16])
+    assert span_basis([Poly(F, BOOLEAN, {(v,): 1}) for v in vs], method="closure").std_monomials == ((),)
     # one monomial over k variables leaves 2^k - 1 standard monomials
     start = time.perf_counter()
     with pytest.raises(ScaleLimitExceeded, match=f"more than {CLOSURE_STD_LIMIT} standard monomials"):
@@ -561,7 +562,7 @@ def test_residue_rewrites_nontrivially_and_stays_sound(oracle):
     fam = [ctx.polys[i] for i in ctx.groups["T"]]
     for j in sorted(tau):
         fam += [ctx.polys[i] for i in ctx.groups[f"BV({j})"]]
-    assert semantic_implies(fam, Poly.from_term(F, BOOLEAN, t).sub(r))
+    assert semantic_implies(fam, Poly.from_term(F, BOOLEAN, t).lin(1, r, -1))
 
 
 def test_residue_idempotent(oracle):
@@ -580,7 +581,7 @@ def test_residue_operator_report(oracle):
 
 
 def test_residue_unit_not_destroyed(oracle):
-    one = Poly.constant(F, BOOLEAN, 1)
+    one = Poly(F, BOOLEAN, {(): 1})
     assert oracle.R(one) == one
 
 
@@ -714,6 +715,20 @@ def test_regime_predicate_matches_proper_spans():
                        (4, 1, (1, 3, 4)), (4, 1, (2, 3, 4)), (4, 1, (1, 2, 3, 4))]
 
 
+@pytest.mark.parametrize("n, ell, out_of_regime, axioms", [(3, 2, 24, 48), (3, 1, 6, 21), (2, 2, 6, 8), (4, 1, 0, 46)])
+def test_axioms_holding_a_term_that_touches_every_vertex(n, ell, out_of_regime, axioms):
+    """How many context axioms hold a term whose touch key covers all n
+    vertices, so that a runner reducing every term of them leaves the
+    regime.  The keys come from the variables' fields, and the oracle's
+    ``tau`` must agree with them on every term."""
+    ctx = bop_context(n, ell)
+    keys = {t: frozenset().union(*touch_by_term(t, n, ell)) for p in ctx.polys for t in p.terms}
+    oracle = ResidueOracle(ctx)
+    assert all(oracle.tau(t) == key for t, key in keys.items())
+    held = [p for p in ctx.polys if any(len(keys[t]) == n for t in p.terms)]
+    assert (len(held), len(ctx.polys)) == (out_of_regime, axioms)
+
+
 _REFERENCE_SIZES = {(3, 1): {}, (2, 2): {}}  # (n, ell) -> {key: span} of the reference
 
 
@@ -722,13 +737,13 @@ def _reference_R(ctx, poly):
     reduced modulo the span of T and the pointer groups of the vertices
     ``touched`` names, the remainders summed."""
     spans = _REFERENCE_SIZES[ctx.n, ctx.ell]
-    out = Poly.zero(F, BOOLEAN)
+    out = Poly(F, BOOLEAN)
     for t, c in poly.terms.items():
         key = touched(t, ctx.n, ctx.ell).tau
         if key not in spans:
             family = [ctx.polys[i] for g in ["T"] + [f"BV({j})" for j in sorted(key)] for i in ctx.groups[g]]
             spans[key] = span_basis(family, ctx.universe)
-        out = out.add(spans[key].reduce(Poly.from_term(F, BOOLEAN, t)).scale(c))
+        out = out.lin(1, spans[key].reduce(Poly.from_term(F, BOOLEAN, t)), c)
     return out
 
 
@@ -834,7 +849,7 @@ def test_points_cap_counts_active_variables_not_the_universe():
     r = orc.R_term(t)
     assert not r.is_zero
     premises = [ctx.polys[i] for g in ("T", "BV(1)", "BV(2)") for i in ctx.groups[g]]
-    assert semantic_implies(premises, Poly.from_term(F, BOOLEAN, t).sub(r))
+    assert semantic_implies(premises, Poly.from_term(F, BOOLEAN, t).lin(1, r, -1))
 
 
 def test_oracle_mismatched_request(oracle):

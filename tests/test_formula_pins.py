@@ -32,7 +32,7 @@ A, B = edge(1, 2), edge(2, 1)
 
 
 def _var(v, basis=BOOLEAN):
-    return Poly.variable(F, basis, v)
+    return Poly(F, basis, {(v,): 1})
 
 
 @pytest.mark.parametrize("make, message", [

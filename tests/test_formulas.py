@@ -287,8 +287,8 @@ class TestClauseToPoly:
         assert all(not v.negated for v in p.variables())
 
     def test_empty_clause(self):
-        assert clause_to_poly(frozenset(), BOOLEAN) == Poly.constant(F, BOOLEAN, 1)
-        assert clause_to_poly(frozenset(), FOURIER) == Poly.constant(F, FOURIER, 1)
+        assert clause_to_poly(frozenset(), BOOLEAN) == Poly(F, BOOLEAN, {(): 1})
+        assert clause_to_poly(frozenset(), FOURIER) == Poly(F, FOURIER, {(): 1})
 
     def test_both_polarities_of_a_base(self):
         # a CNF refuses such a clause, the translation takes it: the factors
@@ -314,14 +314,14 @@ def iterated_product(clause, basis, field, twins):
     if basis == BOOLEAN:
         if twins:
             return Poly.from_term(field, basis, make_term(v.twin for v in lits))
-        out = Poly.constant(field, basis, 1)
+        out = Poly(field, basis, {(): 1})
         for v in lits:
-            out = out.mul_var(v.base) if v.negated else out.sub(out.mul_var(v))
+            out = out.mul_var(v.base) if v.negated else out.lin(1, out.mul_var(v), -1)
         return out
-    out = Poly.constant(field, basis, 1)
+    out = Poly(field, basis, {(): 1})
     for v in lits:
-        enc = Poly.variable(field, basis, v.base)
-        out = out.mul(Poly.constant(field, basis, 1).add(enc.neg() if v.negated else enc))
+        enc = Poly(field, basis, {(v.base,): 1})
+        out = out.mul(Poly(field, basis, {(): 1}).lin(1, enc, -1 if v.negated else 1))
     return out
 
 
@@ -354,7 +354,7 @@ class TestCnfToAxioms:
 
     def test_unsat_by_semantics(self):
         ax = cnf_to_axioms(gen_lop(3), BOOLEAN)
-        one = Poly.constant(F, BOOLEAN, 1)
+        one = Poly(F, BOOLEAN, {(): 1})
         assert semantic_implies(list(ax.polys), one)
 
 
@@ -364,8 +364,8 @@ class TestOracle:
         f = Poly(F, BOOLEAN, {(x,): 1, (): F.p - 1})  # x - 1
         g = Poly(F, BOOLEAN, {make_term([x, y]): 1, (y,): F.p - 1})  # xy - y
         assert semantic_implies([f], g)
-        assert not semantic_implies([], Poly.variable(F, BOOLEAN, x))
-        assert semantic_implies([], Poly.zero(F, BOOLEAN))
+        assert not semantic_implies([], Poly(F, BOOLEAN, {(x,): 1}))
+        assert semantic_implies([], Poly(F, BOOLEAN))
 
     def test_semantic_implies_fourier(self):
         x = plain("a")
@@ -493,7 +493,7 @@ class TestUniverse:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             CNF((clause_of(self.A),), universe)
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            AxiomSystem(F, BOOLEAN, (Poly.variable(F, BOOLEAN, self.A),), universe)
+            AxiomSystem(F, BOOLEAN, (Poly(F, BOOLEAN, {(self.A,): 1}),), universe)
 
     def test_dimacs_names_of_a_twin_are_refused(self, tmp_path):
         path = tmp_path / "f.cnf"

@@ -59,14 +59,14 @@ def operands(draw, count=2):
 @given(operands())
 def test_add_matches_sympy(ops):
     field, basis, p, q = ops
-    assert p.add(q).terms == reduce_sympy(to_sympy(p) + to_sympy(q), field, basis)
+    assert p.lin(1, q, 1).terms == reduce_sympy(to_sympy(p) + to_sympy(q), field, basis)
 
 
 @SETTINGS
 @given(operands(1), scalars)
 def test_scale_matches_sympy(ops, a):
     field, basis, p = ops
-    assert p.scale(a).terms == reduce_sympy(a * to_sympy(p), field, basis)
+    assert p.lin(a, p, 0).terms == reduce_sympy(a * to_sympy(p), field, basis)
 
 
 @SETTINGS
@@ -74,7 +74,7 @@ def test_scale_matches_sympy(ops, a):
 def test_mul_var_matches_sympy(ops, v):
     field, basis, p = ops
     # p + v*p holds t and v*t together; in the boolean basis their products meet
-    for q in (p, p.add(p.mul_var(v))):
+    for q in (p, p.lin(1, p.mul_var(v), 1)):
         assert q.mul_var(v).terms == reduce_sympy(SYM[v] * to_sympy(q), field, basis)
 
 
@@ -96,14 +96,14 @@ def test_lin_matches_sympy(ops, a, b):
 @given(operands(3), scalars, scalars)
 def test_ring_laws(ops, a, b):
     _, _, p, q, r = ops
-    assert p.add(q) == q.add(p)
-    assert p.add(q).add(r) == p.add(q.add(r))
+    assert p.lin(1, q, 1) == q.lin(1, p, 1)
+    assert p.lin(1, q, 1).lin(1, r, 1) == p.lin(1, q.lin(1, r, 1), 1)
     assert p.mul(q) == q.mul(p)
     assert p.mul(q).mul(r) == p.mul(q.mul(r))
-    assert p.mul(q.add(r)) == p.mul(q).add(p.mul(r))
-    assert p.scale(a).scale(b) == p.scale(a * b)
-    assert p.lin(a, q, b) == p.scale(a).add(q.scale(b))
-    assert p.sub(p).is_zero and p.add(p.neg()).is_zero
+    assert p.mul(q.lin(1, r, 1)) == p.mul(q).lin(1, p.mul(r), 1)
+    assert p.lin(a, p, 0).lin(b, p, 0) == p.lin(a * b, p, 0)
+    assert p.lin(a, q, b) == p.lin(a, p, 0).lin(1, q.lin(b, q, 0), 1)
+    assert p.lin(1, p, -1).is_zero and p.lin(1, p.lin(-1, p, 0), 1).is_zero
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,7 +92,7 @@ class TestCheckPC:
         ax = x_pm_one_system()
         proof = PCProof(ax, (("ax", 0), ("ax", 1), ("lin", INV2, 1, F.p - INV2, 0)))
         lines = proof_lines(proof)
-        assert lines[2] == Poly.constant(F, FOURIER, 1)
+        assert lines[2] == Poly(F, FOURIER, {(): 1})
 
     def test_dangling_reference(self):
         ax = x_pm_one_system()
@@ -570,7 +570,7 @@ class TestProofFiles:
         path.write_text("pcproof v1 basis=fourier field=101 axioms=a\nL2 AX 1\n")
         from pclab.algebra import Field
 
-        ax = AxiomSystem(Field(101), FOURIER, (Poly.constant(Field(101), FOURIER, 1),), ())
+        ax = AxiomSystem(Field(101), FOURIER, (Poly(Field(101), FOURIER, {(): 1}),), ())
         with pytest.raises(ValueError):
             read_pcproof(path, axioms=ax)
 

@@ -110,7 +110,7 @@ def test_random_derivation_lines_are_implied_by_their_axioms(axioms):
     would hold for any line.  Each line is checked against only the
     axioms its steps reach back to, and most of those sets have common
     zeros."""
-    one = Poly.constant(axioms.field, axioms.basis, 1)
+    one = Poly(axioms.field, axioms.basis, {(): 1})
     kinds = Counter()
     satisfiable = 0
     for seed in range(12):
@@ -198,7 +198,7 @@ def replay(proof):
         if kind == "ax":
             q = ax.polys[step[1]]
         elif kind == "sq":
-            q = Poly.zero(ax.field, ax.basis)
+            q = Poly(ax.field, ax.basis)
         elif kind == "tw":
             q = twin_axiom_poly(step[1], ax.field, ax.basis)
         elif kind == "lin":
@@ -239,7 +239,7 @@ def test_mask_lines_match_the_poly_replay(basis):
         assert rep.valid
         assert rep.size == sum(q.monomial_count for q in lines)
         assert rep.degree == max(q.degree for q in lines)
-        assert rep.is_refutation == (lines[-1] == Poly.constant(F, basis, 1))
+        assert rep.is_refutation == (lines[-1] == Poly(F, basis, {(): 1}))
         if basis == FOURIER:
             qs = quadratic_set(proof)
             assert qs.products == {term_mul(s, t, FOURIER) for q in lines for s in q.terms for t in q.terms}
