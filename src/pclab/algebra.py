@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 import functools
+import gc
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
@@ -513,6 +514,23 @@ class FileFormatError(ValueError):
     """Malformed text; the message names the file, and the line at fault."""
 
 
+class _GCPause:
+    """The cyclic garbage collector is off in the ``with`` body, and the
+    caller's setting is back on every exit; when it is already off this
+    does nothing.  A file read or a whole-proof build makes a long-lived
+    tuple per line and no cycle, and each older-generation collection
+    would walk them all again."""
+
+    def __enter__(self) -> None:
+        self._was = gc.isenabled()
+        if self._was:
+            gc.disable()
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if self._was:
+            gc.enable()
+
+
 class LineReader:
     """Streams the stripped, non-blank lines of a text file, and with
     ``comments`` skips lines starting with ``#``.  ``k`` is the 1-based
@@ -520,6 +538,8 @@ class LineReader:
     the last.  A ValueError raised in the ``with`` body is re-raised as
     ``<path>: <reason> (line <k>)``, or as ``<path>: <reason>`` when no
     line is current; a FileFormatError from a nested read passes as is.
+    The cyclic collector is paused from the open to the exit, and the
+    caller's setting is restored.
     """
 
     def __init__(self, path, comments: bool = False):
@@ -530,9 +550,12 @@ class LineReader:
     def __enter__(self) -> "LineReader":
         self._fh = open(self.path, "rb")
         self._lines = self._stream()
+        self._pause = _GCPause()
+        self._pause.__enter__()
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
+        self._pause.__exit__(kind, exc, tb)
         self._fh.close()
         if isinstance(exc, ValueError) and not isinstance(exc, FileFormatError):
             where = "" if self.k is None else f" (line {self.k})"

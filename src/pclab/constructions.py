@@ -21,7 +21,7 @@ __all__ = [
 
 from typing import Sequence, Tuple
 
-from .algebra import Var, edge, plain, pointer
+from .algebra import Var, _GCPause, edge, plain, pointer
 from .formulas import (
     CNF,
     Clause,
@@ -111,35 +111,37 @@ def lifted_refutation(n: int, ell: int) -> ResolutionProof:
 
     Pointer trees first give each vertex's lifted vee-clause; the vertex
     elimination scheme then removes the top vertex copy by copy, costing
-    about ell^2 resolutions per ordering axiom used.
+    about ell^2 resolutions per ordering axiom used.  The cyclic collector
+    is paused for the call, and the caller's setting is restored.
     """
-    cnf = gen_bop_lifted(n, ell)
-    b = _Builder(cnf)
-    copies = range(1, ell + 1)
-    # x(i,j,l) and its twin, built once
-    x = {(i, j, l): edge(i, j, l) for i in range(1, n + 1) for j in range(1, n + 1) if i != j for l in copies}
-    nx = {k: v.twin for k, v in x.items()}
-    cur = {j: _pointer_tree(b, j) for j in range(1, n + 1)}
-    for m in range(n, 1, -1):
-        for j in range(1, m):
-            # one helper clause per copy of the edge from m to j
-            helpers = []
-            blocks = {i: frozenset(x[i, j, l2] for l2 in copies) for i in range(1, m) if i != j}
-            for sigma in copies:
-                d = cur[m]
-                for i in range(1, m):
-                    for l in copies:
-                        if i == j:
-                            ax = b.axiom(frozenset({nx[j, m, l], nx[m, j, sigma]}))
-                        else:
-                            ax = b.axiom(blocks[i] | {nx[i, m, l], nx[m, j, sigma]})
-                        d = b.resolve(d, ax, x[i, m, l])
-                helpers.append(d)
-            e = cur[j]
-            for t, d in zip(copies, helpers):
-                e = b.resolve(e, d, x[m, j, t])
-            cur[j] = e
-    return b.proof()
+    with _GCPause():
+        cnf = gen_bop_lifted(n, ell)
+        b = _Builder(cnf)
+        copies = range(1, ell + 1)
+        # x(i,j,l) and its twin, built once
+        x = {(i, j, l): edge(i, j, l) for i in range(1, n + 1) for j in range(1, n + 1) if i != j for l in copies}
+        nx = {k: v.twin for k, v in x.items()}
+        cur = {j: _pointer_tree(b, j) for j in range(1, n + 1)}
+        for m in range(n, 1, -1):
+            for j in range(1, m):
+                # one helper clause per copy of the edge from m to j
+                helpers = []
+                blocks = {i: frozenset(x[i, j, l2] for l2 in copies) for i in range(1, m) if i != j}
+                for sigma in copies:
+                    d = cur[m]
+                    for i in range(1, m):
+                        for l in copies:
+                            if i == j:
+                                ax = b.axiom(frozenset({nx[j, m, l], nx[m, j, sigma]}))
+                            else:
+                                ax = b.axiom(blocks[i] | {nx[i, m, l], nx[m, j, sigma]})
+                            d = b.resolve(d, ax, x[i, m, l])
+                    helpers.append(d)
+                e = cur[j]
+                for t, d in zip(copies, helpers):
+                    e = b.resolve(e, d, x[m, j, t])
+                cur[j] = e
+        return b.proof()
 
 
 def pcr_upper_bound(n: int, ell: int) -> PCProof:

@@ -41,6 +41,7 @@ from .algebra import (
     BOOLEAN,
     FOURIER,
     LineReader,
+    _GCPause,
     Poly,
     Term,
     Var,
@@ -664,28 +665,30 @@ def res_to_pcr(rproof: ResolutionProof, field=None) -> PCProof:
     Each clause becomes its one-monomial translation.  A resolution step
     multiplies each parent's monomial up to (pivot-literal * resolvent
     monomial), adds them, and cancels the pivot pair against the twin
-    axiom multiplied by the resolvent monomial.
+    axiom multiplied by the resolvent monomial.  The cyclic collector is
+    paused for the call, and the caller's setting is restored.
     """
-    axioms = cnf_to_axioms(rproof.cnf, BOOLEAN, **({} if field is None else {"field": field}))
-    out = ProofWriter(axioms.field.p)
-    rule, codec = _clause_rule(rproof.cnf), rproof.cnf.codec
-    even = codec.even  # the base bits
+    with _GCPause():
+        axioms = cnf_to_axioms(rproof.cnf, BOOLEAN, **({} if field is None else {"field": field}))
+        out = ProofWriter(axioms.field.p)
+        rule, codec = _clause_rule(rproof.cnf), rproof.cnf.codec
+        even = codec.even  # the base bits
 
-    def twins(m: int) -> Term:  # the monomial of a clause mask: each literal's twin, in term order
-        return codec.term((m & even) << 1 | m >> 1 & even)
+        def twins(m: int) -> Term:  # the monomial of a clause mask: each literal's twin, in term order
+            return codec.term((m & even) << 1 | m >> 1 & even)
 
-    def derive(kind: str, at, step: Step, parents: tuple) -> Tuple[int, int]:
-        # a line is the clause's mask and the line of its translation
-        if kind == "in":
-            return rule(kind, at, step, ()), out.emit(("ax", at))
-        clause = rule(kind, at, step, (parents[0][0], parents[1][0]))
-        # the parent with the positive pivot literal comes first and carries the twin factor
-        i = codec.pos[step[3]] & ~1
-        ordered = parents if parents[0][0] >> i & 1 else parents[::-1]
-        le = out.lin([(1, q, twins(clause & ~m)) for m, q in ordered])
-        tw = out.emit(("tw", codec.var_of[i]))
-        return clause, out.lin([(1, le, ()), (axioms.field.p - 1, tw, twins(clause))])
+        def derive(kind: str, at, step: Step, parents: tuple) -> Tuple[int, int]:
+            # a line is the clause's mask and the line of its translation
+            if kind == "in":
+                return rule(kind, at, step, ()), out.emit(("ax", at))
+            clause = rule(kind, at, step, (parents[0][0], parents[1][0]))
+            # the parent with the positive pivot literal comes first and carries the twin factor
+            i = codec.pos[step[3]] & ~1
+            ordered = parents if parents[0][0] >> i & 1 else parents[::-1]
+            le = out.lin([(1, q, twins(clause & ~m)) for m, q in ordered])
+            tw = out.emit(("tw", codec.var_of[i]))
+            return clause, out.lin([(1, le, ()), (axioms.field.p - 1, tw, twins(clause))])
 
-    for _ in _valid_input(_walk(rproof, derive)):
-        pass
-    return PCProof(axioms, tuple(out.steps))
+        for _ in _valid_input(_walk(rproof, derive)):
+            pass
+        return PCProof(axioms, tuple(out.steps))

@@ -7,9 +7,14 @@ reader either to return or to raise a ValueError naming the file at
 fault; an OSError may come only from a header naming a missing file.
 Every ``pclab transform`` given mutated inputs exits 0 to 3, with no
 exception escaping ``main``.
+
+A read, like the whole-proof builds ``res_to_pcr`` and
+``lifted_refutation``, runs with the cyclic collector off and leaves the
+caller's setting as it found it, however the call ends.
 """
 
 import contextlib
+import gc
 import io
 import re
 import tempfile
@@ -17,9 +22,10 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pclab.algebra import FOURIER, edge, plain, pointer
+from pclab import constructions, transforms
+from pclab.algebra import FOURIER, FileFormatError, LineReader, edge, plain, pointer
 from pclab.cli import main
-from pclab.constructions import lop_resolution_refutation
+from pclab.constructions import lifted_refutation, lop_resolution_refutation
 from pclab.formulas import (
     AxiomSystem,
     cnf_to_axioms,
@@ -30,12 +36,22 @@ from pclab.formulas import (
     write_axioms,
     write_dimacs,
 )
-from pclab.proofs import PCProof, random_derivation, read_pcproof, read_resproof, write_pcproof, write_resproof
+from pclab.proofs import (
+    PCProof,
+    ResolutionProof,
+    check_pc,
+    random_derivation,
+    read_pcproof,
+    read_resproof,
+    write_pcproof,
+    write_resproof,
+)
 from pclab.transforms import (
     Restriction,
     random_pairing,
     read_clustermap,
     read_restriction,
+    res_to_pcr,
     write_clustermap,
     write_restriction,
 )
@@ -177,6 +193,84 @@ class TestRefusals:
         path.write_text("\n  \n")
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: empty {what} file") + "$"):
             reader(path)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector
+
+
+@pytest.fixture(params=[True, False], ids=["caller-gc-on", "caller-gc-off"])
+def caller_gc(request):
+    """The collector as the caller sets it before each call."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _gc_seen_in(monkeypatch, module, name):
+    """Whether the collector was on at each call of ``module.name``."""
+    seen, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def test_line_reader_body_runs_with_the_collector_off(tseitin, caller_gc):
+    with LineReader(tseitin / "proof.pc") as lines:
+        assert not gc.isenabled()
+        assert next(iter(lines)).startswith("pcproof v1")
+    assert gc.isenabled() is caller_gc
+
+
+@pytest.mark.parametrize("case, error", [
+    ("valid", None),
+    ("malformed step", FileFormatError),
+    # the open fails, so nothing was paused
+    ("missing file", FileNotFoundError),
+    # the header names an axiom file that is not there, so the nested read fails
+    ("missing axioms", FileNotFoundError),
+])
+def test_a_read_restores_the_callers_collector(tseitin, caller_gc, case, error):
+    proof = tseitin / "proof.pc"
+    if case == "malformed step":
+        _edit(proof, 3, "L2 FOO x1")
+    elif case == "missing file":
+        proof = tseitin / "absent.pc"
+    elif case == "missing axioms":
+        (tseitin / "axioms.txt").unlink()
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        read_pcproof(proof)
+    assert gc.isenabled() is caller_gc
+    # the CLI's header peek reads through the same reader
+    assert _cli("check", proof)[0] == (0 if error is None else 2)
+    assert gc.isenabled() is caller_gc
+
+
+def test_res_to_pcr_runs_with_the_collector_off(monkeypatch, caller_gc):
+    seen = _gc_seen_in(monkeypatch, transforms, "cnf_to_axioms")
+    rproof = lop_resolution_refutation(3)
+    assert check_pc(res_to_pcr(rproof)).valid
+    assert seen == [False] and gc.isenabled() is caller_gc
+    bad = ResolutionProof(rproof.cnf, rproof.steps[:1] + (("res", 5, 0, edge(1, 2)),))
+    with pytest.raises(ValueError, match="^input proof invalid at L2: reference to L6 not before L2$"):
+        res_to_pcr(bad)
+    assert seen == [False, False] and gc.isenabled() is caller_gc
+
+
+def test_lifted_refutation_runs_with_the_collector_off(monkeypatch, caller_gc):
+    seen = _gc_seen_in(monkeypatch, constructions, "gen_bop_lifted")
+    assert check_pc(res_to_pcr(lifted_refutation(3, 2))).is_refutation
+    assert seen == [False] and gc.isenabled() is caller_gc
+    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+        lifted_refutation(1, 2)
+    assert seen == [False, False] and gc.isenabled() is caller_gc
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Wall time and peak memory of one pclab command.
+"""Wall time, peak memory and garbage collections of one pclab command.
 
     python3 tools/peakrss.py -- pclab refute pcr-upper --n 16 --ell 2 --out DIR
 
-The words after ``pclab`` run as ``python -m pclab.cli`` in a child
+The words after ``pclab`` run as the ``pclab.cli`` module in a child
 process, on the ``src/`` of the checkout that holds this file.  The
 child's output goes to stderr.  Stdout gets one JSON line: the child's
-``exit`` code, its ``wall_s``, and its ``ru_maxrss`` in MB as
-``maxrss_mb``.  The exit status is the child's.
+``exit`` code, its ``wall_s``, its ``ru_maxrss`` in MB as ``maxrss_mb``,
+and as ``gc_collections`` the collections of each generation,
+``[g0, g1, g2]``, that ``gc.get_stats()`` counts when the child exits
+(null if it was killed before it could say).  The exit status is the
+child's.
 """
 
 import json
@@ -18,6 +21,15 @@ import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+# runs pclab.cli as ``python -m`` would, and at exit writes the collection
+# counts to the pipe whose descriptor is its first argument
+_CHILD = """\
+import atexit, gc, json, os, runpy, sys
+fd = int(sys.argv.pop(1))
+atexit.register(lambda: os.write(fd, json.dumps([g["collections"] for g in gc.get_stats()]).encode()))
+runpy.run_module("pclab.cli", run_name="__main__", alter_sys=True)
+"""
+
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
@@ -27,12 +39,20 @@ def main(argv=None) -> int:
         print("usage: peakrss.py -- pclab ARGS...", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
     start = time.perf_counter()
-    code = subprocess.run([sys.executable, "-m", "pclab.cli", *argv[1:]], env=env, stdout=sys.stderr).returncode
+    try:
+        code = subprocess.run([sys.executable, "-c", _CHILD, str(write), *argv[1:]],
+                              env=env, stdout=sys.stderr, pass_fds=(write,)).returncode
+    finally:
+        os.close(write)
     wall = time.perf_counter() - start
+    with os.fdopen(read) as fh:
+        counts = fh.read()
     # the only child this process waits for; Linux gives ru_maxrss in KiB
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(json.dumps({"exit": code, "wall_s": round(wall, 3), "maxrss_mb": round(rss, 1)}))
+    print(json.dumps({"exit": code, "wall_s": round(wall, 3), "maxrss_mb": round(rss, 1),
+                      "gc_collections": json.loads(counts) if counts else None}))
     return code
 
 
