@@ -17,9 +17,8 @@ def test_one_json_line_for_one_command(tmp_path):
     record = json.loads(line)
     assert sorted(record) == ["exit", "gc_collections", "maxrss_mb", "wall_s"]
     assert record["exit"] == 0 and record["wall_s"] > 0 and record["maxrss_mb"] > 1
-    # one count per generation, and importing pclab alone runs young collections
-    g0, g1, g2 = record["gc_collections"]
-    assert g0 > 0 and min(g1, g2) >= 0
+    # one count per generation; importing pclab alone runs young collections
+    assert len(record["gc_collections"]) == 3 and record["gc_collections"][0] > 0
     # the child's own output goes to stderr
     assert "12 clauses over 6 variables" in proc.stderr and out.exists()
 
